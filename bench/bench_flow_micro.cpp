@@ -1,6 +1,6 @@
 // Microbenchmarks for the flow substrate (google-benchmark): SPFA vs
 // Bellman–Ford shortest paths, Dinic vs Edmonds–Karp max flow, min-cost
-// max-flow throughput, and multidimensional augmentation. Not a paper
+// max-flow throughput, and the group-waterfall Aladdin solve. Not a paper
 // figure; this pins the solver costs the scheduling-level latency numbers
 // (Fig. 12) are built on.
 #include <benchmark/benchmark.h>
@@ -11,7 +11,6 @@
 #include "core/scheduler.h"
 #include "flow/max_flow.h"
 #include "flow/min_cost_flow.h"
-#include "flow/multidim.h"
 #include "flow/shortest_path.h"
 #include "flow/workspace.h"
 #include "sim/experiment.h"
@@ -113,70 +112,6 @@ void BM_MinCostMaxFlowDijkstra(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MinCostMaxFlowDijkstra)->Arg(256)->Arg(1024);
-
-// The machine -> sink arcs are the last `width` forward arcs added by
-// MakeLayeredGraph, in machine order.
-std::vector<ArcId> SinkArcs(const flow::Graph& graph, std::int64_t width) {
-  std::vector<ArcId> arcs;
-  arcs.reserve(static_cast<std::size_t>(width));
-  const auto first =
-      static_cast<std::int32_t>(graph.arc_count()) - 2 * width;
-  for (std::int64_t i = 0; i < width; ++i) {
-    arcs.emplace_back(static_cast<std::int32_t>(first + 2 * i));
-  }
-  return arcs;
-}
-
-// The incremental hot path the scheduler relies on: a solved network whose
-// machine capacities drift each round. Incremental = cancel excess flow on
-// the shrunk arcs, retune capacities in place, warm-start Dinic from the
-// surviving flow. Rebuild = reset all flows and re-solve from zero (the
-// pre-incremental behaviour). Same mutation schedule on both, so the ratio
-// is the reuse win.
-void RecapacityRound(flow::Graph& graph, const std::vector<ArcId>& sink_arcs,
-                     Rng& rng, bool cancel_excess, VertexId s, VertexId t) {
-  // ~1.5% of machines drift per round — the sparse-churn regime the
-  // scheduler's per-tick updates live in.
-  const auto width = static_cast<std::int64_t>(sink_arcs.size());
-  for (std::int64_t k = 0; k < width / 64 + 1; ++k) {
-    const ArcId a =
-        sink_arcs[static_cast<std::size_t>(rng.UniformInt(0, width - 1))];
-    const flow::Capacity want = rng.UniformInt(0, 32);
-    if (cancel_excess && graph.Flow(a) > want) {
-      flow::CancelArcFlow(graph, a, graph.Flow(a) - want, s, t);
-    }
-    graph.SetCapacity(a, want);
-  }
-}
-
-void BM_RecapacityIncremental(benchmark::State& state) {
-  const std::int64_t width = state.range(0);
-  VertexId s, t;
-  flow::Graph graph = MakeLayeredGraph(width, 8, s, t, 1);
-  const std::vector<ArcId> sink_arcs = SinkArcs(graph, width);
-  flow::Dinic(graph, s, t);
-  Rng rng(7);
-  for (auto _ : state) {
-    RecapacityRound(graph, sink_arcs, rng, /*cancel_excess=*/true, s, t);
-    benchmark::DoNotOptimize(flow::Dinic(graph, s, t));  // warm start
-  }
-}
-BENCHMARK(BM_RecapacityIncremental)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_RecapacityRebuild(benchmark::State& state) {
-  const std::int64_t width = state.range(0);
-  VertexId s, t;
-  flow::Graph graph = MakeLayeredGraph(width, 8, s, t, 1);
-  const std::vector<ArcId> sink_arcs = SinkArcs(graph, width);
-  flow::Dinic(graph, s, t);
-  Rng rng(7);
-  for (auto _ : state) {
-    graph.ResetFlows();  // no flow to respect: capacities set directly
-    RecapacityRound(graph, sink_arcs, rng, /*cancel_excess=*/false, s, t);
-    benchmark::DoNotOptimize(flow::Dinic(graph, s, t));  // cold solve
-  }
-}
-BENCHMARK(BM_RecapacityRebuild)->Arg(256)->Arg(1024)->Arg(4096);
 
 // ------------------------------------------- adjacency layout A/B ----
 // The CSR win in isolation: walk every out-arc list, summing arc ids.
@@ -286,81 +221,21 @@ void BM_AggregatedNetworkResolve(benchmark::State& state) {
 }
 BENCHMARK(BM_AggregatedNetworkResolve)->Arg(2000)->Arg(10000);
 
-// ------------------------------------- batch-incremental refresh ----
-// The ISSUE 9 hot path in isolation: a solved network absorbs a micro-batch
-// of capacity retargets in one RefreshCapacities call. Warm = cancel only
-// the excess flow on shrunk arcs and re-augment from the surviving flow;
-// Cold = reset all flows, set capacities directly, re-solve from zero. Same
-// mutation schedule on both, so the ratio is the warm-start win the batched
-// scheduler banks once per micro-batch.
-std::vector<flow::CapacityUpdate> MakeRefreshBatch(
-    const std::vector<ArcId>& sink_arcs, Rng& rng) {
-  const auto width = static_cast<std::int64_t>(sink_arcs.size());
-  std::vector<flow::CapacityUpdate> updates;
-  updates.reserve(static_cast<std::size_t>(width / 16 + 1));
-  for (std::int64_t k = 0; k < width / 16 + 1; ++k) {
-    flow::CapacityUpdate update;
-    update.arc =
-        sink_arcs[static_cast<std::size_t>(rng.UniformInt(0, width - 1))];
-    update.capacity = rng.UniformInt(0, 32);
-    updates.push_back(update);
-  }
-  return updates;
-}
-
-void BM_BatchRefreshWarm(benchmark::State& state) {
-  const std::int64_t width = state.range(0);
-  VertexId s, t;
-  flow::Graph graph = MakeLayeredGraph(width, 8, s, t, 1);
-  const std::vector<ArcId> sink_arcs = SinkArcs(graph, width);
-  flow::Dinic(graph, s, t);
-  flow::Workspace ws;
-  Rng rng(7);
-  for (auto _ : state) {
-    const auto updates = MakeRefreshBatch(sink_arcs, rng);
-    flow::RefreshCapacities(graph, updates, s, t, ws);
-    benchmark::DoNotOptimize(flow::Dinic(graph, s, t, ws));  // warm start
-  }
-}
-BENCHMARK(BM_BatchRefreshWarm)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_BatchRefreshCold(benchmark::State& state) {
-  const std::int64_t width = state.range(0);
-  VertexId s, t;
-  flow::Graph graph = MakeLayeredGraph(width, 8, s, t, 1);
-  const std::vector<ArcId> sink_arcs = SinkArcs(graph, width);
-  flow::Dinic(graph, s, t);
-  flow::Workspace ws;
-  Rng rng(7);
-  for (auto _ : state) {
-    const auto updates = MakeRefreshBatch(sink_arcs, rng);
-    graph.ResetFlows();  // no flow to respect: capacities set directly
-    for (const flow::CapacityUpdate& update : updates) {
-      graph.SetCapacity(update.arc, update.capacity);
-    }
-    benchmark::DoNotOptimize(flow::Dinic(graph, s, t, ws));  // cold solve
-  }
-}
-BENCHMARK(BM_BatchRefreshCold)->Arg(256)->Arg(1024)->Arg(4096);
-
-// ------------------------------- group waterfall vs per-pod search ----
-// End-to-end A/B of the group-decomposed pathfinder: one whole-trace
-// Aladdin solve with the sorted-capacity waterfall on (arg 1) vs the
-// per-container best-fit walk (arg 0). Placements are bit-identical by
-// construction (the waterfall replays the walk exactly); the delta is the
-// grouped scan over flat free/fits arrays vs one IL/DL search per pod.
+// ------------------------------------------- group waterfall solve ----
+// One whole-trace Aladdin solve, in which runs of same-app siblings take
+// the sorted-capacity waterfall (PlaceGroupRun) and singletons the
+// per-container best-fit walk. The /1 suffix is the row name the committed
+// baseline tracks.
 void BM_GroupWaterfallVsDinic(benchmark::State& state) {
   const trace::Workload workload = sim::MakeBenchWorkload(0.02, 42);
   const cluster::Topology topology =
       trace::MakeAlibabaCluster(sim::BenchMachineCount(0.02));
   const auto arrival = trace::MakeArrivalSequence(
       workload, trace::ArrivalOrder::kRandom, 1);
-  core::AladdinOptions options;
-  options.group_waterfall = state.range(0) != 0;
   for (auto _ : state) {
     state.PauseTiming();
     cluster::ClusterState cluster_state = workload.MakeState(topology);
-    core::AladdinScheduler scheduler(options);
+    core::AladdinScheduler scheduler;
     sim::ScheduleRequest request;
     request.workload = &workload;
     request.arrival = &arrival;
@@ -368,28 +243,7 @@ void BM_GroupWaterfallVsDinic(benchmark::State& state) {
     benchmark::DoNotOptimize(scheduler.Schedule(request, cluster_state));
   }
 }
-BENCHMARK(BM_GroupWaterfallVsDinic)->Arg(0)->Arg(1);
-
-void BM_MultiDimMaxFlow(benchmark::State& state) {
-  const auto width = static_cast<std::int64_t>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    flow::MultiDimGraph graph(2);
-    const VertexId s = graph.AddVertex();
-    const VertexId t = graph.AddVertex();
-    Rng rng(3);
-    std::vector<VertexId> mids;
-    for (std::int64_t i = 0; i < width; ++i) {
-      const VertexId v = graph.AddVertex();
-      graph.AddArc(s, v, {rng.UniformInt(1, 8), rng.UniformInt(1, 16)});
-      graph.AddArc(v, t, {rng.UniformInt(1, 8), rng.UniformInt(1, 16)});
-      mids.push_back(v);
-    }
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(graph.MaxFlow(s, t));
-  }
-}
-BENCHMARK(BM_MultiDimMaxFlow)->Arg(256)->Arg(1024);
+BENCHMARK(BM_GroupWaterfallVsDinic)->Arg(1);
 
 }  // namespace
 

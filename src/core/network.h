@@ -76,11 +76,6 @@ class AggregatedNetwork {
   // so memoised IL failures for them are naturally invalidated.
   void Sync();
 
-  // Batch-refresh alias (ROADMAP item 4 / ISSUE 9 vocabulary): apply all of
-  // a micro-batch's accumulated arrivals/departures in one replay of the
-  // dirty log. Identical to Sync(); the name marks batch call sites.
-  void Refresh() { Sync(); }
-
   // Algorithm 1's getShortestPath for one container: returns the tightest
   // machine admitted by the capacity function, or Invalid. The same machine
   // is returned for every option combination; options only change how much

@@ -1,8 +1,5 @@
 #include "core/relaxation.h"
 
-#include <string>
-
-#include "common/check.h"
 #include "flow/max_flow.h"
 #include "obs/trace.h"
 
@@ -20,7 +17,6 @@ RelaxationNetwork BuildRelaxationNetwork(const trace::Workload& workload,
   // Application vertices A_j.
   const VertexId first_app =
       g.AddVertices(workload.application_count());
-  net.first_app = first_app;
   // Sub-cluster vertices G_k and rack vertices R_x.
   const VertexId first_sub = g.AddVertices(topology.subcluster_count());
   const VertexId first_rack = g.AddVertices(topology.rack_count());
@@ -41,13 +37,10 @@ RelaxationNetwork BuildRelaxationNetwork(const trace::Workload& workload,
   };
 
   // T_i vertices and s -> T_i -> A_j arcs for *unplaced* containers only.
-  net.container_arcs.assign(workload.container_count(),
-                            ArcId::Invalid());
   for (const auto& c : workload.containers()) {
     if (state.IsPlaced(c.id)) continue;
     const VertexId t = g.AddVertex();
-    net.container_arcs[static_cast<std::size_t>(c.id.value())] =
-        g.AddArc(net.source, t, c.request.cpu_millis());
+    g.AddArc(net.source, t, c.request.cpu_millis());
     g.AddArc(t, app_vx(c.app), flow::kInfiniteCapacity);
   }
   // A_j -> G_k: every application may reach every sub-cluster (this is the
@@ -67,7 +60,6 @@ RelaxationNetwork BuildRelaxationNetwork(const trace::Workload& workload,
     }
   }
   // R_x -> N_y and N_y -> t (capacity = the machine's free CPU).
-  net.machine_arcs.reserve(topology.machine_count());
   for (std::size_t r = 0; r < topology.rack_count(); ++r) {
     const cluster::RackId rid(static_cast<std::int32_t>(r));
     for (cluster::MachineId m : topology.RackMachines(rid)) {
@@ -75,8 +67,8 @@ RelaxationNetwork BuildRelaxationNetwork(const trace::Workload& workload,
     }
   }
   for (const auto& machine : topology.machines()) {
-    net.machine_arcs.push_back(g.AddArc(machine_vx(machine.id), net.sink,
-                                        state.Free(machine.id).cpu_millis()));
+    g.AddArc(machine_vx(machine.id), net.sink,
+             state.Free(machine.id).cpu_millis());
   }
   net.edge_count = g.arc_count() / 2;  // forward arcs only
   return net;
@@ -97,95 +89,6 @@ RelaxationBound SolveRelaxation(const trace::Workload& workload,
   bound.placeable_cpu_millis =
       flow::Dinic(net.graph, net.source, net.sink).value;
   return bound;
-}
-
-RelaxationBound IncrementalRelaxation::Solve(
-    const trace::Workload& workload, const cluster::ClusterState& state) {
-  ALADDIN_TRACE_SCOPE("core/relax_solve");
-  // The A_j fan-out is fixed at build time, so a changed application set
-  // (or a different state object entirely) forces a rebuild; everything
-  // else — free capacities, placements, appended containers — refreshes in
-  // place.
-  const bool reusable = built_ && state.instance_id() == state_instance_ &&
-                        workload.application_count() == application_count_ &&
-                        net_.machine_arcs.size() ==
-                            state.topology().machine_count();
-  reused_last_ = reusable;
-  if (!reusable) {
-    net_ = BuildRelaxationNetwork(workload, state);
-    built_ = true;
-    state_instance_ = state.instance_id();
-    application_count_ = workload.application_count();
-    app_vertex_base_ = net_.first_app.value();
-    flow::Dinic(net_.graph, net_.source, net_.sink, ws_);
-  } else {
-    Refresh(workload, state);
-    flow::Dinic(net_.graph, net_.source, net_.sink, ws_);  // warm start
-  }
-
-  RelaxationBound bound;
-  bound.vertices = net_.graph.vertex_count();
-  bound.edges = net_.edge_count;
-  bound.placeable_cpu_millis = net_.graph.NetOutflow(net_.source);
-  for (const auto& c : workload.containers()) {
-    if (!state.IsPlaced(c.id)) {
-      bound.demand_cpu_millis += c.request.cpu_millis();
-    }
-  }
-  return bound;
-}
-
-void IncrementalRelaxation::Refresh(const trace::Workload& workload,
-                                    const cluster::ClusterState& state) {
-  flow::Graph& g = net_.graph;
-  const cluster::Topology& topology = state.topology();
-
-  // Machine and container retargets accumulate into one micro-batch and go
-  // through flow::RefreshCapacities: each arc whose capacity moved keeps
-  // the previous solve's flow as a warm start, cancelling only the excess
-  // above its new capacity (the "cancel only invalidated arcs" rule).
-  updates_.clear();
-
-  // Machine arcs: free CPU moved.
-  for (const auto& machine : topology.machines()) {
-    const ArcId arc = net_.machine_arcs[static_cast<std::size_t>(
-        machine.id.value())];
-    const flow::Capacity want = state.Free(machine.id).cpu_millis();
-    if (g.arc(arc).capacity != want) {
-      updates_.push_back(flow::CapacityUpdate{arc, want});
-    }
-  }
-
-  // Container arcs: placed containers close (capacity 0), evicted ones
-  // re-open, brand-new ones get a T_i vertex wired in.
-  net_.container_arcs.resize(workload.container_count(), ArcId::Invalid());
-  for (const auto& c : workload.containers()) {
-    const auto ci = static_cast<std::size_t>(c.id.value());
-    const ArcId arc = net_.container_arcs[ci];
-    const bool placed = state.IsPlaced(c.id);
-    if (!arc.valid()) {
-      if (placed) continue;  // placed at build time: still no vertex needed
-      const VertexId t = g.AddVertex();
-      net_.container_arcs[ci] =
-          g.AddArc(net_.source, t, c.request.cpu_millis());
-      g.AddArc(t, VertexId(app_vertex_base_ + c.app.value()),
-               flow::kInfiniteCapacity);
-      continue;
-    }
-    const flow::Capacity want = placed ? 0 : c.request.cpu_millis();
-    if (g.arc(arc).capacity != want) {
-      updates_.push_back(flow::CapacityUpdate{arc, want});
-    }
-  }
-  flow::RefreshCapacities(g, updates_, net_.source, net_.sink, ws_);
-  net_.edge_count = g.arc_count() / 2;
-
-#if ALADDIN_DCHECK_IS_ON()
-  const VertexId exempt[] = {net_.source, net_.sink};
-  std::string error;
-  ALADDIN_DCHECK(g.ValidateInvariants(exempt, &error))
-      << "incremental refresh broke the relaxation network: " << error;
-#endif
 }
 
 std::int64_t PlacedCpuMillis(const cluster::ClusterState& state) {

@@ -21,8 +21,6 @@
 
 #include "cluster/state.h"
 #include "flow/graph.h"
-#include "flow/max_flow.h"
-#include "flow/workspace.h"
 #include "trace/workload.h"
 
 namespace aladdin::core {
@@ -31,15 +29,6 @@ struct RelaxationNetwork {
   flow::Graph graph;
   VertexId source;
   VertexId sink;
-  // Arc from the source to each container's T_i vertex (capacity = its CPU
-  // request); arcs(flow) afterwards tell how much of each container the
-  // relaxation placed (fractionally).
-  std::vector<ArcId> container_arcs;
-  // Arc from each machine's N_y vertex to the sink (capacity = free CPU).
-  std::vector<ArcId> machine_arcs;
-  // First A_j vertex; application j's vertex is first_app + j (they are
-  // contiguous). Lets incremental growth wire new T_i vertices in.
-  VertexId first_app;
   std::size_t edge_count = 0;
 };
 
@@ -61,42 +50,6 @@ struct RelaxationBound {
 // Convenience: build + solve (Dinic).
 RelaxationBound SolveRelaxation(const trace::Workload& workload,
                                 const cluster::ClusterState& state);
-
-// Incremental variant: keeps the relaxation network (and its flow) alive
-// across solves against the same workload/state pair. Successive solves
-// update only the arcs whose capacity changed — machine free-CPU arcs in
-// place, container arcs zeroed when placed / re-opened when evicted, new
-// containers appended — cancelling excess flow with flow::CancelArcFlow and
-// warm-starting Dinic from the surviving flow. The bound returned is
-// always identical to a fresh SolveRelaxation (max-flow value is unique);
-// only the work to get there shrinks. Falls back to a full rebuild when
-// the workload's application set or the state object itself changes.
-class IncrementalRelaxation {
- public:
-  RelaxationBound Solve(const trace::Workload& workload,
-                        const cluster::ClusterState& state);
-
-  // True when the last Solve() reused the cached network.
-  [[nodiscard]] bool reused_last() const { return reused_last_; }
-
- private:
-  void Refresh(const trace::Workload& workload,
-               const cluster::ClusterState& state);
-
-  RelaxationNetwork net_;
-  // Long-lived solver scratch: with the network reused across ticks, a
-  // steady-state Solve() (RefreshCapacities + warm Dinic) allocates
-  // nothing. `updates_` stages each tick's capacity retargets for the one
-  // flow::RefreshCapacities micro-batch.
-  flow::Workspace ws_;
-  std::vector<flow::CapacityUpdate> updates_;
-  bool built_ = false;
-  bool reused_last_ = false;
-  std::uint64_t state_instance_ = 0;
-  std::size_t application_count_ = 0;
-  // A_j vertex of application j is app_vertex_base_ + j (fixed at build).
-  std::int32_t app_vertex_base_ = 0;
-};
 
 // CPU millicores actually placed in `state` (for comparing against bounds).
 std::int64_t PlacedCpuMillis(const cluster::ClusterState& state);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/audit.h"
@@ -70,10 +71,8 @@ AggregatedNetwork& AladdinScheduler::PrepareNetwork(
   // object: same address AND same instance id (stack/optional storage gets
   // recycled, so an address match alone could alias a dead state), with the
   // bound topology unchanged in size.
-  const bool reusable =
-      options_.incremental_network && network_ != nullptr &&
-      network_->state() == &state &&
-      attached_state_id_ == state.instance_id();
+  const bool reusable = network_ != nullptr && network_->state() == &state &&
+                        attached_state_id_ == state.instance_id();
   if (reusable) {
     network_->Sync();
     return *network_;
@@ -135,11 +134,7 @@ void AladdinScheduler::PrepareWeights(const trace::Workload& workload) {
 
 ALADDIN_HOT sim::ScheduleOutcome AladdinScheduler::Schedule(
     const sim::ScheduleRequest& request, cluster::ClusterState& state) {
-  const std::vector<obs::PhaseDelta> phases_before =
-      obs::MetricsEnabled() ? obs::CapturePhases()
-                            : std::vector<obs::PhaseDelta>{};
-  PrepareWeights(*request.workload);
-  return ScheduleOne(request, state, PrepareNetwork(state), phases_before);
+  return std::move(ScheduleBatch({&request, 1}, state).front());
 }
 
 ALADDIN_HOT std::vector<sim::ScheduleOutcome> AladdinScheduler::ScheduleBatch(
@@ -149,7 +144,7 @@ ALADDIN_HOT std::vector<sim::ScheduleOutcome> AladdinScheduler::ScheduleBatch(
   outcomes.reserve(requests.size());
   if (requests.empty()) return outcomes;
   // One warm prep for the whole micro-batch: weights once (every request
-  // shares the workload) and one Refresh() of the aggregated network. The
+  // shares the workload) and one Sync() of the aggregated network. The
   // per-request solves below fold their own mutations in eagerly, so no
   // further sync is needed between requests — this is what makes the batch
   // bit-identical to sequential Schedule() calls modulo the
@@ -163,17 +158,20 @@ ALADDIN_HOT std::vector<sim::ScheduleOutcome> AladdinScheduler::ScheduleBatch(
     ALADDIN_DCHECK(requests[r].workload == requests.front().workload);
     outcomes.push_back(
         ScheduleOne(requests[r], state, network, phases_before));
-    if (obs::JournalEnabled()) {
+    if (requests.size() > 1 && obs::JournalEnabled()) {
       // Per-request batch marker: machine = request index within the batch,
       // detail = arrival size. check_journal.py uses these to pin the
-      // "terminal records in request order" contract.
+      // "terminal records in request order" contract. A batch of one has
+      // no order to pin, so Schedule() journals exactly its solve.
       obs::EmitDecision(obs::DecisionKind::kEvent,
                         obs::Cause::kBatchScheduled, -1,
                         static_cast<std::int32_t>(r), -1,
                         static_cast<std::int64_t>(
                             requests[r].arrival->size()));
     }
-    if (obs::MetricsEnabled()) phases_before = obs::CapturePhases();
+    if (r + 1 < requests.size() && obs::MetricsEnabled()) {
+      phases_before = obs::CapturePhases();
+    }
   }
   return outcomes;
 }
@@ -245,13 +243,15 @@ ALADDIN_HOT sim::ScheduleOutcome AladdinScheduler::ScheduleOne(
     // Group-decomposed augmentation: an application's containers are
     // isomorphic (identical requests), so siblings share one weighted flow
     // and — the sort being stable over their consecutive submission — sit
-    // contiguous in `keyed`. Each maximal same-app stretch of length >= 2
-    // goes through one sorted-capacity waterfall (PlaceGroupRun) instead of
-    // per-container best-fit walks; the waterfall replays the serial walks
-    // exactly, so everything downstream (journal order included) is
-    // bit-identical. Groups always solve serially — the parallel pool keeps
-    // accelerating singleton walks, which are themselves serial-identical.
-    const bool use_groups = options_.group_waterfall && options_.enable_dl;
+    // contiguous in `keyed`. Under DL each maximal same-app stretch of
+    // length >= 2 goes through one sorted-capacity waterfall
+    // (PlaceGroupRun) instead of per-container best-fit walks; the
+    // waterfall replays the serial walks exactly, so everything downstream
+    // (journal order included) is bit-identical. Without DL the search is a
+    // full enumeration, which the waterfall does not model. Groups always
+    // solve serially — the parallel pool keeps accelerating singleton
+    // walks, which are themselves serial-identical.
+    const bool use_groups = options_.enable_dl;
     std::size_t i = 0;
     while (i < keyed.size()) {
       const cluster::ContainerId c =

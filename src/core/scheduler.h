@@ -57,28 +57,10 @@ struct AladdinOptions {
   // (keeps Fig. 13(b) in the paper's ~1.7 % regime).
   double compaction_migration_fraction = 0.02;
 
-  // Incremental network reuse: keep the aggregated s→T→A→G→R→N→t network
-  // alive across Schedule() calls against the same ClusterState, replaying
-  // the state's dirty log instead of rebuilding — placements are
-  // bit-identical to a fresh rebuild (memoised IL failures stay valid only
-  // while a machine's change epoch is unchanged). Off reproduces the
-  // rebuild-per-call behaviour, mainly for A/B tests and benchmarks.
-  bool incremental_network = true;
-
   // Worker threads for the admissible-path search. 0 = hardware
   // concurrency, 1 = serial (no pool). Any value yields identical
   // placements and search counters — see SearchOptions::pool.
   int threads = 0;
-
-  // Group-decomposed pathfinding (ISSUE 9): place runs of isomorphic
-  // siblings (same app, identical request, consecutive in weighted-flow
-  // order) through one sorted-capacity waterfall instead of per-container
-  // best-fit walks. Placements, counters, journal and IL memo state are
-  // bit-identical to the per-container path (the waterfall replays it
-  // exactly); the knob exists for A/B tests and as a fallback switch.
-  // Only engages alongside enable_dl — without DL the search is a full
-  // enumeration, which the waterfall does not model.
-  bool group_waterfall = true;
 };
 
 class AladdinScheduler : public sim::Scheduler {
@@ -87,17 +69,18 @@ class AladdinScheduler : public sim::Scheduler {
 
   [[nodiscard]] std::string name() const override;
 
+  // A batch of one request.
   sim::ScheduleOutcome Schedule(const sim::ScheduleRequest& request,
                                 cluster::ClusterState& state) override;
 
-  // Batch-incremental entry point (ISSUE 9 tentpole): solves a micro-batch
-  // of requests against one warm network — weights prepared once, one
-  // Refresh() up front, each request's own mutations folded in eagerly.
-  // Outcomes are emitted in request order and are bit-identical to calling
-  // Schedule() per request (journal/ledger/SLO streams included); only the
-  // core/net_syncs, core/net_sync_noop and core/weights_cached counters
-  // differ, because the batch pays the prep once. After each request a
-  // kBatchScheduled journal marker records the request's index and size.
+  // Solves a micro-batch of requests against one warm network — weights
+  // prepared once, one network Sync() up front, each request's own
+  // mutations folded in eagerly. Outcomes are emitted in request order and
+  // are bit-identical to calling Schedule() per request (journal/ledger/SLO
+  // streams included); only the core/net_syncs, core/net_sync_noop and
+  // core/weights_cached counters differ, because the batch pays the prep
+  // once. In a batch of two or more, a kBatchScheduled journal marker
+  // follows each request with its index and size.
   std::vector<sim::ScheduleOutcome> ScheduleBatch(
       std::span<const sim::ScheduleRequest> requests,
       cluster::ClusterState& state);
@@ -133,9 +116,9 @@ class AladdinScheduler : public sim::Scheduler {
   std::uint64_t weights_fingerprint_ = 0;
   bool weights_ready_ = false;
 
-  // Incremental reuse state: the network survives Schedule() calls; the
-  // instance id (not just the address — states are frequently stack- or
-  // optional-allocated) proves the attached state is still the same one.
+  // The network survives Schedule() calls; the instance id (not just the
+  // address — states are frequently stack- or optional-allocated) proves
+  // the attached state is still the same one.
   std::unique_ptr<AggregatedNetwork> network_;
   std::uint64_t attached_state_id_ = 0;
   std::unique_ptr<ThreadPool> pool_;

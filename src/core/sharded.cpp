@@ -548,7 +548,9 @@ std::vector<sim::ScheduleOutcome> ShardedScheduler::ScheduleBatch(
   outcomes.reserve(requests.size());  // analyze:allow(A103) per-batch output
   for (std::size_t r = 0; r < requests.size(); ++r) {
     outcomes.push_back(Schedule(requests[r], state));
-    if (obs::JournalEnabled()) {
+    // Same marker rule as AladdinScheduler::ScheduleBatch: none for a
+    // batch of one.
+    if (requests.size() > 1 && obs::JournalEnabled()) {
       obs::EmitDecision(obs::DecisionKind::kEvent,
                         obs::Cause::kBatchScheduled, -1,
                         static_cast<std::int32_t>(r), -1,

@@ -113,8 +113,8 @@ class ShardedScheduler : public sim::Scheduler {
   // Batch counterpart of AladdinScheduler::ScheduleBatch: the coordinator
   // already keeps shard mirrors warm across calls (SyncShards replays only
   // the scoped dirty deltas), so a micro-batch is the per-request loop plus
-  // the same kBatchScheduled journal markers the unsharded path emits —
-  // outcome streams stay bit-identical between shard counts.
+  // the same kBatchScheduled journal markers the unsharded path emits (none
+  // for a batch of one).
   std::vector<sim::ScheduleOutcome> ScheduleBatch(
       std::span<const sim::ScheduleRequest> requests,
       cluster::ClusterState& state);

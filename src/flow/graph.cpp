@@ -104,12 +104,6 @@ void Graph::SetCapacity(ArcId a, Capacity capacity) {
   arcs_[Index(a)].capacity = capacity;
 }
 
-Capacity Graph::AdjustCapacity(ArcId a, Capacity delta) {
-  const Capacity updated = arcs_[Index(a)].capacity + delta;
-  SetCapacity(a, updated);
-  return updated;
-}
-
 Capacity Graph::NetOutflow(VertexId v) const {
   Capacity net = 0;
   for (std::int32_t raw : OutArcs(v)) {

@@ -108,14 +108,9 @@ class Graph {
   // Zero all flows, keeping topology and capacities.
   void ResetFlows();
 
-  // Replace the capacity of an existing arc. Requires new capacity >= flow
-  // (cancel excess flow first — see flow::CancelArcFlow in max_flow.h);
+  // Replace the capacity of an existing arc. Requires new capacity >= flow;
   // this is what keeps in-place updates ValidateInvariants()-clean.
   void SetCapacity(ArcId a, Capacity capacity);
-
-  // Relative in-place capacity update; same flow precondition as
-  // SetCapacity. Returns the new capacity.
-  Capacity AdjustCapacity(ArcId a, Capacity delta);
 
   // Total flow out of v minus flow into v (positive at a source).
   [[nodiscard]] Capacity NetOutflow(VertexId v) const;

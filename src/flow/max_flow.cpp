@@ -241,99 +241,4 @@ std::vector<FlowPath> DecomposePaths(Graph& graph, VertexId source,
   return paths;
 }
 
-Capacity CancelArcFlow(Graph& graph, ArcId a, Capacity amount,
-                       VertexId source, VertexId sink, Workspace& ws) {
-  ALADDIN_CHECK(a.valid() && a.value() % 2 == 0)
-      << "CancelArcFlow wants a forward arc";
-  Capacity cancelled = 0;
-  while (cancelled < amount && graph.arc(a).flow > 0) {
-    Capacity bottleneck = std::min(amount - cancelled, graph.arc(a).flow);
-
-    // Backward segment: from tail(a) to the source, along arcs carrying
-    // flow *into* the current vertex. An incoming forward arc appears in
-    // the vertex's adjacency as its residual twin (odd id, negative flow);
-    // the first match in adjacency order keeps the walk deterministic.
-    ws.back_arcs.clear();
-    VertexId v = graph.Tail(a);
-    std::size_t steps = 0;
-    while (v != source) {
-      ALADDIN_CHECK(++steps <= graph.vertex_count())
-          << "CancelArcFlow: flow cycle through vertex " << v;
-      ArcId found = ArcId::Invalid();
-      for (std::int32_t raw : graph.OutArcs(v)) {
-        if ((raw & 1) != 0 && graph.arc(ArcId(raw)).flow < 0) {
-          found = ArcId(raw);
-          break;
-        }
-      }
-      ALADDIN_CHECK(found.valid())
-          << "CancelArcFlow: conservation violated at vertex " << v;
-      ws.back_arcs.push_back(found);
-      bottleneck = std::min(bottleneck, -graph.arc(found).flow);
-      v = graph.arc(found).head;
-    }
-
-    // Forward segment: from head(a) to the sink, along forward arcs
-    // carrying flow out of the current vertex.
-    ws.fwd_arcs.clear();
-    VertexId u = graph.arc(a).head;
-    steps = 0;
-    while (u != sink) {
-      ALADDIN_CHECK(++steps <= graph.vertex_count())
-          << "CancelArcFlow: flow cycle through vertex " << u;
-      ArcId found = ArcId::Invalid();
-      for (std::int32_t raw : graph.OutArcs(u)) {
-        if ((raw & 1) == 0 && graph.arc(ArcId(raw)).flow > 0) {
-          found = ArcId(raw);
-          break;
-        }
-      }
-      ALADDIN_CHECK(found.valid())
-          << "CancelArcFlow: conservation violated at vertex " << u;
-      ws.fwd_arcs.push_back(found);
-      bottleneck = std::min(bottleneck, graph.arc(found).flow);
-      u = graph.arc(found).head;
-    }
-
-    ALADDIN_DCHECK(bottleneck > 0);
-    // Unwind: pushing along a residual twin subtracts from its forward arc.
-    for (ArcId t : ws.back_arcs) graph.Push(t, bottleneck);
-    graph.Push(Graph::Reverse(a), bottleneck);
-    for (ArcId f : ws.fwd_arcs) graph.Push(Graph::Reverse(f), bottleneck);
-    cancelled += bottleneck;
-  }
-  return cancelled;
-}
-
-Capacity CancelArcFlow(Graph& graph, ArcId a, Capacity amount,
-                       VertexId source, VertexId sink) {
-  return CancelArcFlow(graph, a, amount, source, sink,
-                       ThreadLocalWorkspace());
-}
-
-Capacity RefreshCapacities(Graph& graph,
-                           std::span<const CapacityUpdate> updates,
-                           VertexId source, VertexId sink, Workspace& ws) {
-  Capacity cancelled = 0;
-  for (const CapacityUpdate& u : updates) {
-    const Arc& arc = graph.arc(u.arc);
-    if (arc.capacity == u.capacity) continue;  // warm flow survives as-is
-    if (arc.flow > u.capacity) {
-      // Shrinking below the carried flow: cancel exactly the excess so the
-      // graph stays a valid flow at every step, then retarget.
-      cancelled +=
-          CancelArcFlow(graph, u.arc, arc.flow - u.capacity, source, sink, ws);
-    }
-    graph.SetCapacity(u.arc, u.capacity);
-  }
-  return cancelled;
-}
-
-Capacity RefreshCapacities(Graph& graph,
-                           std::span<const CapacityUpdate> updates,
-                           VertexId source, VertexId sink) {
-  return RefreshCapacities(graph, updates, source, sink,
-                           ThreadLocalWorkspace());
-}
-
 }  // namespace aladdin::flow

@@ -7,12 +7,10 @@
 //    scalar max flow is needed.
 //
 // Every solver has two overloads: one taking an explicit flow::Workspace
-// (zero steady-state allocations — the caller owns the scratch across runs,
-// e.g. core::IncrementalRelaxation) and a convenience overload using the
-// per-thread default workspace. Both are bit-identical in results.
+// (zero steady-state allocations — the caller owns the scratch across runs)
+// and a convenience overload using the per-thread default workspace. Both
+// are bit-identical in results.
 #pragma once
-
-#include <span>
 
 #include "flow/graph.h"
 #include "flow/workspace.h"
@@ -56,42 +54,5 @@ struct FlowPath {
 // consumed — it ends with zero flow everywhere.
 std::vector<FlowPath> DecomposePaths(Graph& graph, VertexId source,
                                      VertexId sink);
-
-// Incremental-reuse primitive: cancels up to `amount` units of the flow
-// currently crossing forward arc `a` by unwinding whole source→…→tail(a)
-// and head(a)→…→sink flow-carrying segments, so conservation (and
-// ValidateInvariants) holds after every call. The typical use is lowering
-// an arc's capacity below its current flow without rebuilding the graph:
-// cancel the excess, SetCapacity, then re-run a max-flow solver to
-// re-augment from the warm flow. Requires the flow to be acyclic (true for
-// anything our solvers produce on the layered scheduling networks).
-// Returns the amount actually cancelled (min of `amount` and the arc flow).
-Capacity CancelArcFlow(Graph& graph, ArcId a, Capacity amount,
-                       VertexId source, VertexId sink, Workspace& ws);
-Capacity CancelArcFlow(Graph& graph, ArcId a, Capacity amount,
-                       VertexId source, VertexId sink);
-
-// One capacity retarget of a warm-started refresh batch.
-struct CapacityUpdate {
-  ArcId arc = ArcId::Invalid();
-  Capacity capacity = 0;
-};
-
-// Batch-incremental capacity refresh (ISSUE 9): applies a micro-batch of
-// capacity retargets to a graph that still carries the previous solve's
-// flow, preserving it as a warm start. Per update: arcs whose capacity
-// already matches are skipped, arcs whose current flow exceeds the new
-// capacity get exactly the excess cancelled (CancelArcFlow unwinds whole
-// source→…→sink segments, so conservation holds after every step), then the
-// capacity is set. Invariants hold on return and the surviving flow is a
-// valid (possibly non-maximum) flow — re-run Dinic/EdmondsKarp to
-// re-augment only the changed frontier. Returns the total flow cancelled
-// (0 means the warm flow survived intact).
-Capacity RefreshCapacities(Graph& graph,
-                           std::span<const CapacityUpdate> updates,
-                           VertexId source, VertexId sink, Workspace& ws);
-Capacity RefreshCapacities(Graph& graph,
-                           std::span<const CapacityUpdate> updates,
-                           VertexId source, VertexId sink);
 
 }  // namespace aladdin::flow

@@ -178,8 +178,6 @@ class Workspace {
   std::vector<std::pair<Cost, std::int32_t>> heap;  // Dijkstra binary heap
   std::vector<Cost> pi;                             // Dijkstra potentials
   std::vector<ArcId> path;                          // ExtractPathInto output
-  std::vector<ArcId> back_arcs;                     // CancelArcFlow segments
-  std::vector<ArcId> fwd_arcs;
 };
 
 // One lazily-constructed Workspace per thread — the default scratch for

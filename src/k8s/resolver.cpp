@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -73,9 +72,9 @@ std::int64_t SolveEffort(const sim::ScheduleOutcome& outcome) {
          outcome.dl_stops;
 }
 
-// Shared epilogue of both Resolve() arms: stamp the wall time, surface the
-// unschedulable breakdown, diff the phase registry into stats.phases, and
-// feed the per-resolve metrics.
+// Resolve() epilogue: stamp the wall time, surface the unschedulable
+// breakdown, diff the phase registry into stats.phases, and feed the
+// per-resolve metrics.
 void FinishStats(ResolveStats& stats, const WallTimer& timer,
                  const std::vector<obs::PhaseDelta>& phases_before) {
   stats.wall_seconds = timer.ElapsedSeconds();
@@ -110,7 +109,11 @@ constexpr std::size_t kOldestPendingRows = 10;
 }  // namespace
 
 Resolver::Resolver(ModelAdaptor& adaptor, core::AladdinOptions options)
-    : Resolver(adaptor, ResolverOptions{options, true}) {}
+    : Resolver(adaptor, [&options] {
+        ResolverOptions resolver_options;
+        resolver_options.aladdin = options;
+        return resolver_options;
+      }()) {}
 
 Resolver::Resolver(ModelAdaptor& adaptor, ResolverOptions options)
     : adaptor_(adaptor),
@@ -118,20 +121,16 @@ Resolver::Resolver(ModelAdaptor& adaptor, ResolverOptions options)
       scheduler_(options.aladdin),
       slo_(options.slo),
       watchdog_(options.watchdog_options) {
-  if (options_.shards > 0) {
-    sharded_ = std::make_unique<core::ShardedScheduler>(ShardedConfig());
+  if (options_.shards >= 2) {
+    core::ShardedOptions config;
+    config.shards = options_.shards;
+    config.routing = options_.routing;
+    // The intra-solve search pool knob becomes the shard-solve pool size
+    // (the coordinator forces each shard's inner solver serial).
+    config.threads = options_.aladdin.threads;
+    config.aladdin = options_.aladdin;
+    sharded_ = std::make_unique<core::ShardedScheduler>(config);
   }
-}
-
-core::ShardedOptions Resolver::ShardedConfig() const {
-  core::ShardedOptions config;
-  config.shards = options_.shards;
-  config.routing = options_.routing;
-  // The intra-solve search pool knob becomes the shard-solve pool size
-  // (the coordinator forces each shard's inner solver serial).
-  config.threads = options_.aladdin.threads;
-  config.aladdin = options_.aladdin;
-  return config;
 }
 
 void Resolver::RebuildState(std::int64_t tick) {
@@ -142,7 +141,7 @@ void Resolver::RebuildState(std::int64_t tick) {
   // The rebuild supersedes the retirement journal for state sync, but the
   // lifecycle ledger still needs the spans closed.
   for (cluster::ContainerId c : adaptor_.TakeRetiredContainers()) {
-    if (options_.lifecycle) ledger_.OnRetired(c.value(), tick);
+    ledger_.OnRetired(c.value(), tick);
   }
 
   // Pre-deploy bound pods into the fresh state.
@@ -173,7 +172,7 @@ void Resolver::SyncState(std::int64_t tick) {
   // dirty log carries the change to the network and the free index.
   for (cluster::ContainerId c : adaptor_.TakeRetiredContainers()) {
     if (state_->IsPlaced(c)) state_->Evict(c);
-    if (options_.lifecycle) ledger_.OnRetired(c.value(), tick);
+    ledger_.OnRetired(c.value(), tick);
     if (obs::JournalEnabled()) {
       obs::EmitDecision(obs::DecisionKind::kEvent, obs::Cause::kPodRetired,
                         c.value());
@@ -195,7 +194,6 @@ void Resolver::SyncFreeIndex() {
 void Resolver::TrackArrivals(const std::vector<PodUid>& pending,
                              const cluster::ClusterState& state,
                              std::int64_t tick) {
-  if (!options_.lifecycle) return;
   slo_.BeginTick(tick);
   for (PodUid uid : pending) {
     const cluster::ContainerId c = adaptor_.ContainerOf(uid);
@@ -213,7 +211,6 @@ void Resolver::FinishLifecycle(ResolveStats& stats,
                                const cluster::ClusterState& state,
                                std::int64_t tick, std::int64_t solve_cost,
                                std::int64_t solve_wall_micros) {
-  if (!options_.lifecycle) return;
   // Once-per-tick summary work, O(tracked spans + apps), never per-pod.
   stats.pending_ages =
       obs::SummarizePendingAges(ledger_.PendingAgeCounts(tick));
@@ -310,165 +307,6 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
           ? obs::CapturePhases()
           : std::vector<obs::PhaseDelta>{};  // analyze:allow(A102) empty vector, no allocation
 
-  if (!options_.incremental) {
-    // Historical rebuild-everything path, kept as the equivalence baseline
-    // (and the A/B arm of the benchmarks): fresh state, fresh scheduler,
-    // full scans. Identical placements to the incremental path.
-    // No state to sync, but the lifecycle ledger still closes retired spans.
-    for (cluster::ContainerId c : adaptor_.TakeRetiredContainers()) {
-      if (options_.lifecycle) ledger_.OnRetired(c.value(), tick);
-    }
-    const trace::Workload& workload = adaptor_.workload();
-    const cluster::Topology& topology = adaptor_.topology();
-    cluster::ClusterState state = workload.MakeState(topology);
-
-    // Pre-deploy bound pods; remember where everything was. std::map: the
-    // reconcile loop below appends migrations to `bindings` while walking
-    // this — ordered by uid keeps the binding stream replayable.
-    std::map<PodUid, std::string> previous_node;
-    // analyze:allow(A102) full-rebuild A/B arm, not the steady-state path
-    std::vector<cluster::ContainerId> long_lived;
-    std::vector<PodUid> short_lived;  // analyze:allow(A102) full-rebuild A/B arm
-    const auto pending = adaptor_.PendingPods();
-    stats.pending_before = pending.size();
-    ALADDIN_TRACE_COUNTER("k8s/pending", pending.size());
-    {
-      ALADDIN_PHASE_SCOPE("k8s/sync_state");
-      for (PodUid uid : adaptor_.BoundPods()) {
-        const Pod* pod = adaptor_.FindPod(uid);
-        const auto c = adaptor_.ContainerOf(uid);
-        const auto m = adaptor_.MachineOf(pod->node);
-        if (!c.valid() || !m.valid() || !state.Fits(c, m)) {
-          adaptor_.UnbindPod(*adaptor_.MutablePod(uid));
-          continue;
-        }
-        state.Deploy(c, m);
-        previous_node[uid] = pod->node;
-      }
-      for (PodUid uid : pending) {
-        const Pod* pod = adaptor_.FindPod(uid);
-        if (pod->spec.short_lived()) {
-          short_lived.push_back(uid);
-        } else {
-          long_lived.push_back(adaptor_.ContainerOf(uid));
-        }
-      }
-    }
-
-    TrackArrivals(pending, state, tick);
-
-    // Hoisted past reconcile: the shard plan attributes each placement
-    // machine to its owning shard for the lifecycle spans.
-    std::unique_ptr<core::ShardedScheduler> fresh_sharded;
-    if (!long_lived.empty()) {
-      sim::ScheduleRequest request{&workload, &long_lived};
-      sim::ScheduleOutcome outcome;
-      if (options_.shards > 0) {
-        // analyze:allow(A101) full-rebuild A/B arm, not the steady-state path
-        fresh_sharded = std::make_unique<core::ShardedScheduler>(
-            ShardedConfig());
-        outcome = fresh_sharded->Schedule(request, state);
-        stats.shards = fresh_sharded->last_shard_stats();
-      } else {
-        core::AladdinScheduler scheduler(options_.aladdin);
-        outcome = scheduler.Schedule(request, state);
-      }
-      solve_cost += SolveEffort(outcome);
-      for (std::size_t i = 0; i < outcome.unplaced.size(); ++i) {
-        unplaced_cause[outcome.unplaced[i].value()] =
-            outcome.unplaced_causes[i];
-      }
-    }
-    const auto ShardOfMachine =
-        [&fresh_sharded](cluster::MachineId m) -> std::int32_t {
-      const cluster::ShardPlan* plan =
-          fresh_sharded != nullptr ? fresh_sharded->plan() : nullptr;
-      return plan != nullptr && plan->shard_count() > 1 ? plan->ShardOf(m)
-                                                        : -1;
-    };
-    if (!short_lived.empty()) {
-      ALADDIN_PHASE_SCOPE("core/task");
-      cluster::FreeIndex index;
-      index.Attach(state);
-      for (PodUid uid : short_lived) {
-        const cluster::ContainerId c = adaptor_.ContainerOf(uid);
-        const cluster::MachineId m = core::TaskScheduler::PlaceOne(
-            state, index, c, core::TaskPlacementPolicy::kBestFit);
-        if (m.valid()) {
-          if (obs::JournalEnabled()) {
-            obs::EmitDecision(obs::DecisionKind::kPlace,
-                              obs::Cause::kShortLivedBestFit, c.value(),
-                              m.value());
-          }
-        } else {
-          const obs::Cause cause = DiagnoseShortLived(state, c);
-          unplaced_cause[c.value()] = cause;
-          if (obs::JournalEnabled()) {
-            obs::EmitDecision(obs::DecisionKind::kUnplaced, cause, c.value());
-          }
-        }
-      }
-    }
-
-    {
-      ALADDIN_PHASE_SCOPE("k8s/reconcile");
-      for (PodUid uid : pending) {
-        Pod* pod = adaptor_.MutablePod(uid);
-        const auto c = adaptor_.ContainerOf(uid);
-        if (state.IsPlaced(c)) {
-          const cluster::MachineId m = state.PlacementOf(c);
-          adaptor_.BindPod(*pod, adaptor_.NodeOfMachine(m), tick);
-          ++stats.new_bindings;
-          if (bindings != nullptr) {
-            bindings->push_back(Binding{uid, pod->node});
-          }
-          if (options_.lifecycle) {
-            const std::int64_t wait =
-                ledger_.OnPlaced(c.value(), m.value(), ShardOfMachine(m),
-                                 tick);
-            if (wait >= 0) {
-              slo_.OnAdmitted(*ledger_.MutableSpan(c.value()), wait);
-            }
-          }
-        } else {
-          ++stats.unschedulable;
-          const obs::Cause cause = CauseOf(c);
-          causes.Add(cause);
-          if (options_.lifecycle) {
-            ledger_.OnAttempt(c.value(), cause, tick);
-            if (obs::LifecycleSpan* span = ledger_.MutableSpan(c.value())) {
-              slo_.ObservePending(*span, tick);
-            }
-          }
-        }
-      }
-      for (const auto& [uid, old_node] : previous_node) {
-        Pod* pod = adaptor_.MutablePod(uid);
-        const auto c = adaptor_.ContainerOf(uid);
-        if (!state.IsPlaced(c)) {
-          adaptor_.UnbindPod(*pod);
-          ++stats.preemptions;
-          if (options_.lifecycle) ledger_.OnPreempted(c.value(), tick);
-          continue;
-        }
-        const std::string& node = adaptor_.NodeOfMachine(state.PlacementOf(c));
-        if (node != old_node) {
-          pod->node = node;
-          pod->bound_at_tick = tick;
-          ++stats.migrations;
-          if (bindings != nullptr) bindings->push_back(Binding{uid, node});
-        }
-      }
-    }
-
-    causes.FillStats(stats);
-    FinishLifecycle(stats, state, tick, solve_cost,
-                    static_cast<std::int64_t>(timer.ElapsedSeconds() * 1e6));
-    FinishStats(stats, timer, phases_before);
-    return stats;
-  }
-
-  // --- incremental path --------------------------------------------------
   // Per-tick scratch: member buffers keep their capacity across resolves,
   // the arena rewinds to its retained chunks. (`pending` stays a fresh
   // vector — PendingPods() materialises it on the adaptor side.)
@@ -519,9 +357,9 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
   // above included) instead of rebuilding it.
   if (!long_lived.empty()) {
     const int deadline = std::max(options_.batch_deadline_ticks, 1);
-    if (options_.batch > 0 && (tick + 1) % deadline != 0) {
-      // Micro-batch deadline not elapsed: defer the whole long-lived set.
-      // No solve runs; reconcile below counts them unschedulable under
+    if ((tick + 1) % deadline != 0) {
+      // Batch deadline not elapsed: defer the whole long-lived set. No
+      // solve runs; reconcile below counts them unschedulable under
       // kBatchDeferred and the lifecycle/SLO clocks keep aging them.
       for (cluster::ContainerId c : long_lived) {
         unplaced_cause[c.value()] = obs::Cause::kBatchDeferred;
@@ -531,8 +369,12 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
                           obs::Cause::kBatchDeferred, -1, -1, -1,
                           static_cast<std::int64_t>(long_lived.size()));
       }
-    } else if (options_.batch > 0) {
-      const auto chunk = static_cast<std::size_t>(options_.batch);
+    } else {
+      // One ScheduleBatch request per `batch` pods; batch = 0 makes the
+      // whole tick a single request.
+      const std::size_t chunk = options_.batch > 0
+                                    ? static_cast<std::size_t>(options_.batch)
+                                    : long_lived.size();
       const std::size_t nchunks = (long_lived.size() + chunk - 1) / chunk;
       // analyze:allow(A103) high-water growth, chunk vectors pooled
       if (batch_chunks_.size() < nchunks) batch_chunks_.resize(nchunks);
@@ -563,27 +405,13 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
               outcome.unplaced_causes[i];
         }
       }
-    } else {
-      sim::ScheduleRequest request{&workload, &long_lived};
-      sim::ScheduleOutcome outcome;
-      if (sharded_ != nullptr) {
-        outcome = sharded_->Schedule(request, state);
-        stats.shards = sharded_->last_shard_stats();
-      } else {
-        outcome = scheduler_.Schedule(request, state);
-      }
-      solve_cost += SolveEffort(outcome);
-      for (std::size_t i = 0; i < outcome.unplaced.size(); ++i) {
-        unplaced_cause[outcome.unplaced[i].value()] =
-            outcome.unplaced_causes[i];
-      }
     }
   }
 
   // Short-lived pods: the traditional task-based scheduler (§IV.D), on the
-  // persistent free index synced from the same dirty log. Runs of
-  // consecutive pods with identical requests go through the run placer —
-  // bit-identical placements, one scan resume instead of a rescan per pod.
+  // persistent free index synced from the same dirty log. Each maximal run
+  // of consecutive pods with identical requests (length 1 included) goes
+  // through the run placer — per-pod best fit without the per-pod rescan.
   // Failures within a run are a suffix and do not mutate state, so the
   // post-run per-pod journal/diagnosis below matches the serial interleave
   // exactly.
@@ -592,65 +420,41 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
     SyncFreeIndex();
     std::size_t i = 0;
     while (i < short_lived.size()) {
-      const cluster::ContainerId c0 = adaptor_.ContainerOf(short_lived[i]);
+      task_run_.clear();
+      task_run_.push_back(adaptor_.ContainerOf(short_lived[i]));
+      const cluster::ResourceVector& req =
+          state.containers()[static_cast<std::size_t>(task_run_[0].value())]
+              .request;
       std::size_t j = i + 1;
-      if (options_.task_run_placement) {
-        const cluster::ResourceVector& req =
-            state.containers()[static_cast<std::size_t>(c0.value())].request;
-        while (j < short_lived.size() &&
-               state.containers()[static_cast<std::size_t>(
-                                      adaptor_.ContainerOf(short_lived[j])
-                                          .value())]
-                       .request == req) {
-          ++j;
+      for (; j < short_lived.size(); ++j) {
+        const cluster::ContainerId c = adaptor_.ContainerOf(short_lived[j]);
+        if (state.containers()[static_cast<std::size_t>(c.value())].request !=
+            req) {
+          break;
         }
+        task_run_.push_back(c);
       }
-      if (j - i >= 2) {
-        task_run_.clear();
-        for (std::size_t k = i; k < j; ++k) {
-          task_run_.push_back(adaptor_.ContainerOf(short_lived[k]));
-        }
-        // analyze:allow(A103) pooled scratch, capacity retained across ticks
-        task_out_.assign(task_run_.size(), cluster::MachineId::Invalid());
-        core::TaskScheduler::PlaceRun(state, free_index_, task_run_,
-                                      task_out_);
-        for (std::size_t k = 0; k < task_run_.size(); ++k) {
-          const cluster::ContainerId c = task_run_[k];
-          const cluster::MachineId m = task_out_[k];
-          if (m.valid()) {
-            if (obs::JournalEnabled()) {
-              obs::EmitDecision(obs::DecisionKind::kPlace,
-                                obs::Cause::kShortLivedBestFit, c.value(),
-                                m.value());
-            }
-          } else {
-            const obs::Cause cause = DiagnoseShortLived(state, c);
-            unplaced_cause[c.value()] = cause;
-            if (obs::JournalEnabled()) {
-              obs::EmitDecision(obs::DecisionKind::kUnplaced, cause,
-                                c.value());
-            }
+      // analyze:allow(A103) pooled scratch, capacity retained across ticks
+      task_out_.assign(task_run_.size(), cluster::MachineId::Invalid());
+      core::TaskScheduler::PlaceRun(state, free_index_, task_run_, task_out_);
+      for (std::size_t k = 0; k < task_run_.size(); ++k) {
+        const cluster::ContainerId c = task_run_[k];
+        const cluster::MachineId m = task_out_[k];
+        if (m.valid()) {
+          if (obs::JournalEnabled()) {
+            obs::EmitDecision(obs::DecisionKind::kPlace,
+                              obs::Cause::kShortLivedBestFit, c.value(),
+                              m.value());
+          }
+        } else {
+          const obs::Cause cause = DiagnoseShortLived(state, c);
+          unplaced_cause[c.value()] = cause;
+          if (obs::JournalEnabled()) {
+            obs::EmitDecision(obs::DecisionKind::kUnplaced, cause, c.value());
           }
         }
-        i = j;
-        continue;
       }
-      const cluster::MachineId m = core::TaskScheduler::PlaceOne(
-          state, free_index_, c0, core::TaskPlacementPolicy::kBestFit);
-      if (m.valid()) {
-        if (obs::JournalEnabled()) {
-          obs::EmitDecision(obs::DecisionKind::kPlace,
-                            obs::Cause::kShortLivedBestFit, c0.value(),
-                            m.value());
-        }
-      } else {
-        const obs::Cause cause = DiagnoseShortLived(state, c0);
-        unplaced_cause[c0.value()] = cause;
-        if (obs::JournalEnabled()) {
-          obs::EmitDecision(obs::DecisionKind::kUnplaced, cause, c0.value());
-        }
-      }
-      ++i;
+      i = j;
     }
   }
 
@@ -676,22 +480,16 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
         adaptor_.BindPod(*pod, adaptor_.NodeOfMachine(m), tick);
         ++stats.new_bindings;
         if (bindings != nullptr) bindings->push_back(Binding{uid, pod->node});
-        if (options_.lifecycle) {
-          const std::int64_t wait = ledger_.OnPlaced(
-              c.value(), m.value(), ShardOfMachine(m), tick);
-          if (wait >= 0) {
-            slo_.OnAdmitted(*ledger_.MutableSpan(c.value()), wait);
-          }
-        }
+        const std::int64_t wait =
+            ledger_.OnPlaced(c.value(), m.value(), ShardOfMachine(m), tick);
+        if (wait >= 0) slo_.OnAdmitted(*ledger_.MutableSpan(c.value()), wait);
       } else {
         ++stats.unschedulable;
         const obs::Cause cause = CauseOf(c);
         causes.Add(cause);
-        if (options_.lifecycle) {
-          ledger_.OnAttempt(c.value(), cause, tick);
-          if (obs::LifecycleSpan* span = ledger_.MutableSpan(c.value())) {
-            slo_.ObservePending(*span, tick);
-          }
+        ledger_.OnAttempt(c.value(), cause, tick);
+        if (obs::LifecycleSpan* span = ledger_.MutableSpan(c.value())) {
+          slo_.ObservePending(*span, tick);
         }
       }
     }
@@ -705,7 +503,7 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
         // Preempted by a higher-weighted pending pod; back to the queue.
         adaptor_.UnbindPod(*pod);
         ++stats.preemptions;
-        if (options_.lifecycle) ledger_.OnPreempted(c.value(), tick);
+        ledger_.OnPreempted(c.value(), tick);
         continue;
       }
       const std::string& node = adaptor_.NodeOfMachine(state.PlacementOf(c));

@@ -11,15 +11,17 @@
 // The resulting placement diff is translated back into Bindings (new
 // placements and migrations) and pod-phase updates.
 //
-// By default the resolver is *incremental*: one ClusterState (plus the
-// Aladdin scheduler's aggregated network and the task scheduler's free
-// index) lives across Resolve() calls, synced from the adaptor's
-// retired-container journal and the state's own dirty log — so a tick's
-// cost scales with the churn, not the cluster. A topology change (node
-// add/remove renumbers machines) falls back to a full rebuild, keyed on
-// ModelAdaptor::topology_version(). `incremental = false` reproduces the
-// historical rebuild-everything-per-tick path; both modes produce
-// identical placements, which the equivalence tests pin down.
+// There is one scheduling path. One ClusterState (plus the Aladdin
+// scheduler's aggregated network and the task scheduler's free index)
+// lives across Resolve() calls, synced from the adaptor's retired-container
+// journal and the state's own dirty log, so a tick's cost scales with the
+// churn, not the cluster. A topology change (node add/remove renumbers
+// machines) rebuilds that state from the adaptor snapshot, keyed on
+// ModelAdaptor::topology_version(). Every solved tick hands its long-lived
+// pods to ScheduleBatch: the whole tick as one request unless
+// ResolverOptions::batch splits it. A brand-new Resolver over a copy of the
+// adaptor is the oracle the persistent one is tested against
+// (tests/test_equivalence.cpp).
 #pragma once
 
 #include <cstdint>
@@ -63,63 +65,48 @@ struct ResolveStats {
   std::vector<obs::PhaseDelta> phases;
 
   // Per-shard breakdown of the long-lived solve (empty unless
-  // ResolverOptions::shards > 0).
+  // ResolverOptions::shards >= 2).
   std::vector<core::ShardTickStats> shards;
 
-  // Micro-batch sizes the long-lived arm solved this resolve (empty unless
-  // ResolverOptions::batch > 0 and the deadline elapsed). One entry per
-  // chunk handed to ScheduleBatch; the benches fold these into the batch
-  // size histogram.
+  // Request sizes of the long-lived solve this resolve: one entry per
+  // ScheduleBatch request (one for the whole tick when
+  // ResolverOptions::batch is 0; none on a deferred tick). The benches fold
+  // these into the batch size histogram.
   std::vector<std::size_t> batch_sizes;
 
-  // Lifecycle / SLO view after this resolve (ResolverOptions::lifecycle).
-  // Exact tick integers mutated only from serial sections, so both are
-  // bit-identical across thread counts and across shards 0/1 — the same
-  // determinism bar as the journal.
+  // Lifecycle / SLO view after this resolve. Exact tick integers mutated
+  // only from serial sections, so both are bit-identical across thread
+  // counts — the same determinism bar as the journal.
   obs::PendingAgeStats pending_ages;  // ages of still-pending spans
   obs::SloSnapshot slo;               // cumulative attainment (capped rows)
 };
 
 struct ResolverOptions {
   core::AladdinOptions aladdin;
-  // Keep scheduling state alive across Resolve() calls (see file comment).
-  bool incremental = true;
   // Shard the long-lived solve across this many disjoint machine
-  // partitions, solved concurrently (core::ShardedScheduler). 0 keeps the
-  // single-solver path; 1 runs the sharded coordinator with one shard,
-  // which produces bit-identical output to 0 (the equivalence tests pin
-  // this down). `aladdin.threads` becomes the shard-solve pool size.
+  // partitions, solved concurrently (core::ShardedScheduler). 0 and 1 both
+  // keep the single AladdinScheduler; from 2 on `aladdin.threads` becomes
+  // the shard-solve pool size.
   int shards = 0;
   core::ShardRouting routing = core::ShardRouting::kLeastUtilized;
-  // Track per-container lifecycle spans and admission-SLO attainment
-  // (obs/lifecycle.h, obs/slo.h). Adds O(pending) exact-integer accounting
-  // per resolve; placements are unaffected.
-  bool lifecycle = true;
   // Admission objective: `slo.percent`% of containers placed within
   // `slo.wait_ticks` ticks of arrival.
   obs::SloObjective slo;
-  // Micro-batch size for the long-lived arm (ISSUE 9). 0 keeps the classic
-  // one-solve-per-tick path. >0 splits each tick's long-lived arrival into
-  // chunks of this size, solved via AladdinScheduler::ScheduleBatch (one
-  // warm network refresh, weights hoisted once per batch). A chunk covering
-  // the whole tick is bit-identical to batch = 0; smaller chunks reorder
-  // the weight sort per chunk, which is the point of micro-batching.
-  // Incremental path only (the full-rebuild arm stays the historical
-  // baseline).
+  // Micro-batch size for the long-lived solve. 0 solves the whole tick as
+  // one ScheduleBatch request; >0 splits each tick's long-lived arrival
+  // into requests of this size (one warm network refresh, weights hoisted
+  // once per batch). Smaller requests reorder the weight sort per request,
+  // which is the point of micro-batching.
   int batch = 0;
-  // With batch > 0, long-lived pods are only solved on ticks where
-  // (tick + 1) is a multiple of this deadline; other ticks defer them
-  // (cause kBatchDeferred, SLO clocks keep running). 1 = solve every tick.
+  // Long-lived pods are only solved on ticks where (tick + 1) is a multiple
+  // of this deadline; other ticks defer them (cause kBatchDeferred, SLO
+  // clocks keep running). 1 = solve every tick.
   int batch_deadline_ticks = 1;
-  // Place runs of consecutive short-lived pods with identical requests via
-  // core::TaskScheduler::PlaceRun (bit-identical to per-pod best fit,
-  // without the per-task rescan). A/B knob for the equivalence tests.
-  bool task_run_placement = true;
   // Run the cluster health watchdog (obs/watchdog.h): six anomaly
   // detectors evaluated once per resolve from the serial epilogue, feeding
-  // typed alerts into the journal, metrics and the /alertz endpoint.
-  // Requires `lifecycle` (the detectors consume its SLO / pending-age /
-  // epoch signals); placements are unaffected either way.
+  // typed alerts into the journal, metrics and the /alertz endpoint. The
+  // detectors consume the lifecycle ledger's SLO / pending-age / epoch
+  // signals; placements are unaffected either way.
   bool watchdog = false;
   obs::WatchdogOptions watchdog_options;
 };
@@ -162,8 +149,8 @@ class Resolver {
   // pending pods not already tracked. Serial section; journals kPodArrived.
   void TrackArrivals(const std::vector<PodUid>& pending,
                      const cluster::ClusterState& state, std::int64_t tick);
-  // Shared lifecycle epilogue of both arms: pending-age summary, SLO
-  // snapshot into `stats`, watchdog tick (options_.watchdog), introspection
+  // Lifecycle epilogue: pending-age summary, SLO snapshot into `stats`,
+  // watchdog tick (options_.watchdog), introspection
   // publish for /statusz + /slo + /alertz. Expects
   // stats.unschedulable_causes to be filled already (the cause-mix
   // detector's input). `solve_cost` is the tick's deterministic solve
@@ -173,16 +160,10 @@ class Resolver {
                        std::int64_t solve_cost,
                        std::int64_t solve_wall_micros);
 
-  // The sharded-coordinator configuration derived from `options` (inner
-  // solver options, pool size, routing policy).
-  [[nodiscard]] core::ShardedOptions ShardedConfig() const;
-
   ModelAdaptor& adaptor_;
   ResolverOptions options_;
   core::AladdinScheduler scheduler_;  // owns the persistent network + pool
-  // Sharded long-lived arm (options_.shards > 0): replaces scheduler_ for
-  // the persistent path; the full-rebuild arm constructs a fresh one per
-  // resolve, mirroring its fresh AladdinScheduler.
+  // Sharded long-lived solve (options_.shards >= 2): replaces scheduler_.
   std::unique_ptr<core::ShardedScheduler> sharded_;
 
   std::optional<cluster::ClusterState> state_;
@@ -190,27 +171,25 @@ class Resolver {
   std::uint64_t free_index_cursor_ = 0;
   std::int64_t built_topology_version_ = -1;
 
-  // Per-tick pooling for the incremental path: the long/short-lived splits
-  // persist as member scratch (long_lived_ must stay a std::vector — it is
-  // handed to ScheduleRequest by pointer), the reconcile-phase lookup table
-  // lives in the arena, reset each Resolve().
+  // Per-tick pooling: the long/short-lived splits persist as member
+  // scratch, the reconcile-phase lookup table lives in the arena, reset
+  // each Resolve().
   Arena arena_;
   std::vector<cluster::ContainerId> long_lived_;
   std::vector<PodUid> short_lived_;
-  // Micro-batch scratch (options_.batch > 0): chunk vectors are built in
-  // full *before* any ScheduleRequest takes a pointer to one — the outer
-  // vector may reallocate while chunks are appended, so interleaving the
-  // two would leave dangling arrival pointers. Inner vectors keep their
-  // capacity across resolves.
+  // ScheduleBatch request scratch: chunk vectors are built in full *before*
+  // any ScheduleRequest takes a pointer to one — the outer vector may
+  // reallocate while chunks are appended, so interleaving the two would
+  // leave dangling arrival pointers. Inner vectors keep their capacity
+  // across resolves.
   std::vector<std::vector<cluster::ContainerId>> batch_chunks_;
   std::vector<sim::ScheduleRequest> batch_requests_;
-  // Short-lived run-placement scratch (options_.task_run_placement).
+  // Short-lived run-placement scratch (TaskScheduler::PlaceRun).
   std::vector<cluster::ContainerId> task_run_;
   std::vector<cluster::MachineId> task_out_;
 
-  // Lifecycle ledger + SLO engine (options_.lifecycle) and the health
-  // watchdog (options_.watchdog). Shared by both resolve arms and mutated
-  // only from their serial sections.
+  // Lifecycle ledger + SLO engine and the health watchdog
+  // (options_.watchdog), mutated only from the resolve's serial sections.
   obs::LifecycleLedger ledger_;
   obs::SloEngine slo_;
   obs::Watchdog watchdog_;

@@ -27,7 +27,7 @@ class ClusterSimulator {
  public:
   explicit ClusterSimulator(
       core::AladdinOptions options = Resolver::DefaultOptions());
-  // Full control over the resolver (incremental on/off for A/B runs).
+  // Full control over the resolver options (shards, batching, watchdog).
   explicit ClusterSimulator(ResolverOptions options);
 
   // --- provisioning ----------------------------------------------------

@@ -6,8 +6,8 @@
 // Determinism bar (same as the journal): every quantity is an exact integer
 // derived from ticks and counts. No wall clocks, no floats in state, and
 // all mutation happens from serial resolver sections — so the ledger is
-// bit-identical across `--threads 1` vs N and across `--shards 0` vs `1`
-// (and, for a fixed K, across any thread count).
+// bit-identical across `--threads 1` vs N (and, for a fixed shard count K,
+// across any thread count).
 //
 // Layering: obs sits below cluster/, so spans speak raw int32 container /
 // application ids. The k8s resolver owns the id→name translation.
@@ -83,8 +83,8 @@ class LifecycleLedger {
  public:
   // Opens a span for `container` at `tick` (idempotent: a container already
   // pending keeps its original arrival). A container previously placed or
-  // retired re-opens as a new epoch — the rebuild arm's stale-binding path
-  // sends bound pods back to pending this way. Emits kPodArrived into the
+  // retired re-opens as a new epoch — the resolver's topology rebuild sends
+  // stale-bound pods back to pending this way. Emits kPodArrived into the
   // journal (serial sections only) when a span actually opens.
   void OnArrival(std::int32_t container, std::int32_t app, std::int64_t tick);
   // Records a failed resolve for a pending container.

@@ -4,7 +4,7 @@
 //
 // All state is exact integer counts keyed on ticks, mutated only from
 // serial resolver sections — the same determinism bar as the journal, so
-// attainment is bit-identical across thread counts and across shards 0/1.
+// attainment is bit-identical across thread counts.
 // Doubles appear only in snapshots, derived deterministically from ints.
 //
 // Violation semantics (counted once per span epoch, journaled as

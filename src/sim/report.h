@@ -90,7 +90,7 @@ struct TimeSeriesPoint {
   double frag_pct = 0.0;       // 100 - avg_util_pct on used machines
   double wall_seconds = 0.0;   // resolve wall time
   double phase_seconds = 0.0;  // exclusive-phase coverage of the resolve
-  // Lifecycle / SLO columns (ResolverOptions::lifecycle; exact ticks).
+  // Lifecycle / SLO columns (the resolver's lifecycle ledger; exact ticks).
   double slo_attainment_pct = 100.0;   // cumulative within/(within+bad)
   std::int64_t pending_age_p99 = 0;    // p99 age of still-open spans
   // Watchdog columns (--watchdog): alerts open after this tick, total and

@@ -1,4 +1,4 @@
-// Batch-incremental solver contract (ISSUE 9):
+// Batch-incremental solver contract:
 //
 //   * core::AladdinScheduler::ScheduleBatch over any chunking of a wave is
 //     bit-identical — placements, unplaced lists, search counters, obs
@@ -6,17 +6,14 @@
 //     the only counters allowed to differ are the network-prep ones
 //     (core/net_syncs, core/net_sync_noop, core/weights_cached), because
 //     the batch pays the prep once;
-//   * flow::RefreshCapacities preserves the previous solve's flow as a warm
-//     start whose re-augmented value equals a cold rebuild's, round after
-//     round of capacity churn;
-//   * the group-decomposed waterfall (AladdinOptions::group_waterfall) is a
-//     pure optimisation: identical placements AND search counters with the
-//     knob on or off, including anti-affinity fixtures that force the
-//     per-container fallback, and it disengages entirely without DL;
+//   * the group-decomposed waterfall (AggregatedNetwork::PlaceGroupRun)
+//     replays per-container FindMachine + Deploy walks exactly — machines,
+//     search counters, machine epochs — including anti-affinity fixtures
+//     that force the per-container fallback, and it disengages entirely
+//     without DL;
 //   * core::TaskScheduler::PlaceRun equals per-task PlaceOne(kBestFit);
-//   * the resolver's whole-tick batch equals the unbatched resolver
-//     bit-identically, a batch deadline only defers (never loses) pods, and
-//     batched resolves stay deterministic across thread and shard counts;
+//   * a batch deadline only defers (never loses) pods, and batched
+//     resolves stay deterministic across thread and shard counts;
 //   * Network::Sync() exits early on an empty dirty log
 //     (core/net_sync_noop) and PrepareWeights memoises on its fingerprint
 //     (core/weights_cached).
@@ -24,6 +21,7 @@
 // These run under the asan/tsan presets too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -32,13 +30,13 @@
 
 #include "cluster/free_index.h"
 #include "common/rng.h"
+#include "core/network.h"
 #include "core/scheduler.h"
 #include "core/task_scheduler.h"
-#include "flow/max_flow.h"
-#include "flow/workspace.h"
 #include "k8s/simulator.h"
 #include "obs/metrics.h"
 #include "obs/runtime.h"
+#include "test_scenarios.h"
 #include "trace/workload.h"
 
 namespace aladdin {
@@ -50,36 +48,6 @@ using cluster::MachineId;
 using cluster::ResourceVector;
 using cluster::Topology;
 using trace::Workload;
-
-// Random mixed workload: `apps` applications appended to `wl` (half with
-// intra-app anti-affinity), returning the container ids added.
-std::vector<ContainerId> GrowWave(Workload& wl, Rng& rng, int apps) {
-  std::vector<ContainerId> added;
-  for (int a = 0; a < apps; ++a) {
-    const std::size_t count = static_cast<std::size_t>(rng.UniformInt(1, 6));
-    const std::size_t first = wl.container_count();
-    wl.AddApplication(
-        "app-" + std::to_string(wl.application_count()), count,
-        ResourceVector::Cores(rng.UniformInt(1, 8), rng.UniformInt(2, 16)),
-        static_cast<cluster::Priority>(
-            rng.Bernoulli(0.2) ? rng.UniformInt(1, 3) : 0),
-        rng.Bernoulli(0.5));
-    for (std::size_t i = first; i < wl.container_count(); ++i) {
-      added.emplace_back(static_cast<std::int32_t>(i));
-    }
-  }
-  return added;
-}
-
-std::vector<MachineId> Placements(const cluster::ClusterState& state,
-                                  std::size_t containers) {
-  std::vector<MachineId> out;
-  out.reserve(containers);
-  for (std::size_t i = 0; i < containers; ++i) {
-    out.push_back(state.PlacementOf(ContainerId(static_cast<std::int32_t>(i))));
-  }
-  return out;
-}
 
 std::map<std::string, std::int64_t> CounterSnapshot() {
   std::map<std::string, std::int64_t> out;
@@ -248,149 +216,79 @@ TEST(ScheduleBatch, WeightsAreCachedAcrossRequests) {
       << "a changed population must recompute";
 }
 
-// -------------------------------------------- warm capacity refreshes ----
-
-flow::Graph LayeredGraph(std::int64_t width, VertexId& source, VertexId& sink,
-                         std::uint64_t seed) {
-  flow::Graph graph;
-  source = graph.AddVertex();
-  sink = graph.AddVertex();
-  const VertexId tasks = graph.AddVertices(static_cast<std::size_t>(width));
-  const VertexId machines =
-      graph.AddVertices(static_cast<std::size_t>(width));
-  Rng rng(seed);
-  for (std::int64_t i = 0; i < width; ++i) {
-    const VertexId t(tasks.value() + static_cast<std::int32_t>(i));
-    graph.AddArc(source, t, rng.UniformInt(1, 8));
-    for (int d = 0; d < 4; ++d) {
-      const VertexId n(machines.value() + static_cast<std::int32_t>(
-                                              rng.UniformInt(0, width - 1)));
-      graph.AddArc(t, n, rng.UniformInt(1, 8));
-    }
-  }
-  for (std::int64_t i = 0; i < width; ++i) {
-    const VertexId n(machines.value() + static_cast<std::int32_t>(i));
-    graph.AddArc(n, sink, rng.UniformInt(2, 16));
-  }
-  return graph;
-}
-
-// The machine -> sink arcs are the last `width` forward arcs, in order.
-std::vector<ArcId> SinkArcs(const flow::Graph& graph, std::int64_t width) {
-  std::vector<ArcId> arcs;
-  const auto first = static_cast<std::int32_t>(graph.arc_count()) - 2 * width;
-  for (std::int64_t i = 0; i < width; ++i) {
-    arcs.emplace_back(static_cast<std::int32_t>(first + 2 * i));
-  }
-  return arcs;
-}
-
-// Warm refresh + re-augment reaches the same maximum flow value as a cold
-// rebuild over the same capacity schedule, for many consecutive rounds.
-TEST(RefreshCapacities, WarmValueMatchesColdRebuildUnderChurn) {
-  constexpr std::int64_t kWidth = 48;
-  VertexId ws_s{}, ws_t{};
-  flow::Graph warm = LayeredGraph(kWidth, ws_s, ws_t, 5);
-  VertexId cold_s{}, cold_t{};
-  flow::Graph cold = LayeredGraph(kWidth, cold_s, cold_t, 5);
-  const std::vector<ArcId> sink_arcs = SinkArcs(warm, kWidth);
-  flow::Workspace ws;
-  flow::Dinic(warm, ws_s, ws_t, ws);
-
-  Rng rng(13);
-  for (int round = 0; round < 12; ++round) {
-    // Unique arcs per batch: duplicate retargets would make the batch
-    // order-sensitive and the idempotence check below meaningless.
-    std::set<std::int32_t> picked;
-    std::vector<flow::CapacityUpdate> updates;
-    while (updates.size() < 6) {
-      const ArcId arc = sink_arcs[static_cast<std::size_t>(
-          rng.UniformInt(0, kWidth - 1))];
-      if (!picked.insert(arc.value()).second) continue;
-      flow::CapacityUpdate update;
-      update.arc = arc;
-      update.capacity = rng.UniformInt(0, 16);
-      updates.push_back(update);
-    }
-    flow::RefreshCapacities(warm, updates, ws_s, ws_t, ws);
-    (void)flow::Dinic(warm, ws_s, ws_t, ws);  // re-augment the frontier
-
-    cold.ResetFlows();
-    for (const flow::CapacityUpdate& update : updates) {
-      cold.SetCapacity(update.arc, update.capacity);
-    }
-    const flow::Capacity cold_value =
-        flow::Dinic(cold, cold_s, cold_t).value;
-    EXPECT_EQ(warm.NetOutflow(ws_s), cold_value) << "round " << round;
-
-    // Re-applying the same targets is a no-op: nothing left to cancel.
-    EXPECT_EQ(flow::RefreshCapacities(warm, updates, ws_s, ws_t, ws), 0)
-        << "round " << round;
-  }
-}
-
 // ------------------------------------------- group waterfall identity ----
 
-// The sorted-capacity waterfall replays the per-container walk exactly:
-// same placements, same unplaced suffixes, same search counters — on
-// workloads full of anti-affinity groups that force the exact-search
-// fallback mid-run.
+// The sorted-capacity waterfall replays the per-container walk exactly.
+// Two networks over two identical states: for each same-app run, one
+// network places the whole run with PlaceGroupRun while the other walks
+// FindMachine + Deploy per sibling (singleton apps walk on both). After
+// every run the chosen machines, search counters, machine epochs (the IL
+// memo keys) and placements must agree — on workloads full of
+// anti-affinity groups that force the exact-search fallback mid-run, and
+// on a cluster small enough that late runs fail.
 TEST(GroupWaterfall, PlacementsAndCountersMatchPerContainerWalk) {
   const Topology topo =
-      Topology::Uniform(32, ResourceVector::Cores(32, 64), 8, 3);
+      Topology::Uniform(16, ResourceVector::Cores(32, 64), 4, 2);
+  const core::SearchOptions search{/*enable_il=*/true, /*enable_dl=*/true};
   for (const std::uint64_t seed : {31u, 47u, 101u}) {
     Workload wl;
     Rng rng(seed);
-    const std::vector<ContainerId> wave = GrowWave(wl, rng, 28);
-    const sim::ScheduleRequest request{&wl, &wave};
+    (void)GrowWave(wl, rng, 40);
+    cluster::ClusterState group_state = wl.MakeState(topo);
+    cluster::ClusterState walk_state = wl.MakeState(topo);
+    core::AggregatedNetwork group_net(group_state.topology());
+    core::AggregatedNetwork walk_net(walk_state.topology());
+    group_net.Attach(&group_state);
+    walk_net.Attach(&walk_state);
+    core::SearchCounters group_counters;
+    core::SearchCounters walk_counters;
 
-    core::AladdinOptions on;
-    on.group_waterfall = true;
-    core::AladdinOptions off = on;
-    off.group_waterfall = false;
+    std::size_t group_runs = 0;
+    std::size_t unplaced = 0;
+    for (const cluster::Application& app : wl.applications()) {
+      const std::vector<ContainerId>& run = app.containers;
+      std::vector<MachineId> walk_out;
+      for (const ContainerId c : run) {
+        const MachineId m = walk_net.FindMachine(c, search, walk_counters);
+        if (m.valid()) walk_net.Deploy(c, m);
+        walk_out.push_back(m);
+      }
+      std::vector<MachineId> group_out(run.size(), MachineId::Invalid());
+      if (run.size() >= 2) {
+        group_net.PlaceGroupRun(run, search, group_counters, group_out);
+        ++group_runs;
+      } else {
+        group_out[0] = group_net.FindMachine(run[0], search, group_counters);
+        if (group_out[0].valid()) group_net.Deploy(run[0], group_out[0]);
+      }
+      unplaced += static_cast<std::size_t>(
+          std::count(walk_out.begin(), walk_out.end(), MachineId::Invalid()));
 
-    obs::Registry::Get().ResetAll();
-    obs::SetMetricsEnabled(true);
-    cluster::ClusterState on_state = wl.MakeState(topo);
-    core::AladdinScheduler on_engine(on);
-    const auto on_outcome = on_engine.Schedule(request, on_state);
-    const std::int64_t group_runs = CounterValue("core/group_runs");
-    const auto on_counters = CounterSnapshot();
-
-    obs::Registry::Get().ResetAll();
-    cluster::ClusterState off_state = wl.MakeState(topo);
-    core::AladdinScheduler off_engine(off);
-    const auto off_outcome = off_engine.Schedule(request, off_state);
-    auto off_counters = CounterSnapshot();
-    obs::SetMetricsEnabled(false);
-
-    const std::string label = "seed=" + std::to_string(seed);
-    EXPECT_EQ(Placements(on_state, wl.container_count()),
-              Placements(off_state, wl.container_count()))
-        << label;
-    EXPECT_EQ(on_outcome.unplaced, off_outcome.unplaced) << label;
-    EXPECT_EQ(on_outcome.explored_paths, off_outcome.explored_paths)
-        << label;
-    EXPECT_EQ(on_outcome.il_prunes, off_outcome.il_prunes) << label;
-    EXPECT_EQ(on_outcome.dl_stops, off_outcome.dl_stops) << label;
-    EXPECT_GT(group_runs, 0)
-        << label << ": the fixture must actually exercise the waterfall";
-    // The waterfall's own accounting is the only divergence allowed.
-    for (const char* name : {"core/group_runs", "core/group_placed"}) {
-      off_counters[name] = on_counters.count(name) != 0
-                               ? on_counters.at(name)
-                               : off_counters[name];
+      const std::string label = "seed=" + std::to_string(seed) + " app " +
+                                std::to_string(app.id.value());
+      ASSERT_EQ(group_out, walk_out) << label;
+      ASSERT_EQ(group_counters.explored_paths, walk_counters.explored_paths)
+          << label;
+      ASSERT_EQ(group_counters.il_prunes, walk_counters.il_prunes) << label;
+      ASSERT_EQ(group_counters.dl_stops, walk_counters.dl_stops) << label;
+      ASSERT_EQ(Placements(group_state, wl.container_count()),
+                Placements(walk_state, wl.container_count()))
+          << label;
+      for (std::size_t m = 0; m < topo.machine_count(); ++m) {
+        const MachineId id(static_cast<std::int32_t>(m));
+        ASSERT_EQ(group_net.MachineEpoch(id), walk_net.MachineEpoch(id))
+            << label << " machine " << m;
+      }
     }
-    for (const auto& [name, value] : on_counters) {
-      const auto it = off_counters.find(name);
-      EXPECT_EQ(it == off_counters.end() ? 0 : it->second, value)
-          << label << ": counter " << name;
-    }
+    EXPECT_GT(group_runs, 0u) << "seed=" << seed;
+    EXPECT_GT(unplaced, 0u)
+        << "seed=" << seed << ": the fixture must exercise failing runs";
+    ASSERT_TRUE(group_state.CheckConsistency()) << "seed=" << seed;
   }
 }
 
 // Without DL the search is a full enumeration the waterfall does not
-// model: the knob must disengage (no group runs) and stay bit-identical.
+// model: the scheduler must never enter it. (With DL the same wave does.)
 TEST(GroupWaterfall, DisengagesWithoutDepthLimiting) {
   const Topology topo =
       Topology::Uniform(24, ResourceVector::Cores(32, 64), 6, 2);
@@ -399,29 +297,22 @@ TEST(GroupWaterfall, DisengagesWithoutDepthLimiting) {
   const std::vector<ContainerId> wave = GrowWave(wl, rng, 18);
   const sim::ScheduleRequest request{&wl, &wave};
 
-  core::AladdinOptions on;
-  on.enable_dl = false;
-  on.group_waterfall = true;
-  core::AladdinOptions off = on;
-  off.group_waterfall = false;
-
-  obs::Registry::Get().ResetAll();
-  obs::SetMetricsEnabled(true);
-  cluster::ClusterState on_state = wl.MakeState(topo);
-  core::AladdinScheduler on_engine(on);
-  const auto on_outcome = on_engine.Schedule(request, on_state);
-  const std::int64_t group_runs = CounterValue("core/group_runs");
-  obs::SetMetricsEnabled(false);
-
-  cluster::ClusterState off_state = wl.MakeState(topo);
-  core::AladdinScheduler off_engine(off);
-  const auto off_outcome = off_engine.Schedule(request, off_state);
-
-  EXPECT_EQ(group_runs, 0) << "no DL means no waterfall runs";
-  EXPECT_EQ(Placements(on_state, wl.container_count()),
-            Placements(off_state, wl.container_count()));
-  EXPECT_EQ(on_outcome.unplaced, off_outcome.unplaced);
-  EXPECT_EQ(on_outcome.explored_paths, off_outcome.explored_paths);
+  const auto group_runs = [&](bool enable_dl) {
+    core::AladdinOptions options;
+    options.enable_dl = enable_dl;
+    obs::Registry::Get().ResetAll();
+    obs::SetMetricsEnabled(true);
+    cluster::ClusterState state = wl.MakeState(topo);
+    core::AladdinScheduler engine(options);
+    (void)engine.Schedule(request, state);
+    const std::int64_t runs = CounterValue("core/group_runs");
+    obs::SetMetricsEnabled(false);
+    return runs;
+  };
+  EXPECT_EQ(group_runs(/*enable_dl=*/false), 0)
+      << "no DL means no waterfall runs";
+  EXPECT_GT(group_runs(/*enable_dl=*/true), 0)
+      << "the fixture must engage the waterfall under DL";
 }
 
 // ------------------------------------------------ task-run placement ----
@@ -498,68 +389,8 @@ TEST(TaskRunPlacement, PlaceRunMatchesPlaceOnePerTask) {
 
 // --------------------------------------------- resolver-level batching ----
 
-// Scripted mixed cluster, shared by the resolver equivalence tests below.
-void RunScript(k8s::ClusterSimulator& sim, int ticks) {
-  Rng rng(7);
-  std::int64_t apps = 0;
-  for (int t = 0; t < ticks; ++t) {
-    for (int d = 0; d < 3; ++d) {
-      k8s::PodSpec spec;
-      spec.requests = cluster::ResourceVector::Cores(rng.UniformInt(1, 6),
-                                                     rng.UniformInt(2, 12));
-      spec.priority = rng.Bernoulli(0.2)
-                          ? static_cast<cluster::Priority>(rng.UniformInt(1, 3))
-                          : 0;
-      spec.anti_affinity_within = rng.Bernoulli(0.6);
-      sim.SubmitDeployment("svc-" + std::to_string(apps++),
-                           static_cast<std::size_t>(rng.UniformInt(1, 5)),
-                           spec);
-    }
-    sim.SubmitBatchJob("job-" + std::to_string(t), 12,
-                       cluster::ResourceVector::Cores(1, 2),
-                       /*lifetime_ticks=*/2);
-    sim.Tick();
-  }
-}
-
-std::map<k8s::PodUid, std::string> FinalBindings(k8s::ClusterSimulator& sim) {
-  std::map<k8s::PodUid, std::string> out;
-  for (k8s::PodUid uid : sim.adaptor().BoundPods()) {
-    out[uid] = sim.adaptor().FindPod(uid)->node;
-  }
-  return out;
-}
-
-// A chunk covering the whole tick is the sequential solve: identical
-// per-tick stats and final bindings, not just convergent ones.
-TEST(ResolverBatch, WholeTickBatchMatchesUnbatchedBitForBit) {
-  k8s::ResolverOptions unbatched;
-  unbatched.aladdin = k8s::Resolver::DefaultOptions();
-  k8s::ResolverOptions batched = unbatched;
-  batched.batch = 1 << 20;
-
-  k8s::ClusterSimulator a(unbatched);
-  k8s::ClusterSimulator b(batched);
-  a.AddNodes(16, cluster::ResourceVector::Cores(32, 64), "node", 4, 2);
-  b.AddNodes(16, cluster::ResourceVector::Cores(32, 64), "node", 4, 2);
-  RunScript(a, 8);
-  RunScript(b, 8);
-
-  ASSERT_EQ(a.history().size(), b.history().size());
-  for (std::size_t t = 0; t < a.history().size(); ++t) {
-    EXPECT_EQ(a.history()[t].new_bindings, b.history()[t].new_bindings)
-        << "tick " << t;
-    EXPECT_EQ(a.history()[t].unschedulable, b.history()[t].unschedulable)
-        << "tick " << t;
-    EXPECT_EQ(a.history()[t].migrations, b.history()[t].migrations)
-        << "tick " << t;
-  }
-  EXPECT_EQ(FinalBindings(a), FinalBindings(b));
-  EXPECT_EQ(a.completed_tasks(), b.completed_tasks());
-}
-
-// Micro-batched resolves stay deterministic across thread counts and
-// across the sharded coordinator's K=1 identity.
+// Micro-batched resolves stay deterministic across thread counts, for the
+// direct scheduler and the sharded coordinator alike.
 TEST(ResolverBatch, DeterministicAcrossThreadsAndShards) {
   auto run = [](int batch, int threads, int shards) {
     k8s::ResolverOptions options;
@@ -570,23 +401,21 @@ TEST(ResolverBatch, DeterministicAcrossThreadsAndShards) {
     k8s::ClusterSimulator sim(options);
     sim.AddNodes(16, cluster::ResourceVector::Cores(32, 64), "node", 4, 2);
     RunScript(sim, 6);
-    return FinalBindings(sim);
+    return FinalBindings(sim.adaptor());
   };
 
   const auto serial = run(/*batch=*/7, /*threads=*/1, /*shards=*/0);
   EXPECT_EQ(serial, run(7, 3, 0)) << "thread count changed batched bindings";
-  EXPECT_EQ(serial, run(7, 1, 1)) << "K=1 sharding changed batched bindings";
   const auto sharded = run(/*batch=*/7, /*threads=*/1, /*shards=*/2);
   EXPECT_EQ(sharded, run(7, 4, 2))
       << "thread count changed sharded batched bindings";
 }
 
 // A deadline defers whole ticks (no long-lived bindings) and catches up on
-// the next boundary without losing pods.
+// the next boundary without losing pods — with or without micro-batching.
 TEST(ResolverBatch, DeadlineDefersThenCatchesUp) {
   k8s::ResolverOptions deferred_options;
   deferred_options.aladdin = k8s::Resolver::DefaultOptions();
-  deferred_options.batch = 1 << 20;
   deferred_options.batch_deadline_ticks = 2;
   k8s::ClusterSimulator sim(deferred_options);
   sim.AddNodes(16, cluster::ResourceVector::Cores(32, 64), "node", 4, 2);
@@ -616,7 +445,7 @@ TEST(ResolverBatch, DeadlineDefersThenCatchesUp) {
           << "tick " << t << ": the parked wave must be counted, not lost";
     }
   }
-  EXPECT_EQ(FinalBindings(sim).size(), 20u)
+  EXPECT_EQ(FinalBindings(sim.adaptor()).size(), 20u)
       << "every wave that saw a boundary must be bound";
 }
 

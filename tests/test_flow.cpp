@@ -1,7 +1,6 @@
 // Unit + property tests for the flow substrate: graph mechanics, max-flow
 // solvers (with cross-validation EK vs Dinic vs min-cut), shortest paths
-// (SPFA vs Bellman–Ford), min-cost max-flow optimality, and the
-// multidimensional graph.
+// (SPFA vs Bellman–Ford), and min-cost max-flow optimality.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +9,6 @@
 #include "flow/graph.h"
 #include "flow/max_flow.h"
 #include "flow/min_cost_flow.h"
-#include "flow/multidim.h"
 #include "flow/shortest_path.h"
 
 namespace aladdin::flow {
@@ -437,92 +435,6 @@ TEST_P(DecomposePropertyTest, RandomGraphsDecomposeExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecomposePropertyTest, ::testing::Range(1, 11));
-
-// ------------------------------------------------------------ multidim ----
-
-TEST(MultiDim, VectorOps) {
-  EXPECT_TRUE(DimLeq({1, 2}, {1, 3}));
-  EXPECT_FALSE(DimLeq({2, 2}, {1, 3}));
-  EXPECT_EQ(DimMin({1, 5}, {2, 3}), (DimVector{1, 3}));
-  EXPECT_EQ(DimAdd({1, 2}, {3, 4}), (DimVector{4, 6}));
-  EXPECT_EQ(DimSub({5, 5}, {2, 3}), (DimVector{3, 2}));
-  EXPECT_TRUE(DimPositive({1, 1}));
-  EXPECT_FALSE(DimPositive({1, 0}));
-}
-
-TEST(MultiDim, AugmentTakesComponentwiseBottleneck) {
-  MultiDimGraph g(2);
-  const VertexId s = g.AddVertex();
-  const VertexId m = g.AddVertex();
-  const VertexId t = g.AddVertex();
-  g.AddArc(s, m, {4, 10});
-  g.AddArc(m, t, {6, 3});
-  const DimVector pushed = g.Augment(s, t);
-  EXPECT_EQ(pushed, (DimVector{4, 3}));
-}
-
-TEST(MultiDim, ZeroDimensionBlocksPath) {
-  MultiDimGraph g(2);
-  const VertexId s = g.AddVertex();
-  const VertexId t = g.AddVertex();
-  g.AddArc(s, t, {5, 0});  // dimension 2 empty: no feasible flow
-  EXPECT_TRUE(g.Augment(s, t).empty());
-}
-
-TEST(MultiDim, PredicateActsAsNonlinearCapacity) {
-  MultiDimGraph g(1);
-  const VertexId s = g.AddVertex();
-  const VertexId a = g.AddVertex();
-  const VertexId b = g.AddVertex();
-  const VertexId t = g.AddVertex();
-  g.AddArc(s, a, {5});
-  const ArcId blocked = g.AddArc(a, t, {5});
-  g.AddArc(s, b, {2});
-  g.AddArc(b, t, {2});
-  const auto predicate = [&](ArcId arc, VertexId, VertexId) {
-    return arc != blocked;  // "blacklist" the direct a->t edge
-  };
-  const DimVector total = g.MaxFlow(s, t, predicate);
-  EXPECT_EQ(total, (DimVector{2}));
-}
-
-TEST(MultiDim, SingleDimensionMatchesScalarSolver) {
-  Rng rng(7);
-  // Bipartite s -> u_i -> t with random capacities; compare against the
-  // scalar graph. Multidim flow has no residual arcs, but on this DAG shape
-  // augmenting paths never need them, so values agree.
-  MultiDimGraph md(1);
-  Graph scalar;
-  const VertexId ms = md.AddVertex();
-  const VertexId mt = md.AddVertex();
-  const VertexId ss = scalar.AddVertex();
-  const VertexId st = scalar.AddVertex();
-  for (int i = 0; i < 10; ++i) {
-    const std::int64_t c1 = rng.UniformInt(1, 9);
-    const std::int64_t c2 = rng.UniformInt(1, 9);
-    const VertexId mu = md.AddVertex();
-    md.AddArc(ms, mu, {c1});
-    md.AddArc(mu, mt, {c2});
-    const VertexId su = scalar.AddVertex();
-    scalar.AddArc(ss, su, c1, 0);
-    scalar.AddArc(su, st, c2, 0);
-  }
-  const DimVector total = md.MaxFlow(ms, mt);
-  EXPECT_EQ(total[0], Dinic(scalar, ss, st).value);
-}
-
-TEST(MultiDim, MaxFlowTerminates) {
-  MultiDimGraph g(2);
-  const VertexId s = g.AddVertex();
-  const VertexId t = g.AddVertex();
-  for (int i = 0; i < 50; ++i) {
-    const VertexId v = g.AddVertex();
-    g.AddArc(s, v, {3, 4});
-    g.AddArc(v, t, {2, 5});
-  }
-  const DimVector total = g.MaxFlow(s, t);
-  EXPECT_EQ(total, (DimVector{100, 200}));
-}
 
 // ------------------------------------------------------- CSR adjacency ----
 

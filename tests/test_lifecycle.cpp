@@ -2,7 +2,7 @@
 // span state machine and wait math, once-per-epoch violation flagging,
 // exact nearest-rank percentiles, attainment/burn accounting, the
 // tick-determinism bar (per-tick SLO surfaces bit-identical across thread
-// counts and across shards 0/1 — the same bar as the decision journal),
+// counts — the same bar as the decision journal),
 // and the listener's introspection endpoints (/healthz, /statusz, /slo,
 // Prometheus fallback) over a live socket.
 #include <arpa/inet.h>
@@ -336,15 +336,6 @@ TEST(LifecycleDeterminism, SloBitIdenticalAcrossThreadCountsSharded) {
   EXPECT_EQ(serial.second, parallel.second);
 }
 
-TEST(LifecycleDeterminism, OneShardMatchesUnsharded) {
-  // Shards 0 vs 1 publish byte-identical snapshots (shard attribution is
-  // suppressed at K <= 1, matching the journal's convention).
-  const auto unsharded = RunAndCapture(/*threads=*/1, /*shards=*/0);
-  const auto one_shard = RunAndCapture(/*threads=*/1, /*shards=*/1);
-  EXPECT_EQ(unsharded.first, one_shard.first);
-  EXPECT_EQ(unsharded.second, one_shard.second);
-}
-
 TEST(LifecycleResolver, OverloadAccountsEveryPendingPod) {
   k8s::ClusterSimulator sim(LifecycleOptions(/*threads=*/1, /*shards=*/0));
   sim.AddNodes(8, cluster::ResourceVector::Cores(8, 16), "node", 2, 2);
@@ -362,17 +353,6 @@ TEST(LifecycleResolver, OverloadAccountsEveryPendingPod) {
   EXPECT_EQ(status.tick, last.tick);
   EXPECT_EQ(status.pending_ages.open, last.pending_ages.open);
   EXPECT_EQ(status.oldest_pending.size(), status.oldest_pending_app.size());
-}
-
-TEST(LifecycleResolver, DisablingLifecycleZeroesTheSurfaces) {
-  k8s::ResolverOptions options = LifecycleOptions(1, 0);
-  options.lifecycle = false;
-  k8s::ClusterSimulator sim(options);
-  sim.AddNodes(8, cluster::ResourceVector::Cores(8, 16), "node", 2, 2);
-  RunOverloadScript(sim, 3);
-  const k8s::ResolveStats& last = sim.history().back();
-  EXPECT_EQ(last.slo.admitted, 0);
-  EXPECT_EQ(last.pending_ages.open, 0u);
 }
 
 // ------------------------------------------------- introspection + HTTP ----

@@ -21,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -34,6 +33,7 @@
 #include "core/sharded.h"
 #include "k8s/simulator.h"
 #include "obs/journal.h"
+#include "test_scenarios.h"
 #include "trace/workload.h"
 
 namespace aladdin {
@@ -174,35 +174,6 @@ TEST(ScopedDirtyLog, ReconfigureInvalidatesPriorCursors) {
 }
 
 // ------------------------------------------------- sharded equivalence ----
-
-// Random mixed workload, same generator family as test_equivalence.
-std::vector<ContainerId> GrowWave(Workload& wl, Rng& rng, int apps) {
-  std::vector<ContainerId> added;
-  for (int a = 0; a < apps; ++a) {
-    const std::size_t first = wl.container_count();
-    wl.AddApplication(
-        "app-" + std::to_string(wl.application_count()),
-        static_cast<std::size_t>(rng.UniformInt(1, 6)),
-        ResourceVector::Cores(rng.UniformInt(1, 8), rng.UniformInt(2, 16)),
-        static_cast<cluster::Priority>(
-            rng.Bernoulli(0.2) ? rng.UniformInt(1, 3) : 0),
-        rng.Bernoulli(0.5));
-    for (std::size_t i = first; i < wl.container_count(); ++i) {
-      added.emplace_back(static_cast<std::int32_t>(i));
-    }
-  }
-  return added;
-}
-
-std::vector<MachineId> Placements(const cluster::ClusterState& state,
-                                  std::size_t containers) {
-  std::vector<MachineId> out;
-  out.reserve(containers);
-  for (std::size_t i = 0; i < containers; ++i) {
-    out.push_back(state.PlacementOf(ContainerId(static_cast<std::int32_t>(i))));
-  }
-  return out;
-}
 
 // The journal stream as JSONL lines: a full-fidelity, diffable fingerprint
 // (seq, tick, kind, cause, ids, detail, shard) of one run's decisions.
@@ -483,68 +454,6 @@ TEST(ShardedSpill, ZeroRebalanceRoundsSurfacesUnplaced) {
 }
 
 // ------------------------------------------------- resolver end-to-end ----
-
-void RunScript(k8s::ClusterSimulator& sim, int ticks) {
-  Rng rng(7);
-  std::int64_t apps = 0;
-  for (int t = 0; t < ticks; ++t) {
-    for (int d = 0; d < 3; ++d) {
-      k8s::PodSpec spec;
-      spec.requests = cluster::ResourceVector::Cores(rng.UniformInt(1, 6),
-                                                     rng.UniformInt(2, 12));
-      spec.priority = rng.Bernoulli(0.2)
-                          ? static_cast<cluster::Priority>(rng.UniformInt(1, 3))
-                          : 0;
-      spec.anti_affinity_within = rng.Bernoulli(0.6);
-      sim.SubmitDeployment("svc-" + std::to_string(apps++),
-                           static_cast<std::size_t>(rng.UniformInt(1, 5)),
-                           spec);
-    }
-    sim.SubmitBatchJob("job-" + std::to_string(t), 12,
-                       cluster::ResourceVector::Cores(1, 2),
-                       /*lifetime_ticks=*/2);
-    if (t == 3) sim.ScaleDown("svc-1", 2);
-    if (t == 5) sim.RemoveNode("node-7");  // forces a topology rebuild
-    sim.Tick();
-  }
-}
-
-std::map<k8s::PodUid, std::string> FinalBindings(k8s::ClusterSimulator& sim) {
-  std::map<k8s::PodUid, std::string> out;
-  for (k8s::PodUid uid : sim.adaptor().BoundPods()) {
-    out[uid] = sim.adaptor().FindPod(uid)->node;
-  }
-  return out;
-}
-
-TEST(ResolverSharded, OneShardMatchesUnshardedPerTick) {
-  k8s::ResolverOptions unsharded_options;
-  unsharded_options.aladdin = k8s::Resolver::DefaultOptions();
-  unsharded_options.aladdin.threads = 1;
-  k8s::ResolverOptions sharded_options = unsharded_options;
-  sharded_options.shards = 1;
-
-  k8s::ClusterSimulator unsharded(unsharded_options);
-  k8s::ClusterSimulator sharded(sharded_options);
-  unsharded.AddNodes(16, cluster::ResourceVector::Cores(32, 64), "node", 4, 2);
-  sharded.AddNodes(16, cluster::ResourceVector::Cores(32, 64), "node", 4, 2);
-
-  RunScript(unsharded, 9);
-  RunScript(sharded, 9);
-
-  ASSERT_EQ(unsharded.history().size(), sharded.history().size());
-  for (std::size_t t = 0; t < unsharded.history().size(); ++t) {
-    const auto& a = unsharded.history()[t];
-    const auto& b = sharded.history()[t];
-    EXPECT_EQ(a.new_bindings, b.new_bindings) << "tick " << t;
-    EXPECT_EQ(a.migrations, b.migrations) << "tick " << t;
-    EXPECT_EQ(a.preemptions, b.preemptions) << "tick " << t;
-    EXPECT_EQ(a.unschedulable, b.unschedulable) << "tick " << t;
-    EXPECT_EQ(a.unschedulable_causes, b.unschedulable_causes) << "tick " << t;
-  }
-  EXPECT_EQ(FinalBindings(unsharded), FinalBindings(sharded));
-  EXPECT_EQ(unsharded.completed_tasks(), sharded.completed_tasks());
-}
 
 TEST(ResolverSharded, MultiShardRunStaysConsistent) {
   k8s::ResolverOptions options;
