@@ -99,20 +99,6 @@ void BM_MinCostMaxFlow(benchmark::State& state) {
 }
 BENCHMARK(BM_MinCostMaxFlow)->Arg(256)->Arg(1024);
 
-void BM_MinCostMaxFlowDijkstra(benchmark::State& state) {
-  flow::MinCostFlowOptions options;
-  options.pathfinder = flow::MinCostFlowOptions::Pathfinder::kDijkstra;
-  for (auto _ : state) {
-    state.PauseTiming();
-    VertexId s, t;
-    flow::Graph graph = MakeLayeredGraph(state.range(0), 8, s, t, 1);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(
-        flow::MinCostMaxFlow(graph, s, t, flow::kInfiniteCapacity, options));
-  }
-}
-BENCHMARK(BM_MinCostMaxFlowDijkstra)->Arg(256)->Arg(1024);
-
 // ------------------------------------------- adjacency layout A/B ----
 // The CSR win in isolation: walk every out-arc list, summing arc ids.
 // Csr iterates the frozen flat offsets[]/arc_ids[] arrays; Nested iterates

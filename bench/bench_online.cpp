@@ -11,7 +11,6 @@
 #include <array>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -92,18 +91,15 @@ int main(int argc, char** argv) {
                                  "batch tasks submitted per tick");
   auto& seed = flags.Int64("seed", 42, "workload seed");
   auto& threads = flags.Int64("threads", 0,
-                              "search threads (0 = hardware concurrency, "
-                              "1 = serial); with --shards this is the "
-                              "shard-solve pool size");
+                              "shard-solve pool size with --shards >= 2 "
+                              "(0 = hardware concurrency, 1 = serial); the "
+                              "unsharded solve is serial");
   auto& shards = flags.Int64("shards", 0,
                              "partition the cluster into this many shards "
                              "solved concurrently (0 or 1 = unsharded)");
   auto& routing = flags.String("routing", "least-utilized",
                                "shard routing policy: hash, least-utilized, "
                                "constraint-driven");
-  auto& batch = flags.Int64("batch", 0,
-                            "micro-batch size for the long-lived solve "
-                            "(0 = the whole tick as one request)");
   auto& batch_deadline =
       flags.Int64("batch_deadline_ticks", 1,
                   "solve long-lived pods only every N ticks (deferred "
@@ -137,7 +133,6 @@ int main(int argc, char** argv) {
   }
   options.slo.wait_ticks = slo_ticks;
   options.slo.percent = slo_pct;
-  options.batch = static_cast<int>(batch);
   options.batch_deadline_ticks = static_cast<int>(batch_deadline);
   options.watchdog = obs_cli.watchdog_requested();
   k8s::ClusterSimulator sim(options);
@@ -155,11 +150,6 @@ int main(int argc, char** argv) {
 
   // Per-shard totals across all ticks (--shards only).
   std::vector<core::ShardTickStats> shard_totals;
-
-  // Micro-batch size histogram across all ticks (printed with --batch):
-  // how the long-lived waves actually chunked, size -> number of batches.
-  std::map<std::size_t, std::int64_t> batch_histogram;
-  std::int64_t batches_solved = 0;
 
   Rng rng(static_cast<std::uint64_t>(seed));
   Sample resolve_ms;
@@ -214,10 +204,6 @@ int main(int argc, char** argv) {
     for (const auto& [cause, n] : stats.unschedulable_causes) {
       cause_totals[static_cast<std::size_t>(cause)] +=
           static_cast<std::int64_t>(n);
-    }
-    for (std::size_t size : stats.batch_sizes) {
-      ++batch_histogram[size];
-      ++batches_solved;
     }
     if (!stats.shards.empty()) {
       if (shard_totals.size() < stats.shards.size()) {
@@ -280,19 +266,6 @@ int main(int argc, char** argv) {
                 total_tick_seconds > 0.0
                     ? covered / total_tick_seconds * 100.0
                     : 0.0);
-  }
-
-  // Micro-batch size histogram (--batch): one row per observed chunk size.
-  if (batch > 0 && !batch_histogram.empty()) {
-    std::printf("\nmicro-batch size histogram (%lld batches over %lld "
-                "ticks):\n",
-                static_cast<long long>(batches_solved),
-                static_cast<long long>(ticks));
-    Table batch_table({"batch size", "batches"});
-    for (const auto& [size, count] : batch_histogram) {
-      batch_table.Cell(static_cast<std::int64_t>(size)).Cell(count).EndRow();
-    }
-    batch_table.Print();
   }
 
   // Per-shard activity (--shards): how evenly the routing spread the work
@@ -379,7 +352,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(sim.now()));
 
   // Placement-quality witness: identical scheduling decisions (across
-  // thread and batch settings) give identical audit numbers.
+  // thread settings) give identical audit numbers.
   const cluster::AuditReport audit = AuditFinalState(sim.adaptor());
   std::printf("audit: %zu containers, %zu placed, %zu unplaced "
               "(%zu resources, %zu anti-affinity, %zu scheduler), "
@@ -399,10 +372,7 @@ int main(int argc, char** argv) {
     out.Tag("threads", threads);
     out.Tag("shards", shards);
     if (shards > 1) out.Tag("routing", routing);
-    if (batch > 0) {
-      out.Tag("batch", batch);
-      out.Tag("batch_deadline_ticks", batch_deadline);
-    }
+    if (batch_deadline > 1) out.Tag("batch_deadline_ticks", batch_deadline);
     out.Percentiles("resolve_ms", resolve_ms);
     out.Metric("total_resolve_s", total_seconds, "s");
     out.Metric("bindings_per_s",
@@ -430,16 +400,6 @@ int main(int argc, char** argv) {
                  "pct");
       out.Metric("admission_wait_p99_ticks",
                  static_cast<double>(introspection.slo.p99), "count");
-    }
-    if (batch > 0) {
-      out.Metric("batches_solved", static_cast<double>(batches_solved),
-                 "count");
-      std::size_t batch_size_max = 0;
-      for (const auto& [size, count] : batch_histogram) {
-        batch_size_max = std::max(batch_size_max, size);
-      }
-      out.Metric("batch_size_max", static_cast<double>(batch_size_max),
-                 "count");
     }
     if (options.watchdog) {
       out.Metric("alerts_opened_total",

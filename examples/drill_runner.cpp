@@ -44,7 +44,9 @@ int main(int argc, char** argv) {
   auto& ticks = flags.Int64("ticks", 48, "simulated ticks per scenario");
   auto& shards = flags.Int64("shards", 0,
                              "resolver shards (routing_skew forces >= 4)");
-  auto& threads = flags.Int64("threads", 1, "solver threads");
+  auto& threads = flags.Int64("threads", 1,
+                              "shard-solve pool size when sharded (the "
+                              "unsharded solve is serial)");
   if (!flags.Parse(argc, argv)) return 1;
   if (!obs_cli.Apply()) return 1;
 

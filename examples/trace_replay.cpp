@@ -6,7 +6,6 @@
 //   build/examples/trace_replay --scheduler=aladdin --scale=0.05
 //   build/examples/trace_replay --save=/tmp/trace.csv            # export
 //   build/examples/trace_replay --load=/tmp/trace.csv --scheduler=medea
-#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <memory>
@@ -22,7 +21,6 @@
 #include "obs/slo.h"
 #include "obs/watchdog.h"
 #include "core/scheduler.h"
-#include "common/timer.h"
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "trace/arrival.h"
@@ -56,66 +54,6 @@ std::unique_ptr<sim::Scheduler> MakeScheduler(const std::string& name,
   return nullptr;
 }
 
-// One-shot replay through AladdinScheduler::ScheduleBatch: the ordered
-// arrival is chunked into micro-batches of `batch` containers and solved
-// against one warm network (weights prepared once, one Refresh up front).
-// Identical to calling Schedule() once per chunk, bar the network-prep
-// counters (core/net_syncs, core/weights_cached). Note a chunk size smaller
-// than the trace is NOT equivalent to the single whole-trace solve: each
-// solve orders its own chunk by Eq. 3–5 weight, so chunk boundaries change
-// the global augment order (a chunk covering the whole trace is identical).
-// Mirrors sim::RunExperimentOn otherwise.
-sim::RunMetrics ReplayBatched(core::AladdinScheduler& scheduler,
-                              const trace::Workload& workload,
-                              const cluster::Topology& topology,
-                              trace::ArrivalOrder order,
-                              std::uint64_t arrival_seed,
-                              std::size_t batch) {
-  const auto arrival =
-      trace::MakeArrivalSequence(workload, order, arrival_seed);
-  cluster::ClusterState state = workload.MakeState(topology);
-
-  // Build every chunk before any request takes a pointer: growing the
-  // outer vector afterwards would invalidate earlier chunks' addresses.
-  std::vector<std::vector<cluster::ContainerId>> chunks;
-  for (std::size_t i = 0; i < arrival.size(); i += batch) {
-    const std::size_t end = std::min(i + batch, arrival.size());
-    chunks.emplace_back(arrival.begin() + static_cast<std::ptrdiff_t>(i),
-                        arrival.begin() + static_cast<std::ptrdiff_t>(end));
-  }
-  std::vector<sim::ScheduleRequest> requests(chunks.size());
-  for (std::size_t k = 0; k < chunks.size(); ++k) {
-    requests[k].workload = &workload;
-    requests[k].arrival = &chunks[k];
-  }
-
-  WallTimer timer;
-  std::vector<sim::ScheduleOutcome> outcomes =
-      scheduler.ScheduleBatch(requests, state);
-  const double wall = timer.ElapsedSeconds();
-
-  sim::ScheduleOutcome merged;
-  for (sim::ScheduleOutcome& outcome : outcomes) {
-    merged.unplaced.insert(merged.unplaced.end(), outcome.unplaced.begin(),
-                           outcome.unplaced.end());
-    merged.unplaced_causes.insert(merged.unplaced_causes.end(),
-                                  outcome.unplaced_causes.begin(),
-                                  outcome.unplaced_causes.end());
-    merged.explored_paths += outcome.explored_paths;
-    merged.rounds += outcome.rounds;
-    merged.il_prunes += outcome.il_prunes;
-    merged.dl_stops += outcome.dl_stops;
-    obs::MergePhaseDeltas(merged.phases, outcome.phases);
-  }
-
-  if (!state.VerifyResourceInvariant()) {
-    LOG_ERROR << scheduler.name()
-              << " corrupted cluster state (resource invariant violated)";
-  }
-  return sim::ComputeRunMetrics(scheduler.name(), state, std::move(merged),
-                                wall);
-}
-
 trace::ArrivalOrder ParseOrder(const std::string& name) {
   if (name == "fifo") return trace::ArrivalOrder::kFifo;
   if (name == "chp") return trace::ArrivalOrder::kHighPriorityFirst;
@@ -139,11 +77,6 @@ int main(int argc, char** argv) {
       "order", "random", "fifo | random | chp | clp | cla | csa");
   auto& reschd = flags.Int64("reschd", 8, "Firmament reschd(i)");
   auto& medea_c = flags.Double("medea_c", 0.0, "Medea violation tolerance");
-  auto& batch = flags.Int64(
-      "batch", 0,
-      "aladdin only: replay the arrival as micro-batches of this many "
-      "containers through one warm-started solve per batch (0 = one "
-      "whole-trace solve; smaller batches re-rank arrivals per chunk)");
   auto& save = flags.String("save", "", "write the workload to a file, exit");
   auto& load = flags.String("load", "", "load a workload file instead");
   auto& cluster_file = flags.String(
@@ -189,23 +122,13 @@ int main(int argc, char** argv) {
                      : sim::BenchMachineCount(scale));
   }
 
-  if (batch > 0 && scheduler_name != "aladdin") {
-    LOG_ERROR << "--batch requires --scheduler=aladdin (the baselines have "
-                 "no incremental entry point)";
-    return 1;
-  }
-
   std::printf("replaying %zu containers (%zu apps) onto %zu machines with "
               "%s, order %s\n",
               workload.container_count(), workload.application_count(),
               topology.machine_count(), scheduler->name().c_str(),
               trace::ArrivalOrderName(order));
   const sim::RunMetrics metrics =
-      batch > 0
-          ? ReplayBatched(static_cast<core::AladdinScheduler&>(*scheduler),
-                          workload, topology, order, 1,
-                          static_cast<std::size_t>(batch))
-          : sim::RunExperimentOn(*scheduler, workload, topology, order, 1);
+      sim::RunExperimentOn(*scheduler, workload, topology, order, 1);
   sim::PrintRunTable({metrics});
 
   // One-shot replay: the outcome's terminal diagnosis is the cause

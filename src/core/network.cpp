@@ -77,8 +77,8 @@ void AggregatedNetwork::Sync() {
   if (dirty.empty()) {
     // Noop fast path: nothing changed behind our back since the last
     // replay, so the aggregates are already coherent — skip the phase
-    // scope and the replay loop entirely. Witnessed by the counter so the
-    // batch path's "one Refresh per micro-batch" claim is testable.
+    // scope and the replay loop entirely. Witnessed by the counter so an
+    // idle tick's warm solve is testable (WarmSolve in test_batch).
     ALADDIN_METRIC_ADD("core/net_sync_noop", 1);
     return;
   }
@@ -414,14 +414,8 @@ cluster::MachineId AggregatedNetwork::FindMachine(cluster::ContainerId c,
   // DL changes the traversal (first saturating path wins); without it the
   // search enumerates every candidate path through the aggregates. Both
   // traversals return the same machine — the tightest admissible one.
-  const bool parallel =
-      options.pool != nullptr && options.pool->thread_count() > 1;
-  if (options.enable_dl) {
-    return parallel ? BestFitWalkParallel(c, options, counters, exclude)
-                    : FindByBestFitWalk(c, options, counters, exclude);
-  }
-  return parallel ? EnumerateParallel(c, options, counters, exclude)
-                  : FindByEnumeration(c, options, counters, exclude);
+  return options.enable_dl ? FindByBestFitWalk(c, options, counters, exclude)
+                           : FindByEnumeration(c, options, counters, exclude);
 }
 
 obs::Cause AggregatedNetwork::DiagnoseFailure(cluster::ContainerId c) const {
@@ -552,158 +546,6 @@ cluster::MachineId AggregatedNetwork::FindByBestFitWalk(
     if (use_il) RecordIlFailure(app, m);
   }
   return cluster::MachineId::Invalid();
-}
-
-cluster::MachineId AggregatedNetwork::BestFitWalkParallel(
-    cluster::ContainerId c, const SearchOptions& options,
-    SearchCounters& counters, cluster::MachineId exclude) {
-  const cluster::ApplicationId app = state_->containers()[Idx(c)].app;
-  const std::int64_t need = state_->containers()[Idx(c)].request.cpu_millis();
-  const bool use_il =
-      options.enable_il &&
-      state_->applications()[Idx(app)].containers.size() > 1;
-
-  // The serial walk probes machines in ascending-free order and stops at
-  // the first admissible one. Here we gather candidates in that same order,
-  // score a batch concurrently (CapacityFunction::Evaluate only reads the
-  // state), then take the first admitted candidate *in gather order* —
-  // never the first finisher. Memo writes are deferred to the reduction, so
-  // workers race on nothing; within one walk that is equivalent, because a
-  // machine is visited at most once and memo entries are per (app,machine).
-  // Counters are charged exactly for the prefix the serial walk would have
-  // visited, so results AND counters are bit-identical to the serial walk.
-  std::vector<WalkItem>& items = walk_items_;
-  std::vector<std::size_t>& eval = walk_eval_;  // indices into `items`
-  std::vector<std::uint8_t>& admitted = walk_admitted_;
-
-  auto it = by_free_.lower_bound({need, -1});
-  const auto end = by_free_.end();
-  // Batch sizes are a fixed schedule (growing: warm clusters admit within a
-  // few probes, cold searches amortise the fan-out), independent of worker
-  // count and timing — determinism does not ride on load balance.
-  std::size_t batch = 8;
-  constexpr std::size_t kMaxBatch = 512;
-  while (it != end) {
-    items.clear();
-    eval.clear();
-    for (; it != end && eval.size() < batch; ++it) {
-      const cluster::MachineId m(it->second);
-      if (m == exclude) continue;  // serial walk skips silently
-      const bool pruned = use_il && IlPruned(app, m);
-      items.push_back(WalkItem{m.value(), pruned});
-      if (!pruned) eval.push_back(items.size() - 1);
-    }
-    // analyze:allow(A103) pooled scratch, capacity retained across walks
-    admitted.assign(eval.size(), 0);
-    ParallelFor(*options.pool, 0, eval.size(), [&](std::size_t i) {
-      const cluster::MachineId m(items[eval[i]].machine);
-      admitted[i] =
-          CapacityFunction::Evaluate(*state_, c, m).Admits() ? 1 : 0;
-    });
-    // First admitted candidate in gather order, if any.
-    std::size_t winner_item = items.size();
-    for (std::size_t i = 0; i < eval.size(); ++i) {
-      if (admitted[i]) {
-        winner_item = eval[i];
-        break;
-      }
-    }
-    // Replay the serial accounting over the visited prefix only.
-    for (std::size_t i = 0; i < std::min(winner_item + 1, items.size());
-         ++i) {
-      const WalkItem& item = items[i];
-      if (item.pruned) {
-        ++counters.il_prunes;
-        continue;
-      }
-      ++counters.explored_paths;
-      if (i < winner_item && use_il) {
-        RecordIlFailure(app, cluster::MachineId(item.machine));
-      }
-    }
-    if (winner_item < items.size()) {
-      ++counters.dl_stops;
-      return cluster::MachineId(items[winner_item].machine);
-    }
-    batch = std::min(batch * 4, kMaxBatch);
-  }
-  return cluster::MachineId::Invalid();
-}
-
-cluster::MachineId AggregatedNetwork::EnumerateParallel(
-    cluster::ContainerId c, const SearchOptions& options,
-    SearchCounters& counters, cluster::MachineId exclude) {
-  // Sub-clusters partition the machines, so their walks are independent;
-  // with a single sub-cluster there is nothing to fan out.
-  if (subcluster_free_.size() < 2) {
-    return FindByEnumeration(c, options, counters, exclude);
-  }
-  const cluster::ApplicationId app = state_->containers()[Idx(c)].app;
-  const std::int64_t need = state_->containers()[Idx(c)].request.cpu_millis();
-  const bool use_il =
-      options.enable_il &&
-      state_->applications()[Idx(app)].containers.size() > 1;
-
-  // One task per sub-cluster, each replaying the serial G→R→N walk over its
-  // slice into private buffers (IL memo reads are safe: writes are deferred,
-  // and the serial walk's mid-walk writes can never influence its own later
-  // reads — each machine is visited once). The reduction then runs in
-  // sub-cluster order: counter sums are order-independent, the global best
-  // is a strict (free, machine-id) minimum, and memoised failures land in
-  // the exact serial order. SubResult slots (and their il_failures buffers)
-  // persist in enum_results_; each task clears only its own slot.
-  std::vector<SubResult>& results = enum_results_;
-  // analyze:allow(A103) pooled slots, sized once per topology then reused
-  results.resize(subcluster_free_.size());
-  ParallelFor(*options.pool, 0, subcluster_free_.size(), [&](std::size_t g) {
-    SubResult& out = results[g];
-    out.Clear();
-    ++out.explored;  // G vertex probe
-    const auto& gset = subcluster_free_[g];
-    if (gset.empty() || *gset.rbegin() < need) return;
-    for (cluster::RackId rack : topology_->SubClusterRacks(
-             cluster::SubClusterId(static_cast<std::int32_t>(g)))) {
-      ++out.explored;  // R vertex probe
-      if (rack_max_[Idx(rack)] < need) continue;
-      for (cluster::MachineId m : topology_->RackMachines(rack)) {
-        if (m == exclude) continue;
-        if (use_il && IlPruned(app, m)) {
-          ++out.il_prunes;
-          continue;
-        }
-        ++out.explored;  // N vertex probe
-        const CapacityCheck check = CapacityFunction::Evaluate(*state_, c, m);
-        if (!check.Admits()) {
-          if (use_il && check.blacklisted) out.il_failures.push_back(m.value());
-          continue;
-        }
-        const std::int64_t free = indexed_free_[Idx(m)];
-        if (out.best < 0 || free < out.best_free ||
-            (free == out.best_free && m.value() < out.best)) {
-          out.best = m.value();
-          out.best_free = free;
-        }
-      }
-    }
-  });
-
-  cluster::MachineId best = cluster::MachineId::Invalid();
-  std::int64_t best_free = 0;
-  for (const SubResult& out : results) {
-    counters.explored_paths += out.explored;
-    counters.il_prunes += out.il_prunes;
-    for (std::int32_t m : out.il_failures) {
-      RecordIlFailure(app, cluster::MachineId(m));
-    }
-    if (out.best < 0) continue;
-    const cluster::MachineId m(out.best);
-    if (!best.valid() || out.best_free < best_free ||
-        (out.best_free == best_free && m < best)) {
-      best = m;
-      best_free = out.best_free;
-    }
-  }
-  return best;
 }
 
 }  // namespace aladdin::core

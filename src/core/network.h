@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "cluster/state.h"
-#include "common/thread_pool.h"
 #include "core/capacity.h"
 #include "obs/journal.h"
 
@@ -38,14 +37,6 @@ namespace aladdin::core {
 struct SearchOptions {
   bool enable_il = true;
   bool enable_dl = true;
-
-  // Optional worker pool for fanning candidate scoring out (§IV.A's path
-  // probes are independent reads of the cluster state). Null or a pool with
-  // one worker means serial search. The parallel traversals are
-  // deterministic: candidates are gathered in the serial visit order,
-  // scored concurrently, and reduced in that fixed order — results and
-  // SearchCounters are bit-identical to the serial walk for any pool size.
-  ThreadPool* pool = nullptr;
 };
 
 struct SearchCounters {
@@ -181,44 +172,6 @@ class AggregatedNetwork {
                                        const SearchOptions& options,
                                        SearchCounters& counters,
                                        cluster::MachineId exclude);
-  // Pool-backed variants; bit-identical results and counters to the serial
-  // traversals above (fixed gather/reduction order, not first-finisher).
-  cluster::MachineId EnumerateParallel(cluster::ContainerId c,
-                                       const SearchOptions& options,
-                                       SearchCounters& counters,
-                                       cluster::MachineId exclude);
-  cluster::MachineId BestFitWalkParallel(cluster::ContainerId c,
-                                         const SearchOptions& options,
-                                         SearchCounters& counters,
-                                         cluster::MachineId exclude);
-
-  // Per-call scratch for the pool-backed walks, hoisted to members so a
-  // steady-state search allocates nothing (capacities persist across
-  // Schedule() ticks). Written only by the calling thread; ParallelFor
-  // workers touch disjoint admitted_/result slots.
-  struct WalkItem {
-    std::int32_t machine;
-    bool pruned;  // IL-pruned at gather time (not scored)
-  };
-  struct SubResult {
-    std::int64_t explored = 0;
-    std::int64_t il_prunes = 0;
-    std::int32_t best = -1;
-    std::int64_t best_free = 0;
-    std::vector<std::int32_t> il_failures;  // blacklisted probes, walk order
-
-    void Clear() {
-      explored = 0;
-      il_prunes = 0;
-      best = -1;
-      best_free = 0;
-      il_failures.clear();  // keeps capacity
-    }
-  };
-  std::vector<WalkItem> walk_items_;
-  std::vector<std::size_t> walk_eval_;
-  std::vector<std::uint8_t> walk_admitted_;
-  std::vector<SubResult> enum_results_;
 
   // Group-waterfall scratch (PlaceGroupRun), hoisted so steady-state runs
   // allocate nothing. The snapshot is the frozen (free, machine) prefix of

@@ -51,20 +51,6 @@ void CrossCheckOutcome(const cluster::ClusterState& state,
 AladdinScheduler::AladdinScheduler(AladdinOptions options)
     : options_(options) {}
 
-ThreadPool* AladdinScheduler::SearchPool() {
-  if (!pool_created_) {
-    pool_created_ = true;
-    const std::size_t want =
-        options_.threads == 0
-            ? std::max<std::size_t>(std::thread::hardware_concurrency(), 1)
-            : static_cast<std::size_t>(std::max(options_.threads, 1));
-    // A one-worker pool would serialise through the queue for nothing.
-    // analyze:allow(A101) pool constructed once, then reused for the run
-    if (want > 1) pool_ = std::make_unique<ThreadPool>(want);
-  }
-  return pool_.get();
-}
-
 AggregatedNetwork& AladdinScheduler::PrepareNetwork(
     cluster::ClusterState& state) {
   // Reuse requires the cached network to be attached to this very state
@@ -134,49 +120,18 @@ void AladdinScheduler::PrepareWeights(const trace::Workload& workload) {
 
 ALADDIN_HOT sim::ScheduleOutcome AladdinScheduler::Schedule(
     const sim::ScheduleRequest& request, cluster::ClusterState& state) {
-  return std::move(ScheduleBatch({&request, 1}, state).front());
-}
-
-ALADDIN_HOT std::vector<sim::ScheduleOutcome> AladdinScheduler::ScheduleBatch(
-    std::span<const sim::ScheduleRequest> requests,
-    cluster::ClusterState& state) {
-  std::vector<sim::ScheduleOutcome> outcomes;
-  outcomes.reserve(requests.size());
-  if (requests.empty()) return outcomes;
-  // One warm prep for the whole micro-batch: weights once (every request
-  // shares the workload) and one Sync() of the aggregated network. The
-  // per-request solves below fold their own mutations in eagerly, so no
-  // further sync is needed between requests — this is what makes the batch
-  // bit-identical to sequential Schedule() calls modulo the
-  // net_syncs/net_sync_noop/weights_cached prep counters.
-  std::vector<obs::PhaseDelta> phases_before =
+  // The outcome's phase diff covers the prep too: weights (cached when the
+  // priority/request population is unchanged) and one Sync() of the warm
+  // network. The solve folds its own mutations in eagerly.
+  const std::vector<obs::PhaseDelta> phases_before =
       obs::MetricsEnabled() ? obs::CapturePhases()
                             : std::vector<obs::PhaseDelta>{};
-  PrepareWeights(*requests.front().workload);
+  PrepareWeights(*request.workload);
   AggregatedNetwork& network = PrepareNetwork(state);
-  for (std::size_t r = 0; r < requests.size(); ++r) {
-    ALADDIN_DCHECK(requests[r].workload == requests.front().workload);
-    outcomes.push_back(
-        ScheduleOne(requests[r], state, network, phases_before));
-    if (requests.size() > 1 && obs::JournalEnabled()) {
-      // Per-request batch marker: machine = request index within the batch,
-      // detail = arrival size. check_journal.py uses these to pin the
-      // "terminal records in request order" contract. A batch of one has
-      // no order to pin, so Schedule() journals exactly its solve.
-      obs::EmitDecision(obs::DecisionKind::kEvent,
-                        obs::Cause::kBatchScheduled, -1,
-                        static_cast<std::int32_t>(r), -1,
-                        static_cast<std::int64_t>(
-                            requests[r].arrival->size()));
-    }
-    if (r + 1 < requests.size() && obs::MetricsEnabled()) {
-      phases_before = obs::CapturePhases();
-    }
-  }
-  return outcomes;
+  return Solve(request, state, network, phases_before);
 }
 
-ALADDIN_HOT sim::ScheduleOutcome AladdinScheduler::ScheduleOne(
+ALADDIN_HOT sim::ScheduleOutcome AladdinScheduler::Solve(
     const sim::ScheduleRequest& request,
     [[maybe_unused]] cluster::ClusterState& state,  // DCHECK-build audits
     AggregatedNetwork& network,
@@ -196,8 +151,7 @@ ALADDIN_HOT sim::ScheduleOutcome AladdinScheduler::ScheduleOne(
   }();
 #endif
 
-  SearchOptions search{options_.enable_il, options_.enable_dl};
-  search.pool = SearchPool();
+  const SearchOptions search{options_.enable_il, options_.enable_dl};
   SearchCounters counters;
 
   // --- Phase 1: flow augmentation in weighted-flow order. ----------------
@@ -248,9 +202,7 @@ ALADDIN_HOT sim::ScheduleOutcome AladdinScheduler::ScheduleOne(
     // (PlaceGroupRun) instead of per-container best-fit walks; the
     // waterfall replays the serial walks exactly, so everything downstream
     // (journal order included) is bit-identical. Without DL the search is a
-    // full enumeration, which the waterfall does not model. Groups always
-    // solve serially — the parallel pool keeps accelerating singleton
-    // walks, which are themselves serial-identical.
+    // full enumeration, which the waterfall does not model.
     const bool use_groups = options_.enable_dl;
     std::size_t i = 0;
     while (i < keyed.size()) {
@@ -390,8 +342,8 @@ ALADDIN_HOT sim::ScheduleOutcome AladdinScheduler::ScheduleOne(
   outcome.il_prunes = counters.il_prunes;
   outcome.dl_stops = counters.dl_stops;
   if (obs::MetricsEnabled()) {
-    // Search counters are deterministic (PR2 guarantees serial == parallel),
-    // so bulk-adding them keeps the registry bit-identical across --threads.
+    // Search counters are deterministic, so bulk-adding them keeps the
+    // registry bit-identical across --threads and shard pools.
     ALADDIN_METRIC_ADD("core/search_explored", counters.explored_paths);
     ALADDIN_METRIC_ADD("core/search_il_prunes", counters.il_prunes);
     ALADDIN_METRIC_ADD("core/search_dl_stops", counters.dl_stops);

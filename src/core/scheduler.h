@@ -17,12 +17,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "common/arena.h"
-#include "common/thread_pool.h"
 #include "core/migration.h"
 #include "core/network.h"
 #include "core/weights.h"
@@ -57,9 +55,9 @@ struct AladdinOptions {
   // (keeps Fig. 13(b) in the paper's ~1.7 % regime).
   double compaction_migration_fraction = 0.02;
 
-  // Worker threads for the admissible-path search. 0 = hardware
-  // concurrency, 1 = serial (no pool). Any value yields identical
-  // placements and search counters — see SearchOptions::pool.
+  // Worker threads for ShardedScheduler's concurrent shard solves (0 =
+  // hardware concurrency, 1 = serial); the unsharded solve is always serial
+  // (DESIGN §5). Any value yields identical placements and search counters.
   int threads = 0;
 };
 
@@ -69,21 +67,10 @@ class AladdinScheduler : public sim::Scheduler {
 
   [[nodiscard]] std::string name() const override;
 
-  // A batch of one request.
+  // One solve: weights and one network Sync() up front, then augment →
+  // repair → compact against the warm network.
   sim::ScheduleOutcome Schedule(const sim::ScheduleRequest& request,
                                 cluster::ClusterState& state) override;
-
-  // Solves a micro-batch of requests against one warm network — weights
-  // prepared once, one network Sync() up front, each request's own
-  // mutations folded in eagerly. Outcomes are emitted in request order and
-  // are bit-identical to calling Schedule() per request (journal/ledger/SLO
-  // streams included); only the core/net_syncs, core/net_sync_noop and
-  // core/weights_cached counters differ, because the batch pays the prep
-  // once. In a batch of two or more, a kBatchScheduled journal marker
-  // follows each request with its index and size.
-  std::vector<sim::ScheduleOutcome> ScheduleBatch(
-      std::span<const sim::ScheduleRequest> requests,
-      cluster::ClusterState& state);
 
   [[nodiscard]] const AladdinOptions& options() const { return options_; }
   // Weights used by the last Schedule() call (for tests/ablation).
@@ -98,18 +85,16 @@ class AladdinScheduler : public sim::Scheduler {
   AggregatedNetwork& PrepareNetwork(cluster::ClusterState& state);
   // Eq. 3–5 weights with a content-fingerprint cache: recomputation (and
   // the Eq. 5 audit) is skipped when the workload's priority/request
-  // population is unchanged — the common case for every request after the
-  // first in a micro-batch and for no-arrival ticks.
+  // population is unchanged — the common case on no-arrival ticks.
   void PrepareWeights(const trace::Workload& workload);
-  // The per-request pipeline (augment → repair → compact) against an
-  // already-prepared network; Schedule() and ScheduleBatch() both land
-  // here. `phases_before` is the capture the outcome's phase diff closes.
-  sim::ScheduleOutcome ScheduleOne(
-      const sim::ScheduleRequest& request, cluster::ClusterState& state,
-      AggregatedNetwork& network,
-      const std::vector<obs::PhaseDelta>& phases_before);
-  // Lazily creates the search pool per options_.threads (null when serial).
-  [[nodiscard]] ThreadPool* SearchPool();
+  // The pipeline (augment → repair → compact) against the prepared network.
+  // `phases_before` is the capture the outcome's phase diff closes. Kept
+  // apart from Schedule() as its own ALADDIN_HOT root: aladdin-analyze
+  // matches calls by name, and every scheduler's Schedule() shares one.
+  sim::ScheduleOutcome Solve(const sim::ScheduleRequest& request,
+                             cluster::ClusterState& state,
+                             AggregatedNetwork& network,
+                             const std::vector<obs::PhaseDelta>& phases_before);
 
   AladdinOptions options_;
   PriorityWeights weights_;
@@ -121,8 +106,6 @@ class AladdinScheduler : public sim::Scheduler {
   // the attached state is still the same one.
   std::unique_ptr<AggregatedNetwork> network_;
   std::uint64_t attached_state_id_ = 0;
-  std::unique_ptr<ThreadPool> pool_;
-  bool pool_created_ = false;
 
   // Per-tick pooling: the arena backs Schedule()'s transient containers
   // (reset at tick start, chunks retained), the repair scratch persists the

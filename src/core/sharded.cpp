@@ -1,6 +1,7 @@
 #include "core/sharded.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -31,6 +32,10 @@ std::size_t Idx(T id) {
   return static_cast<std::size_t>(id.value());
 }
 
+// Spill rounds after the primary solve: containers a shard failed to admit
+// are re-routed to untried shards at most this many times.
+constexpr int kSpillRounds = 2;
+
 }  // namespace
 
 const char* ShardRoutingName(ShardRouting routing) {
@@ -58,8 +63,6 @@ ShardRouting ShardRoutingFromName(const std::string& name) {
 ShardedScheduler::ShardedScheduler(ShardedOptions options)
     : options_(std::move(options)) {
   if (options_.shards < 1) options_.shards = 1;
-  if (options_.rebalance_rounds < 0) options_.rebalance_rounds = 0;
-  options_.aladdin.threads = 1;  // see ShardedOptions::aladdin
 }
 
 ShardedScheduler::~ShardedScheduler() = default;
@@ -309,11 +312,12 @@ void ShardedScheduler::RouteRound(const cluster::ClusterState& state,
 }
 
 ThreadPool* ShardedScheduler::SolvePool() {
-  if (options_.threads == 1 || plan_->shard_count() <= 1) return nullptr;
+  const int threads = options_.aladdin.threads;
+  if (threads == 1 || plan_->shard_count() <= 1) return nullptr;
   if (!pool_created_) {
     pool_created_ = true;
     pool_ = std::make_unique<ThreadPool>(
-        options_.threads == 0 ? 0 : static_cast<std::size_t>(options_.threads));
+        threads == 0 ? 0 : static_cast<std::size_t>(threads));
   }
   return pool_.get();
 }
@@ -470,7 +474,7 @@ sim::ScheduleOutcome ShardedScheduler::Schedule(
     pending_.push_back(Pending{c, obs::Cause::kNone, -1});
   }
 
-  const int max_rounds = 1 + (k > 1 ? options_.rebalance_rounds : 0);
+  const int max_rounds = 1 + (k > 1 ? kSpillRounds : 0);
   for (int round = 0; round < max_rounds && !pending_.empty(); ++round) {
     {
       ALADDIN_TRACE_SCOPE("core/shard_route");
@@ -538,27 +542,6 @@ sim::ScheduleOutcome ShardedScheduler::Schedule(
     outcome.phases = obs::DiffPhases(phases_before, obs::CapturePhases());
   }
   return outcome;
-}
-
-std::vector<sim::ScheduleOutcome> ShardedScheduler::ScheduleBatch(
-    std::span<const sim::ScheduleRequest> requests,
-    cluster::ClusterState& state) {
-  // analyze:allow(A102) per-batch output that escapes the solve
-  std::vector<sim::ScheduleOutcome> outcomes;
-  outcomes.reserve(requests.size());  // analyze:allow(A103) per-batch output
-  for (std::size_t r = 0; r < requests.size(); ++r) {
-    outcomes.push_back(Schedule(requests[r], state));
-    // Same marker rule as AladdinScheduler::ScheduleBatch: none for a
-    // batch of one.
-    if (requests.size() > 1 && obs::JournalEnabled()) {
-      obs::EmitDecision(obs::DecisionKind::kEvent,
-                        obs::Cause::kBatchScheduled, -1,
-                        static_cast<std::int32_t>(r), -1,
-                        static_cast<std::int64_t>(
-                            requests[r].arrival->size()));
-    }
-  }
-  return outcomes;
 }
 
 }  // namespace aladdin::core

@@ -36,7 +36,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -69,16 +68,9 @@ struct ShardedOptions {
   // which is bit-identical to the unsharded AladdinScheduler).
   int shards = 1;
   ShardRouting routing = ShardRouting::kLeastUtilized;
-  // Spill rounds after the primary solve: containers a shard failed to
-  // admit are re-routed to untried shards at most this many times. 0
-  // disables spilling (a bad routing choice then surfaces as unplaced).
-  int rebalance_rounds = 2;
-  // Worker threads for the shard solves. 0 = hardware concurrency,
-  // 1 = serial. Results are bit-identical for any value.
-  int threads = 0;
-  // Per-shard solver configuration. `aladdin.threads` is forced to 1 —
-  // shard-level parallelism replaces the intra-solve search pool (nesting
-  // pools would oversubscribe without improving determinism).
+  // Per-shard solver configuration. `aladdin.threads` sizes the pool the
+  // shards solve on (0 = hardware concurrency, 1 = serial); results are
+  // bit-identical for any value.
   AladdinOptions aladdin;
 };
 
@@ -109,15 +101,6 @@ class ShardedScheduler : public sim::Scheduler {
   // (keyed on instance_id); a different state re-attaches from scratch.
   sim::ScheduleOutcome Schedule(const sim::ScheduleRequest& request,
                                 cluster::ClusterState& state) override;
-
-  // Batch counterpart of AladdinScheduler::ScheduleBatch: the coordinator
-  // already keeps shard mirrors warm across calls (SyncShards replays only
-  // the scoped dirty deltas), so a micro-batch is the per-request loop plus
-  // the same kBatchScheduled journal markers the unsharded path emits (none
-  // for a batch of one).
-  std::vector<sim::ScheduleOutcome> ScheduleBatch(
-      std::span<const sim::ScheduleRequest> requests,
-      cluster::ClusterState& state);
 
   [[nodiscard]] const ShardedOptions& options() const { return options_; }
   // Valid after the first Schedule() call.

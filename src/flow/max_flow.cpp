@@ -156,89 +156,4 @@ MaxFlowResult Dinic(Graph& graph, VertexId source, VertexId sink) {
   return Dinic(graph, source, sink, ThreadLocalWorkspace());
 }
 
-void ResidualReachableInto(const Graph& graph, VertexId source,
-                           Workspace& ws) {
-  ws.BeginRun(graph);
-  ws.queue.Clear();
-  ws.queue.PushBack(source.value());
-  ws.visited.Set(Idx(source), 1);
-  while (!ws.queue.empty()) {
-    const VertexId u{ws.queue.PopFront()};
-    for (std::int32_t raw : graph.OutArcs(u)) {
-      const ArcId a{raw};
-      if (graph.Residual(a) <= 0) continue;
-      const VertexId v = graph.arc(a).head;
-      if (ws.visited.Stamped(Idx(v))) continue;
-      ws.visited.Set(Idx(v), 1);
-      ws.queue.PushBack(v.value());
-    }
-  }
-}
-
-std::vector<bool> ResidualReachable(const Graph& graph, VertexId source) {
-  Workspace& ws = ThreadLocalWorkspace();
-  ResidualReachableInto(graph, source, ws);
-  std::vector<bool> seen(graph.vertex_count(), false);
-  for (std::size_t v = 0; v < seen.size(); ++v) {
-    if (ws.visited.Stamped(v)) seen[v] = true;
-  }
-  return seen;
-}
-
-std::vector<ArcId> MinCutArcs(const Graph& graph, VertexId source) {
-  const auto reachable = ResidualReachable(graph, source);
-  std::vector<ArcId> cut;  // cold audit path
-  for (std::size_t v = 0; v < graph.vertex_count(); ++v) {
-    if (!reachable[v]) continue;
-    for (std::int32_t raw :
-         graph.OutArcs(VertexId(static_cast<std::int32_t>(v)))) {
-      if (raw % 2 != 0) continue;  // forward arcs only
-      const ArcId a{raw};
-      const VertexId head = graph.arc(a).head;
-      if (!reachable[static_cast<std::size_t>(head.value())]) {
-        cut.push_back(a);
-      }
-    }
-  }
-  return cut;
-}
-
-std::vector<FlowPath> DecomposePaths(Graph& graph, VertexId source,
-                                     VertexId sink) {
-  std::vector<FlowPath> paths;  // cold decode path
-  const std::size_t n = graph.vertex_count();
-  for (;;) {
-    // Walk greedily along arcs with positive flow from the source.
-    FlowPath path;
-    VertexId at = source;
-    Capacity bottleneck = std::numeric_limits<Capacity>::max();
-    std::size_t hops = 0;
-    while (at != sink && hops++ <= n) {
-      ArcId next = ArcId::Invalid();
-      for (std::int32_t raw : graph.OutArcs(at)) {
-        if (raw % 2 != 0) continue;
-        const ArcId a{raw};
-        if (graph.arc(a).flow > 0) {
-          next = a;
-          break;
-        }
-      }
-      if (!next.valid()) break;
-      path.arcs.push_back(next);
-      bottleneck = std::min(bottleneck, graph.arc(next).flow);
-      at = graph.arc(next).head;
-    }
-    if (at != sink || path.arcs.empty()) break;  // no more s->t flow
-    path.amount = bottleneck;
-    for (ArcId a : path.arcs) {
-      // Remove the path's flow (push along the residual twin).
-      graph.Push(Graph::Reverse(a), bottleneck);
-    }
-    paths.push_back(std::move(path));
-  }
-  // Any remaining flow sits on cycles; drain it so the graph ends clean.
-  graph.ResetFlows();
-  return paths;
-}
-
 }  // namespace aladdin::flow

@@ -30,29 +30,4 @@ MaxFlowResult Dinic(Graph& graph, VertexId source, VertexId sink,
                     Workspace& ws);
 MaxFlowResult Dinic(Graph& graph, VertexId source, VertexId sink);
 
-// Marks the vertices reachable from `source` in the residual graph in
-// ws.visited (stamped == reachable) — the source side of a minimum cut once
-// a max flow has been computed. Allocation-free.
-void ResidualReachableInto(const Graph& graph, VertexId source, Workspace& ws);
-
-// Allocating wrapper over ResidualReachableInto for cold call sites.
-std::vector<bool> ResidualReachable(const Graph& graph, VertexId source);
-
-// The saturated forward arcs crossing the minimum cut after a max flow has
-// been computed. Their capacities sum to the flow value (max-flow/min-cut).
-std::vector<ArcId> MinCutArcs(const Graph& graph, VertexId source);
-
-// One source->sink path carrying positive flow, with the amount it carries.
-struct FlowPath {
-  std::vector<ArcId> arcs;
-  Capacity amount = 0;
-};
-
-// Decomposes the current flow into at most |E| source->sink paths (flow
-// decomposition theorem; cycles, which our solvers never produce on DAG-like
-// scheduling graphs, are drained last and dropped). The graph's flows are
-// consumed — it ends with zero flow everywhere.
-std::vector<FlowPath> DecomposePaths(Graph& graph, VertexId source,
-                                     VertexId sink);
-
 }  // namespace aladdin::flow

@@ -1,8 +1,6 @@
 #include "flow/min_cost_flow.h"
 
 #include <algorithm>
-#include <functional>
-#include <utility>
 #include <vector>
 
 #include "common/analysis.h"
@@ -13,9 +11,9 @@ namespace aladdin::flow {
 
 namespace {
 
-// One augmentation step shared by both pathfinders: pick the bottleneck
-// along `path`, push it, and account flow/cost. Returns false when the path
-// is empty (sink unreachable — flow is maximum).
+// One augmentation step: pick the bottleneck along `path`, push it, and
+// account flow/cost. Returns false when the path is empty (sink unreachable
+// — flow is maximum).
 bool Augment(Graph& graph, const std::vector<ArcId>& path, Capacity flow_limit,
              MinCostFlowResult& result) {
   if (path.empty()) return false;
@@ -31,9 +29,14 @@ bool Augment(Graph& graph, const std::vector<ArcId>& path, Capacity flow_limit,
   return true;
 }
 
-ALADDIN_HOT MinCostFlowResult SolveSpfa(Graph& graph, VertexId source,
-                                        VertexId sink, Capacity flow_limit,
-                                        Workspace& ws) {
+}  // namespace
+
+ALADDIN_HOT MinCostFlowResult MinCostMaxFlow(Graph& graph, VertexId source,
+                                             VertexId sink,
+                                             Capacity flow_limit,
+                                             Workspace& ws) {
+  ALADDIN_TRACE_SCOPE("flow/ssp");
+  ALADDIN_CHECK(source != sink);
   MinCostFlowResult result;
   while (result.flow < flow_limit) {
     const ShortestPathStats stats = SpfaInto(graph, source, ws);
@@ -44,107 +47,13 @@ ALADDIN_HOT MinCostFlowResult SolveSpfa(Graph& graph, VertexId source,
     ExtractPathInto(graph, source, sink, ws);
     if (!Augment(graph, ws.path, flow_limit, result)) break;
   }
-  return result;
-}
-
-// Dijkstra over reduced costs c(u,v) + pi(u) - pi(v). With valid potentials
-// every residual arc has non-negative reduced cost, so a binary heap works.
-// Vertices with pi == kUnreachable were unreachable when the potentials were
-// seeded; augmentations only add residual arcs along already-reachable
-// paths, so they stay unreachable and are skipped. Distances/parents land in
-// ws.dist / ws.parent; the binary heap lives in ws.heap (capacity persists
-// across augmentations). Allocation-free after warmup.
-std::int64_t DijkstraReducedInto(const Graph& graph, VertexId source,
-                                 Workspace& ws) {
-  std::int64_t relaxations = 0;
-  ws.BeginRun(graph);
-  // ws.heap entries are (reduced dist, vertex) pairs, min-heap by distance.
-  const std::greater<> cmp;
-  ws.heap.clear();
-  ws.dist.Set(static_cast<std::size_t>(source.value()), 0);
-  ws.heap.emplace_back(0, source.value());
-  while (!ws.heap.empty()) {
-    std::pop_heap(ws.heap.begin(), ws.heap.end(), cmp);
-    const auto [d, raw_u] = ws.heap.back();
-    ws.heap.pop_back();
-    const auto ui = static_cast<std::size_t>(raw_u);
-    if (d > ws.dist.Get(ui, kUnreachable)) continue;  // stale entry
-    for (std::int32_t raw : graph.OutArcs(VertexId(raw_u))) {
-      const ArcId a{raw};
-      if (graph.Residual(a) <= 0) continue;
-      const VertexId v = graph.arc(a).head;
-      const auto vi = static_cast<std::size_t>(v.value());
-      if (ws.pi[vi] >= kUnreachable) continue;
-      const Cost reduced = graph.arc(a).cost + ws.pi[ui] - ws.pi[vi];
-      ALADDIN_DCHECK(reduced >= 0)
-          << "negative reduced cost " << reduced << " on arc " << a
-          << " (stale potentials)";
-      ++relaxations;
-      if (d + reduced < ws.dist.Get(vi, kUnreachable)) {
-        ws.dist.Set(vi, d + reduced);
-        ws.parent.Set(vi, raw);
-        ws.heap.emplace_back(d + reduced, v.value());
-        std::push_heap(ws.heap.begin(), ws.heap.end(), cmp);
-      }
-    }
-  }
-  return relaxations;
-}
-
-ALADDIN_HOT MinCostFlowResult SolveDijkstra(Graph& graph, VertexId source,
-                                            VertexId sink,
-                                            Capacity flow_limit,
-                                            Workspace& ws) {
-  MinCostFlowResult result;
-  // Seed potentials with one Bellman–Ford pass (costs may be negative).
-  // Cold: runs once per solve, not per augmentation.
-  ShortestPathTree seed = BellmanFord(graph, source);
-  if (seed.negative_cycle) {
-    result.negative_cycle = true;
-    return result;
-  }
-  ws.pi.assign(seed.dist.begin(), seed.dist.end());  // warm capacity reused
-  while (result.flow < flow_limit) {
-    DijkstraReducedInto(graph, source, ws);
-    ExtractPathInto(graph, source, sink, ws);
-    if (!Augment(graph, ws.path, flow_limit, result)) break;
-    // pi' = pi + dist keeps reduced costs non-negative on the new residual
-    // graph; unreached vertices keep their old potential (never visited).
-    for (std::size_t v = 0; v < ws.pi.size(); ++v) {
-      if (ws.dist.Stamped(v) && ws.pi[v] < kUnreachable) {
-        ws.pi[v] += ws.dist.Get(v, kUnreachable);
-      }
-    }
-  }
-  return result;
-}
-
-}  // namespace
-
-ALADDIN_HOT MinCostFlowResult MinCostMaxFlow(Graph& graph, VertexId source,
-                                             VertexId sink,
-                                             Capacity flow_limit,
-                                             MinCostFlowOptions options,
-                                             Workspace& ws) {
-  ALADDIN_TRACE_SCOPE("flow/ssp");
-  ALADDIN_CHECK(source != sink);
-  MinCostFlowResult result;
-  switch (options.pathfinder) {
-    case MinCostFlowOptions::Pathfinder::kDijkstra:
-      result = SolveDijkstra(graph, source, sink, flow_limit, ws);
-      break;
-    case MinCostFlowOptions::Pathfinder::kSpfa:
-      result = SolveSpfa(graph, source, sink, flow_limit, ws);
-      break;
-  }
   ALADDIN_METRIC_ADD("flow/ssp_iterations", result.iterations);
   return result;
 }
 
 MinCostFlowResult MinCostMaxFlow(Graph& graph, VertexId source, VertexId sink,
-                                 Capacity flow_limit,
-                                 MinCostFlowOptions options) {
-  return MinCostMaxFlow(graph, source, sink, flow_limit, options,
+                                 Capacity flow_limit) {
+  return MinCostMaxFlow(graph, source, sink, flow_limit,
                         ThreadLocalWorkspace());
 }
 

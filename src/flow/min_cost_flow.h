@@ -3,31 +3,15 @@
 // This is the solver the Firmament baseline runs each scheduling round: the
 // scheduling graph's arc costs encode the active cost model (TRIVIAL /
 // QUINCY / OCTOPUS) and the resulting min-cost flow is decoded back into
-// container -> machine placements. Two pathfinders are available:
-//
-//   * kSpfa (default) — queue-driven Bellman–Ford per augmentation; handles
-//     negative arc costs directly and matches the paper's reference [21].
-//   * kDijkstra — Johnson-style reduced costs: one Bellman–Ford pass seeds
-//     the vertex potentials, then every augmentation runs binary-heap
-//     Dijkstra over costs c(u,v) + pi(u) - pi(v) >= 0. Asymptotically
-//     O(F · E log V) instead of SPFA's O(F · V · E) worst case.
-//
-// Both produce a min-cost max-flow; the flow value and total cost are always
-// identical (the flow decomposition itself may differ when ties exist).
+// container -> machine placements. Each augmentation runs SPFA (queue-driven
+// Bellman–Ford), which handles negative arc costs directly and matches the
+// paper's reference [21].
 #pragma once
 
 #include "flow/graph.h"
 #include "flow/shortest_path.h"
 
 namespace aladdin::flow {
-
-struct MinCostFlowOptions {
-  enum class Pathfinder {  // analyze:closed_enum
-    kSpfa,      // SPFA every augmentation (repo default; no potentials)
-    kDijkstra,  // Bellman–Ford once, then Dijkstra with potentials
-  };
-  Pathfinder pathfinder = Pathfinder::kSpfa;
-};
 
 struct MinCostFlowResult {
   Capacity flow = 0;
@@ -38,14 +22,12 @@ struct MinCostFlowResult {
 
 // Computes a maximum flow of minimum cost from source to sink, mutating the
 // graph's flows. `flow_limit` caps the amount routed (default: unlimited).
-// The Workspace overload is allocation-free in steady state (one SPFA /
-// Dijkstra per augmentation, all scratch reused); the other one borrows the
-// per-thread default workspace.
+// The Workspace overload is allocation-free in steady state (one SPFA per
+// augmentation, all scratch reused); the other one borrows the per-thread
+// default workspace.
 MinCostFlowResult MinCostMaxFlow(Graph& graph, VertexId source, VertexId sink,
-                                 Capacity flow_limit, MinCostFlowOptions options,
-                                 Workspace& ws);
+                                 Capacity flow_limit, Workspace& ws);
 MinCostFlowResult MinCostMaxFlow(Graph& graph, VertexId source, VertexId sink,
-                                 Capacity flow_limit = kInfiniteCapacity,
-                                 MinCostFlowOptions options = {});
+                                 Capacity flow_limit = kInfiniteCapacity);
 
 }  // namespace aladdin::flow

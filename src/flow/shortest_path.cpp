@@ -14,8 +14,8 @@ std::size_t Idx(VertexId v) { return static_cast<std::size_t>(v.value()); }
 ShortestPathTree BellmanFord(const Graph& graph, VertexId source) {
   const std::size_t n = graph.vertex_count();
   ShortestPathTree tree;
-  tree.dist.assign(n, kUnreachable);  // analyze:allow(A103) oracle: seeds potentials once per solve
-  tree.parent_arc.assign(n, -1);      // analyze:allow(A103) oracle seeding, as above
+  tree.dist.assign(n, kUnreachable);
+  tree.parent_arc.assign(n, -1);
   tree.dist[Idx(source)] = 0;
 
   bool changed = true;

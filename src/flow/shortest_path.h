@@ -58,9 +58,9 @@ std::vector<ArcId> ExtractPath(const Graph& graph,
                                const ShortestPathTree& tree, VertexId source,
                                VertexId target);
 
-// Same reconstruction from workspace state (after SpfaInto or the Dijkstra
-// variant in min_cost_flow.cpp), written into ws.path. Allocation-free once
-// ws.path has warmed to the longest path length.
+// Same reconstruction from workspace state (after SpfaInto), written into
+// ws.path. Allocation-free once ws.path has warmed to the longest path
+// length.
 void ExtractPathInto(const Graph& graph, VertexId source, VertexId target,
                      Workspace& ws);
 

@@ -20,12 +20,11 @@
 //
 // Threading: a Workspace is single-threaded state. Solvers take one
 // explicitly, or default to ThreadLocalWorkspace() — one instance per
-// thread, which is what makes parallel candidate scoring allocation-free
-// and race-free at the same time.
+// thread, which is what keeps solves on concurrent threads (the experiment
+// runner's parallel jobs) allocation-free and race-free at the same time.
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -164,7 +163,7 @@ class Workspace {
     next_arc.NextEpoch();
   }
 
-  StampedArray<Cost> dist;              // SPFA / Bellman-Ford / Dijkstra
+  StampedArray<Cost> dist;              // SPFA / Bellman-Ford
   StampedArray<std::int32_t> parent;    // parent arc ids (-1 default)
   StampedArray<std::int32_t> level;     // Dinic level graph (-1 default)
   StampedArray<std::int32_t> next_arc;  // Dinic current-arc iterator
@@ -175,9 +174,7 @@ class Workspace {
   // Reusable dynamic buffers. Cleared (capacity kept) by their users;
   // steady-state growth is bounded by the graph, so after warmup these never
   // reallocate either.
-  std::vector<std::pair<Cost, std::int32_t>> heap;  // Dijkstra binary heap
-  std::vector<Cost> pi;                             // Dijkstra potentials
-  std::vector<ArcId> path;                          // ExtractPathInto output
+  std::vector<ArcId> path;  // ExtractPathInto output
 };
 
 // One lazily-constructed Workspace per thread — the default scratch for

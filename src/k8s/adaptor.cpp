@@ -16,7 +16,6 @@ void ModelAdaptor::OnEvent(const Event& event) {
     case EventType::kPodAdded: {
       Pod pod = event.pod;
       if (pod.phase == PodPhase::kDeleted) break;
-      ++version_;
       const auto it = pods_.find(pod.uid);
       if (it != pods_.end()) {
         // Update of a tracked pod. Its container id is already assigned and
@@ -42,7 +41,6 @@ void ModelAdaptor::OnEvent(const Event& event) {
     case EventType::kPodDeleted: {
       const auto it = pods_.find(event.pod.uid);
       if (it == pods_.end()) break;
-      ++version_;
       // The container becomes a tombstone: it keeps its id (ids are
       // append-only) but is never scheduled again.
       RetireContainer(event.pod.uid);
@@ -61,13 +59,11 @@ void ModelAdaptor::OnEvent(const Event& event) {
       break;
     }
     case EventType::kNodeAdded: {
-      ++version_;
       nodes_[event.node.name] = event.node;
       topology_dirty_ = true;
       break;
     }
     case EventType::kNodeRemoved: {
-      ++version_;
       nodes_.erase(event.node.name);
       // Pods bound to the lost node fall back to Pending (the controller
       // would recreate them; we keep the same uid for simplicity).

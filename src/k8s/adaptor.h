@@ -68,8 +68,6 @@ class ModelAdaptor {
   // --- scheduling-side snapshot (lazily synced) -----------------------
   const trace::Workload& workload();
   const cluster::Topology& topology();
-  // Snapshot version; bumps whenever the object set changed.
-  [[nodiscard]] std::int64_t snapshot_version() const { return version_; }
   // Bumps only on node (topology) changes; consumers holding
   // topology-derived state compare it to decide between incremental sync
   // and full rebuild.
@@ -83,7 +81,7 @@ class ModelAdaptor {
   // node removal are NOT reported — topology_version() covers those.
   [[nodiscard]] std::vector<cluster::ContainerId> TakeRetiredContainers();
 
-  // Translations, valid for the current snapshot version.
+  // Translations, valid for the current snapshot.
   [[nodiscard]] cluster::ContainerId ContainerOf(PodUid uid) const;
   [[nodiscard]] PodUid PodOfContainer(cluster::ContainerId c) const;
   [[nodiscard]] cluster::MachineId MachineOf(const std::string& node) const;
@@ -105,7 +103,6 @@ class ModelAdaptor {
 
   bool topology_dirty_ = true;
   bool workload_dirty_ = false;
-  std::int64_t version_ = 0;
   std::int64_t topology_version_ = 0;
   trace::Workload workload_;
   cluster::Topology topology_;

@@ -38,14 +38,10 @@ struct PodSpec {
 };
 
 enum class PodPhase {  // analyze:closed_enum
-  kPending,    // submitted, not yet placed
-  kBound,      // placed onto a node
-  kSucceeded,  // short-lived pod ran to completion
-  kDeleted,    // removed by the user / controller
-  kFailed,     // unschedulable after the resolver gave up
+  kPending,  // submitted, not yet placed
+  kBound,    // placed onto a node
+  kDeleted,  // removed by the user / controller
 };
-
-const char* PodPhaseName(PodPhase phase);
 
 using PodUid = std::int64_t;
 

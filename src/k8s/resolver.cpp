@@ -125,9 +125,6 @@ Resolver::Resolver(ModelAdaptor& adaptor, ResolverOptions options)
     core::ShardedOptions config;
     config.shards = options_.shards;
     config.routing = options_.routing;
-    // The intra-solve search pool knob becomes the shard-solve pool size
-    // (the coordinator forces each shard's inner solver serial).
-    config.threads = options_.aladdin.threads;
     config.aladdin = options_.aladdin;
     sharded_ = std::make_unique<core::ShardedScheduler>(config);
   }
@@ -370,40 +367,14 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
                           static_cast<std::int64_t>(long_lived.size()));
       }
     } else {
-      // One ScheduleBatch request per `batch` pods; batch = 0 makes the
-      // whole tick a single request.
-      const std::size_t chunk = options_.batch > 0
-                                    ? static_cast<std::size_t>(options_.batch)
-                                    : long_lived.size();
-      const std::size_t nchunks = (long_lived.size() + chunk - 1) / chunk;
-      // analyze:allow(A103) high-water growth, chunk vectors pooled
-      if (batch_chunks_.size() < nchunks) batch_chunks_.resize(nchunks);
-      for (std::size_t k = 0; k < nchunks; ++k) {
-        const auto begin = long_lived.begin() +
-                           static_cast<std::ptrdiff_t>(k * chunk);
-        const auto end = long_lived.begin() + static_cast<std::ptrdiff_t>(
-            std::min((k + 1) * chunk, long_lived.size()));
-        // analyze:allow(A103) pooled scratch, capacity retained across ticks
-        batch_chunks_[k].assign(begin, end);
-      }
-      batch_requests_.clear();
-      for (std::size_t k = 0; k < nchunks; ++k) {
-        batch_requests_.push_back(
-            sim::ScheduleRequest{&workload, &batch_chunks_[k]});
-        stats.batch_sizes.push_back(batch_chunks_[k].size());
-      }
-      // analyze:allow(A102) per-batch outcome list, escapes the solve call
-      const std::vector<sim::ScheduleOutcome> outcomes =
-          sharded_ != nullptr
-              ? sharded_->ScheduleBatch(batch_requests_, state)
-              : scheduler_.ScheduleBatch(batch_requests_, state);
+      const sim::ScheduleRequest request{&workload, &long_lived};
+      const sim::ScheduleOutcome outcome =
+          sharded_ != nullptr ? sharded_->Schedule(request, state)
+                              : scheduler_.Schedule(request, state);
       if (sharded_ != nullptr) stats.shards = sharded_->last_shard_stats();
-      for (const sim::ScheduleOutcome& outcome : outcomes) {
-        solve_cost += SolveEffort(outcome);
-        for (std::size_t i = 0; i < outcome.unplaced.size(); ++i) {
-          unplaced_cause[outcome.unplaced[i].value()] =
-              outcome.unplaced_causes[i];
-        }
+      solve_cost = SolveEffort(outcome);
+      for (std::size_t i = 0; i < outcome.unplaced.size(); ++i) {
+        unplaced_cause[outcome.unplaced[i].value()] = outcome.unplaced_causes[i];
       }
     }
   }

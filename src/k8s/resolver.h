@@ -17,9 +17,9 @@
 // journal and the state's own dirty log, so a tick's cost scales with the
 // churn, not the cluster. A topology change (node add/remove renumbers
 // machines) rebuilds that state from the adaptor snapshot, keyed on
-// ModelAdaptor::topology_version(). Every solved tick hands its long-lived
-// pods to ScheduleBatch: the whole tick as one request unless
-// ResolverOptions::batch splits it. A brand-new Resolver over a copy of the
+// ModelAdaptor::topology_version(). Every solved tick hands all of its
+// long-lived pods to one serial Schedule() call (sharded when
+// ResolverOptions::shards >= 2). A brand-new Resolver over a copy of the
 // adaptor is the oracle the persistent one is tested against
 // (tests/test_equivalence.cpp).
 #pragma once
@@ -68,12 +68,6 @@ struct ResolveStats {
   // ResolverOptions::shards >= 2).
   std::vector<core::ShardTickStats> shards;
 
-  // Request sizes of the long-lived solve this resolve: one entry per
-  // ScheduleBatch request (one for the whole tick when
-  // ResolverOptions::batch is 0; none on a deferred tick). The benches fold
-  // these into the batch size histogram.
-  std::vector<std::size_t> batch_sizes;
-
   // Lifecycle / SLO view after this resolve. Exact tick integers mutated
   // only from serial sections, so both are bit-identical across thread
   // counts — the same determinism bar as the journal.
@@ -85,19 +79,13 @@ struct ResolverOptions {
   core::AladdinOptions aladdin;
   // Shard the long-lived solve across this many disjoint machine
   // partitions, solved concurrently (core::ShardedScheduler). 0 and 1 both
-  // keep the single AladdinScheduler; from 2 on `aladdin.threads` becomes
-  // the shard-solve pool size.
+  // keep the single, serial AladdinScheduler; from 2 on `aladdin.threads`
+  // sizes the shard-solve pool.
   int shards = 0;
   core::ShardRouting routing = core::ShardRouting::kLeastUtilized;
   // Admission objective: `slo.percent`% of containers placed within
   // `slo.wait_ticks` ticks of arrival.
   obs::SloObjective slo;
-  // Micro-batch size for the long-lived solve. 0 solves the whole tick as
-  // one ScheduleBatch request; >0 splits each tick's long-lived arrival
-  // into requests of this size (one warm network refresh, weights hoisted
-  // once per batch). Smaller requests reorder the weight sort per request,
-  // which is the point of micro-batching.
-  int batch = 0;
   // Long-lived pods are only solved on ticks where (tick + 1) is a multiple
   // of this deadline; other ticks defer them (cause kBatchDeferred, SLO
   // clocks keep running). 1 = solve every tick.
@@ -162,7 +150,7 @@ class Resolver {
 
   ModelAdaptor& adaptor_;
   ResolverOptions options_;
-  core::AladdinScheduler scheduler_;  // owns the persistent network + pool
+  core::AladdinScheduler scheduler_;  // owns the persistent network
   // Sharded long-lived solve (options_.shards >= 2): replaces scheduler_.
   std::unique_ptr<core::ShardedScheduler> sharded_;
 
@@ -177,13 +165,6 @@ class Resolver {
   Arena arena_;
   std::vector<cluster::ContainerId> long_lived_;
   std::vector<PodUid> short_lived_;
-  // ScheduleBatch request scratch: chunk vectors are built in full *before*
-  // any ScheduleRequest takes a pointer to one — the outer vector may
-  // reallocate while chunks are appended, so interleaving the two would
-  // leave dangling arrival pointers. Inner vectors keep their capacity
-  // across resolves.
-  std::vector<std::vector<cluster::ContainerId>> batch_chunks_;
-  std::vector<sim::ScheduleRequest> batch_requests_;
   // Short-lived run-placement scratch (TaskScheduler::PlaceRun).
   std::vector<cluster::ContainerId> task_run_;
   std::vector<cluster::MachineId> task_out_;

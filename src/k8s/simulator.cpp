@@ -139,7 +139,6 @@ ResolveStats ClusterSimulator::Tick(std::vector<Binding>* bindings) {
   ALADDIN_METRIC_GAUGE_SET("k8s/pods_pending",
                            stats.pending_before - stats.new_bindings);
   ALADDIN_METRIC_GAUGE_SET("k8s/tasks_completed", completed_tasks_);
-  history_.push_back(stats);
   return stats;
 }
 

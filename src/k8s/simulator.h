@@ -27,7 +27,8 @@ class ClusterSimulator {
  public:
   explicit ClusterSimulator(
       core::AladdinOptions options = Resolver::DefaultOptions());
-  // Full control over the resolver options (shards, batching, watchdog).
+  // Full control over the resolver options (shards, batch deadline,
+  // watchdog).
   explicit ClusterSimulator(ResolverOptions options);
 
   // --- provisioning ----------------------------------------------------
@@ -68,9 +69,6 @@ class ClusterSimulator {
   [[nodiscard]] ModelAdaptor& adaptor() { return adaptor_; }
   [[nodiscard]] EventsHandlingCenter& ehc() { return ehc_; }
   [[nodiscard]] const Resolver& resolver() const { return resolver_; }
-  [[nodiscard]] const std::vector<ResolveStats>& history() const {
-    return history_;
-  }
 
  private:
   PodUid NextUid() { return next_uid_++; }
@@ -82,7 +80,6 @@ class ClusterSimulator {
   PodUid next_uid_ = 1;
   std::int64_t node_counter_ = 0;
   std::int64_t completed_tasks_ = 0;
-  std::vector<ResolveStats> history_;
 };
 
 }  // namespace aladdin::k8s

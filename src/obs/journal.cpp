@@ -39,7 +39,6 @@ const char* const kCauseNames[] = {
     "shard_routed",
     "shard_spilled",
     "slo_violated",
-    "batch_scheduled",
     "batch_deferred",
     "alert_opened",
     "alert_resolved",

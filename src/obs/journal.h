@@ -65,11 +65,9 @@ enum class Cause : std::uint8_t {  // analyze:closed_enum
   kShardSpilled,  // re-routed to shard `other` by spill round `detail`
   kSloViolated,   // pending-age crossed the admission SLO (other = app,
                   // detail = age in ticks at the crossing)
-  // Batch-incremental solve markers (ISSUE 9). Both ride on kEvent.
-  kBatchScheduled,  // one request of a micro-batch solved (machine = index
-                    // within the batch, detail = arrival size)
-  kBatchDeferred,   // long-lived arrivals held past an off-deadline tick
-                    // (k8s resolver --batch_deadline_ticks)
+  // Batch-deadline marker, rides on kEvent.
+  kBatchDeferred,  // long-lived arrivals held past an off-deadline tick
+                   // (k8s resolver --batch_deadline_ticks)
   // Watchdog alert lifecycle (obs/watchdog). Both ride on kEvent:
   // container = alert id, machine = AlertKind, other = subject (app for
   // flapping, shard for imbalance, -1 cluster-wide), detail = observed

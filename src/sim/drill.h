@@ -47,7 +47,8 @@ struct DrillOptions {
   std::int64_t ticks = 48;
   // Shard count for the resolver (kRoutingSkew forces >= 4).
   int shards = 0;
-  // Solver threads (results are bit-identical for any value).
+  // Shard-solve pool size when the resolver is sharded (the unsharded
+  // solve is serial). Results are bit-identical for any value.
   int threads = 1;
 };
 

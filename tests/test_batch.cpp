@@ -1,30 +1,21 @@
-// Batch-incremental solver contract:
+// Warm-solve and group-placement contract:
 //
-//   * core::AladdinScheduler::ScheduleBatch over any chunking of a wave is
-//     bit-identical — placements, unplaced lists, search counters, obs
-//     registry — to calling Schedule() once per chunk on a cold engine;
-//     the only counters allowed to differ are the network-prep ones
-//     (core/net_syncs, core/net_sync_noop, core/weights_cached), because
-//     the batch pays the prep once;
+//   * Network::Sync() exits early on an empty dirty log
+//     (core/net_sync_noop) and PrepareWeights memoises on its fingerprint
+//     (core/weights_cached);
 //   * the group-decomposed waterfall (AggregatedNetwork::PlaceGroupRun)
 //     replays per-container FindMachine + Deploy walks exactly — machines,
 //     search counters, machine epochs — including anti-affinity fixtures
 //     that force the per-container fallback, and it disengages entirely
 //     without DL;
 //   * core::TaskScheduler::PlaceRun equals per-task PlaceOne(kBestFit);
-//   * a batch deadline only defers (never loses) pods, and batched
-//     resolves stay deterministic across thread and shard counts;
-//   * Network::Sync() exits early on an empty dirty log
-//     (core/net_sync_noop) and PrepareWeights memoises on its fingerprint
-//     (core/weights_cached).
+//   * a batch deadline only defers (never loses) pods.
 //
 // These run under the asan/tsan presets too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -49,14 +40,6 @@ using cluster::ResourceVector;
 using cluster::Topology;
 using trace::Workload;
 
-std::map<std::string, std::int64_t> CounterSnapshot() {
-  std::map<std::string, std::int64_t> out;
-  for (const auto& c : obs::Registry::Get().Snapshot().counters) {
-    out[c.name] = c.value;
-  }
-  return out;
-}
-
 std::int64_t CounterValue(const char* name) {
   for (const auto& c : obs::Registry::Get().Snapshot().counters) {
     if (c.name == name) return c.value;
@@ -64,97 +47,12 @@ std::int64_t CounterValue(const char* name) {
   return 0;
 }
 
-// The documented exemption set: prep paid once per batch instead of once
-// per request. Everything else must match bit for bit.
-const std::set<std::string> kBatchExemptCounters = {
-    "core/net_syncs", "core/net_sync_noop", "core/weights_cached"};
+// -------------------------------------------------------- warm solve ----
 
-void ExpectCountersMatchModuloPrep(
-    const std::map<std::string, std::int64_t>& batch,
-    const std::map<std::string, std::int64_t>& sequential,
-    const std::string& label) {
-  for (const auto& [name, value] : sequential) {
-    if (kBatchExemptCounters.count(name) != 0) continue;
-    const auto it = batch.find(name);
-    const std::int64_t got = it == batch.end() ? 0 : it->second;
-    EXPECT_EQ(got, value) << label << ": counter " << name;
-  }
-  for (const auto& [name, value] : batch) {
-    if (kBatchExemptCounters.count(name) != 0) continue;
-    EXPECT_TRUE(sequential.count(name) != 0 || value == 0)
-        << label << ": counter " << name << " only on the batch side";
-  }
-}
-
-// ----------------------------------------- core ScheduleBatch identity ----
-
-// One warm-started solve per chunk == one cold Schedule() per chunk, for
-// every chunk size — placements, outcomes, and all non-prep counters.
-TEST(ScheduleBatch, MatchesSequentialSchedulesPerChunkSize) {
-  const Topology topo =
-      Topology::Uniform(32, ResourceVector::Cores(32, 64), 8, 3);
-  for (const std::size_t chunk_size : {std::size_t{1}, std::size_t{7},
-                                       std::size_t{64}, std::size_t{1 << 20}}) {
-    Workload wl;
-    Rng rng(2024);
-    const std::vector<ContainerId> wave = GrowWave(wl, rng, 30);
-
-    std::vector<std::vector<ContainerId>> chunks;
-    for (std::size_t i = 0; i < wave.size(); i += chunk_size) {
-      const std::size_t end = std::min(i + chunk_size, wave.size());
-      chunks.emplace_back(wave.begin() + static_cast<std::ptrdiff_t>(i),
-                          wave.begin() + static_cast<std::ptrdiff_t>(end));
-    }
-    std::vector<sim::ScheduleRequest> requests(chunks.size());
-    for (std::size_t k = 0; k < chunks.size(); ++k) {
-      requests[k].workload = &wl;
-      requests[k].arrival = &chunks[k];
-    }
-    const std::string label = "chunk_size=" + std::to_string(chunk_size);
-
-    obs::Registry::Get().ResetAll();
-    obs::SetMetricsEnabled(true);
-    cluster::ClusterState batch_state = wl.MakeState(topo);
-    core::AladdinScheduler batch_engine;
-    const auto batch_outcomes = batch_engine.ScheduleBatch(requests,
-                                                           batch_state);
-    const auto batch_counters = CounterSnapshot();
-
-    obs::Registry::Get().ResetAll();
-    cluster::ClusterState seq_state = wl.MakeState(topo);
-    core::AladdinScheduler seq_engine;
-    std::vector<sim::ScheduleOutcome> seq_outcomes;
-    seq_outcomes.reserve(requests.size());
-    for (const sim::ScheduleRequest& request : requests) {
-      seq_outcomes.push_back(seq_engine.Schedule(request, seq_state));
-    }
-    const auto seq_counters = CounterSnapshot();
-    obs::SetMetricsEnabled(false);
-
-    EXPECT_EQ(Placements(batch_state, wl.container_count()),
-              Placements(seq_state, wl.container_count()))
-        << label;
-    ASSERT_EQ(batch_outcomes.size(), seq_outcomes.size()) << label;
-    for (std::size_t k = 0; k < batch_outcomes.size(); ++k) {
-      EXPECT_EQ(batch_outcomes[k].unplaced, seq_outcomes[k].unplaced)
-          << label << " request " << k;
-      EXPECT_EQ(batch_outcomes[k].explored_paths,
-                seq_outcomes[k].explored_paths)
-          << label << " request " << k;
-      EXPECT_EQ(batch_outcomes[k].il_prunes, seq_outcomes[k].il_prunes)
-          << label << " request " << k;
-      EXPECT_EQ(batch_outcomes[k].dl_stops, seq_outcomes[k].dl_stops)
-          << label << " request " << k;
-    }
-    ExpectCountersMatchModuloPrep(batch_counters, seq_counters, label);
-    ASSERT_TRUE(batch_state.CheckConsistency()) << label;
-  }
-}
-
-// A no-arrival follow-up request hits the Sync() fast path: the dirty log
-// is empty after the batch's own mutations were folded in, so the network
-// skips the walk and says so in core/net_sync_noop.
-TEST(ScheduleBatch, EmptyDirtyLogSyncIsCountedNoop) {
+// A no-arrival follow-up solve hits the Sync() fast path: the dirty log is
+// empty after the previous solve's own mutations were folded in, so the
+// network skips the walk and says so in core/net_sync_noop.
+TEST(WarmSolve, EmptyDirtyLogSyncIsCountedNoop) {
   const Topology topo = Topology::Uniform(8, ResourceVector::Cores(32, 64));
   Workload wl;
   Rng rng(7);
@@ -185,7 +83,7 @@ TEST(ScheduleBatch, EmptyDirtyLogSyncIsCountedNoop) {
 
 // PrepareWeights memoises on the workload's content fingerprint: the
 // second solve over an unchanged population skips Eq. 3–5 recomputation.
-TEST(ScheduleBatch, WeightsAreCachedAcrossRequests) {
+TEST(WarmSolve, WeightsAreCachedAcrossRequests) {
   const Topology topo = Topology::Uniform(8, ResourceVector::Cores(32, 64));
   Workload wl;
   Rng rng(11);
@@ -387,32 +285,10 @@ TEST(TaskRunPlacement, PlaceRunMatchesPlaceOnePerTask) {
   }
 }
 
-// --------------------------------------------- resolver-level batching ----
-
-// Micro-batched resolves stay deterministic across thread counts, for the
-// direct scheduler and the sharded coordinator alike.
-TEST(ResolverBatch, DeterministicAcrossThreadsAndShards) {
-  auto run = [](int batch, int threads, int shards) {
-    k8s::ResolverOptions options;
-    options.aladdin = k8s::Resolver::DefaultOptions();
-    options.aladdin.threads = threads;
-    options.batch = batch;
-    options.shards = shards;
-    k8s::ClusterSimulator sim(options);
-    sim.AddNodes(16, cluster::ResourceVector::Cores(32, 64), "node", 4, 2);
-    RunScript(sim, 6);
-    return FinalBindings(sim.adaptor());
-  };
-
-  const auto serial = run(/*batch=*/7, /*threads=*/1, /*shards=*/0);
-  EXPECT_EQ(serial, run(7, 3, 0)) << "thread count changed batched bindings";
-  const auto sharded = run(/*batch=*/7, /*threads=*/1, /*shards=*/2);
-  EXPECT_EQ(sharded, run(7, 4, 2))
-      << "thread count changed sharded batched bindings";
-}
+// ---------------------------------------------------- batch deadline ----
 
 // A deadline defers whole ticks (no long-lived bindings) and catches up on
-// the next boundary without losing pods — with or without micro-batching.
+// the next boundary without losing pods.
 TEST(ResolverBatch, DeadlineDefersThenCatchesUp) {
   k8s::ResolverOptions deferred_options;
   deferred_options.aladdin = k8s::Resolver::DefaultOptions();
@@ -422,9 +298,10 @@ TEST(ResolverBatch, DeadlineDefersThenCatchesUp) {
 
   k8s::PodSpec spec;
   spec.requests = cluster::ResourceVector::Cores(2, 4);
+  std::vector<k8s::ResolveStats> history;
   for (int t = 0; t < 6; ++t) {
     sim.SubmitDeployment("svc-" + std::to_string(t), 4, spec);
-    sim.Tick();
+    history.push_back(sim.Tick());
   }
 
   // The simulator resolves with 1-based ticks, so the deadline boundary
@@ -432,7 +309,6 @@ TEST(ResolverBatch, DeadlineDefersThenCatchesUp) {
   // binds immediately, then every deferred wave lands together with the
   // next one. The last wave is still parked when the run ends — deferral
   // trades latency, never loses pods that get a boundary.
-  const auto& history = sim.history();
   ASSERT_EQ(history.size(), 6u);
   for (std::size_t t = 0; t < history.size(); ++t) {
     const bool boundary = (history[t].tick + 1) % 2 == 0;

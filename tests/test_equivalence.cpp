@@ -1,18 +1,14 @@
-// Equivalence contract for the persistent/parallel hot path:
+// Equivalence contract for the persistent hot path:
 //
 //   * the persistent scheduling state (the Aladdin scheduler's aggregated
 //     network and pooled scratch, the resolver's ClusterState) must produce
 //     placements bit-identical to a rebuild from scratch — the reuse is a
 //     pure optimisation; a brand-new Resolver over a copy of the adaptor is
 //     the per-tick oracle for the resolver;
-//   * the pool-backed admissible-path search (AladdinOptions::threads) must
-//     match the serial walk on placements AND search counters, for any
-//     thread count — determinism is part of the API, not best-effort;
-//   * the supporting machinery (dirty log, change journal, instance ids,
-//     Dijkstra-with-potentials) must agree with its from-scratch oracle.
+//   * the supporting machinery (dirty log, change journal, instance ids)
+//     must agree with its from-scratch oracle.
 //
-// These tests run under the asan/tsan presets too; the parallel cases are
-// the TSan workhorse for the search fan-out.
+// These tests run under the asan/tsan presets too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +20,6 @@
 #include "common/rng.h"
 #include "core/scheduler.h"
 #include "flow/max_flow.h"
-#include "flow/min_cost_flow.h"
 #include "flow/workspace.h"
 #include "k8s/simulator.h"
 #include "obs/metrics.h"
@@ -225,52 +220,6 @@ TEST(IncrementalNetwork, PlacementsMatchFreshRebuildAcrossWaves) {
   ExpectPersistentEngineMatchesFreshPerWave(2024, 4, 5);
 }
 
-TEST(ParallelSearch, PlacementsAndCountersMatchSerial) {
-  const Topology topo =
-      Topology::Uniform(40, ResourceVector::Cores(32, 64), 8, 3);
-  struct Policy {
-    bool il, dl;
-  };
-  for (const Policy policy : {Policy{false, false}, Policy{true, false},
-                              Policy{true, true}}) {
-    for (const int threads : {2, 4}) {
-      Workload wl;
-      Rng rng(99);
-      (void)GrowWave(wl, rng, 24);
-      std::vector<ContainerId> pending;
-      for (const auto& c : wl.containers()) pending.push_back(c.id);
-      const sim::ScheduleRequest request{&wl, &pending};
-
-      core::AladdinOptions serial_options;
-      serial_options.enable_il = policy.il;
-      serial_options.enable_dl = policy.dl;
-      serial_options.threads = 1;
-      core::AladdinOptions parallel_options = serial_options;
-      parallel_options.threads = threads;
-
-      cluster::ClusterState serial_state = wl.MakeState(topo);
-      cluster::ClusterState parallel_state = wl.MakeState(topo);
-      core::AladdinScheduler serial(serial_options);
-      core::AladdinScheduler parallel(parallel_options);
-      const auto serial_outcome = serial.Schedule(request, serial_state);
-      const auto parallel_outcome = parallel.Schedule(request, parallel_state);
-
-      const std::string label = "il=" + std::to_string(policy.il) +
-                                " dl=" + std::to_string(policy.dl) +
-                                " threads=" + std::to_string(threads);
-      EXPECT_EQ(Placements(serial_state, wl.container_count()),
-                Placements(parallel_state, wl.container_count()))
-          << label;
-      EXPECT_EQ(serial_outcome.unplaced, parallel_outcome.unplaced) << label;
-      // The determinism contract covers the instrumentation too.
-      EXPECT_EQ(serial_outcome.explored_paths, parallel_outcome.explored_paths)
-          << label;
-      EXPECT_EQ(serial_outcome.il_prunes, parallel_outcome.il_prunes) << label;
-      EXPECT_EQ(serial_outcome.dl_stops, parallel_outcome.dl_stops) << label;
-    }
-  }
-}
-
 // ------------------------------------------------- resolver equivalence ----
 
 // Fresh-resolver oracle. A shadow ModelAdaptor subscribed to the
@@ -292,10 +241,9 @@ TEST(ParallelSearch, PlacementsAndCountersMatchSerial) {
 //     it moves placements at saturation.
 //   * Unsharded only: a fresh sharded coordinator has none of the
 //     persistent one's home-shard routing memory.
-void ExpectPersistentMatchesFreshResolverPerTick(int threads) {
+TEST(ResolverEquivalence, IncrementalMatchesRebuildPerTick) {
   k8s::ResolverOptions options;
   options.aladdin = k8s::Resolver::DefaultOptions();
-  options.aladdin.threads = threads;
   k8s::ClusterSimulator sim(options);
   sim.AddNodes(16, cluster::ResourceVector::Cores(32, 64), "node", 4, 2);
 
@@ -305,8 +253,7 @@ void ExpectPersistentMatchesFreshResolverPerTick(int threads) {
   RunScript(sim, 9,
             [&](const k8s::ResolveStats& stats,
                 const std::vector<k8s::Binding>& bindings) {
-              const std::string label = "threads " + std::to_string(threads) +
-                                        " tick " + std::to_string(stats.tick);
+              const std::string label = "tick " + std::to_string(stats.tick);
               k8s::Resolver fresh(shadow, options);
               std::vector<k8s::Binding> fresh_bindings;
               const k8s::ResolveStats want =
@@ -335,32 +282,10 @@ void ExpectPersistentMatchesFreshResolverPerTick(int threads) {
   EXPECT_GT(bound, 0u) << "the script must actually bind pods";
 }
 
-TEST(ResolverEquivalence, IncrementalMatchesRebuildPerTick) {
-  for (const int threads : {1, 3}) {
-    ExpectPersistentMatchesFreshResolverPerTick(threads);
-  }
-}
-
-TEST(ResolverEquivalence, ParallelResolverMatchesSerial) {
-  k8s::ResolverOptions serial_options;
-  serial_options.aladdin = k8s::Resolver::DefaultOptions();
-  serial_options.aladdin.threads = 1;
-  k8s::ResolverOptions parallel_options = serial_options;
-  parallel_options.aladdin.threads = 3;
-
-  k8s::ClusterSimulator serial(serial_options);
-  k8s::ClusterSimulator parallel(parallel_options);
-  serial.AddNodes(16, cluster::ResourceVector::Cores(32, 64), "node", 4, 2);
-  parallel.AddNodes(16, cluster::ResourceVector::Cores(32, 64), "node", 4, 2);
-  RunScript(serial, 7);
-  RunScript(parallel, 7);
-  EXPECT_EQ(FinalBindings(serial.adaptor()), FinalBindings(parallel.adaptor()));
-}
-
 // ------------------------------------------------------ flow substrate ----
 
 flow::Graph LayeredGraph(std::int64_t width, VertexId& s, VertexId& t,
-                         std::uint64_t seed, bool negative_costs = false) {
+                         std::uint64_t seed) {
   flow::Graph g;
   s = g.AddVertex();
   t = g.AddVertex();
@@ -373,9 +298,7 @@ flow::Graph LayeredGraph(std::int64_t width, VertexId& s, VertexId& t,
     for (int d = 0; d < 4; ++d) {
       const VertexId machine(machines.value() + static_cast<std::int32_t>(
                                                     rng.UniformInt(0, width - 1)));
-      const flow::Cost cost =
-          negative_costs ? rng.UniformInt(-16, 48) : rng.UniformInt(0, 48);
-      g.AddArc(task, machine, rng.UniformInt(1, 8), cost);
+      g.AddArc(task, machine, rng.UniformInt(1, 8), rng.UniformInt(0, 48));
     }
   }
   for (std::int64_t i = 0; i < width; ++i) {
@@ -383,29 +306,6 @@ flow::Graph LayeredGraph(std::int64_t width, VertexId& s, VertexId& t,
     g.AddArc(machine, t, rng.UniformInt(2, 16));
   }
   return g;
-}
-
-TEST(MinCostFlow, DijkstraWithPotentialsMatchesSpfa) {
-  for (const std::uint64_t seed : {3u, 11u, 27u, 40u}) {
-    for (const bool negative : {false, true}) {
-      VertexId s, t;
-      flow::Graph a = LayeredGraph(24, s, t, seed, negative);
-      flow::Graph b = LayeredGraph(24, s, t, seed, negative);
-      const auto spfa = flow::MinCostMaxFlow(a, s, t);
-      flow::MinCostFlowOptions options;
-      options.pathfinder = flow::MinCostFlowOptions::Pathfinder::kDijkstra;
-      const auto dijkstra =
-          flow::MinCostMaxFlow(b, s, t, flow::kInfiniteCapacity, options);
-      EXPECT_FALSE(spfa.negative_cycle);
-      EXPECT_FALSE(dijkstra.negative_cycle);
-      EXPECT_EQ(dijkstra.flow, spfa.flow)
-          << "seed " << seed << " negative=" << negative;
-      EXPECT_EQ(dijkstra.cost, spfa.cost)
-          << "seed " << seed << " negative=" << negative;
-      const VertexId exempt[] = {s, t};
-      EXPECT_TRUE(b.ValidateInvariants(exempt));
-    }
-  }
 }
 
 // ------------------------------------------------ zero-alloc witness ----

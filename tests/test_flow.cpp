@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "flow/graph.h"
@@ -13,6 +16,84 @@
 
 namespace aladdin::flow {
 namespace {
+
+// ------------------------------------------------ test-side flow oracles ----
+//
+// Two certificates for a solver's output: after a max flow, the saturated
+// arcs leaving the residual-reachable set form a cut whose capacity equals
+// the flow value (optimality); and the flow peels into source -> sink paths
+// whose amounts sum to that value (validity).
+
+std::size_t Idx(VertexId v) { return static_cast<std::size_t>(v.value()); }
+
+// Vertices reachable from `source` in the residual graph.
+std::vector<bool> ResidualReachable(const Graph& g, VertexId source) {
+  std::vector<bool> seen(g.vertex_count(), false);
+  std::vector<VertexId> stack = {source};
+  seen[Idx(source)] = true;
+  while (!stack.empty()) {
+    const VertexId u = stack.back();
+    stack.pop_back();
+    for (std::int32_t raw : g.OutArcs(u)) {
+      const ArcId a{raw};
+      const VertexId v = g.arc(a).head;
+      if (g.Residual(a) <= 0 || seen[Idx(v)]) continue;
+      seen[Idx(v)] = true;
+      stack.push_back(v);
+    }
+  }
+  return seen;
+}
+
+// The forward arcs crossing from the residual-reachable side to the rest.
+std::vector<ArcId> CutArcs(const Graph& g, VertexId source) {
+  const std::vector<bool> reachable = ResidualReachable(g, source);
+  std::vector<ArcId> cut;
+  for (std::size_t v = 0; v < g.vertex_count(); ++v) {
+    if (!reachable[v]) continue;
+    for (std::int32_t raw : g.OutArcs(VertexId(static_cast<std::int32_t>(v)))) {
+      if (raw % 2 != 0) continue;  // forward arcs only
+      const ArcId a{raw};
+      if (!reachable[Idx(g.arc(a).head)]) cut.push_back(a);
+    }
+  }
+  return cut;
+}
+
+struct FlowPath {
+  std::vector<ArcId> arcs;
+  Capacity amount = 0;
+};
+
+// Peels the current flow into source -> sink paths, consuming it: the graph
+// ends with zero flow everywhere (flow left on cycles is dropped).
+std::vector<FlowPath> PeelFlowPaths(Graph& g, VertexId source, VertexId sink) {
+  std::vector<FlowPath> paths;
+  for (;;) {
+    FlowPath path;
+    VertexId at = source;
+    Capacity bottleneck = std::numeric_limits<Capacity>::max();
+    for (std::size_t hops = 0; at != sink && hops <= g.vertex_count(); ++hops) {
+      ArcId next = ArcId::Invalid();
+      for (std::int32_t raw : g.OutArcs(at)) {
+        if (raw % 2 == 0 && g.arc(ArcId{raw}).flow > 0) {
+          next = ArcId{raw};
+          break;
+        }
+      }
+      if (!next.valid()) break;
+      path.arcs.push_back(next);
+      bottleneck = std::min(bottleneck, g.arc(next).flow);
+      at = g.arc(next).head;
+    }
+    if (at != sink || path.arcs.empty()) break;
+    path.amount = bottleneck;
+    for (ArcId a : path.arcs) g.Push(Graph::Reverse(a), bottleneck);
+    paths.push_back(std::move(path));
+  }
+  g.ResetFlows();
+  return paths;
+}
 
 // ------------------------------------------------------------- graph ----
 
@@ -379,7 +460,7 @@ TEST(MinCut, ArcCapacitiesSumToFlowValue) {
   Graph g = ClrsGraph(s, t);
   const Capacity value = Dinic(g, s, t).value;
   Capacity cut_capacity = 0;
-  for (ArcId a : MinCutArcs(g, s)) cut_capacity += g.arc(a).capacity;
+  for (ArcId a : CutArcs(g, s)) cut_capacity += g.arc(a).capacity;
   EXPECT_EQ(cut_capacity, value);
 }
 
@@ -387,7 +468,7 @@ TEST(MinCut, SaturatedArcsOnly) {
   VertexId s, t;
   Graph g = ClrsGraph(s, t);
   Dinic(g, s, t);
-  for (ArcId a : MinCutArcs(g, s)) {
+  for (ArcId a : CutArcs(g, s)) {
     EXPECT_EQ(g.Residual(a), 0);
   }
 }
@@ -396,7 +477,7 @@ TEST(Decompose, PathsSumToFlowValue) {
   VertexId s, t;
   Graph g = ClrsGraph(s, t);
   const Capacity value = Dinic(g, s, t).value;
-  const auto paths = DecomposePaths(g, s, t);
+  const auto paths = PeelFlowPaths(g, s, t);
   Capacity total = 0;
   for (const auto& p : paths) {
     total += p.amount;
@@ -418,7 +499,7 @@ TEST(Decompose, PathsSumToFlowValue) {
 TEST(Decompose, EmptyFlowYieldsNoPaths) {
   VertexId s, t;
   Graph g = ClrsGraph(s, t);
-  EXPECT_TRUE(DecomposePaths(g, s, t).empty());
+  EXPECT_TRUE(PeelFlowPaths(g, s, t).empty());
 }
 
 class DecomposePropertyTest : public ::testing::TestWithParam<int> {};
@@ -428,7 +509,7 @@ TEST_P(DecomposePropertyTest, RandomGraphsDecomposeExactly) {
   VertexId s, t;
   Graph g = RandomGraph(rng, 15, 50, s, t, false);
   const Capacity value = Dinic(g, s, t).value;
-  const auto paths = DecomposePaths(g, s, t);
+  const auto paths = PeelFlowPaths(g, s, t);
   Capacity total = 0;
   for (const auto& p : paths) total += p.amount;
   EXPECT_EQ(total, value);

@@ -280,42 +280,6 @@ TEST_F(JournalTest, TickBoundariesDrainToTheSink) {
   EXPECT_EQ(expected_seq, 20u);
 }
 
-// --- determinism across thread counts ---------------------------------------
-
-std::string RunJournalled(int threads, const Workload& wl,
-                          const Topology& topo,
-                          const std::vector<cluster::ContainerId>& arrival) {
-  obs::StartJournal();  // flight-recorder mode: everything stays buffered
-  core::AladdinOptions options;
-  options.threads = threads;
-  core::AladdinScheduler scheduler(options);
-  auto state = wl.MakeState(topo);
-  sim::ScheduleRequest request{&wl, &arrival};
-  scheduler.Schedule(request, state);
-  obs::StopJournal();
-  std::string jsonl = obs::JournalToJsonl();
-  EXPECT_EQ(obs::DroppedJournalDecisions(), 0u);
-  return jsonl;
-}
-
-TEST_F(JournalTest, JsonlBitIdenticalSerialVsEightThreads) {
-  trace::AlibabaTraceOptions options;
-  options.scale = 0.01;
-  const Workload wl = trace::GenerateAlibabaLike(options);
-  // Undersized so the stream includes rejections, repairs and give-ups,
-  // not just direct admissions.
-  const Topology topo =
-      trace::MakeAlibabaCluster(sim::BenchMachineCount(0.01) * 3 / 4);
-  const auto arrival =
-      trace::MakeArrivalSequence(wl, trace::ArrivalOrder::kRandom);
-  const std::string serial = RunJournalled(1, wl, topo, arrival);
-  const std::string parallel = RunJournalled(8, wl, topo, arrival);
-  ASSERT_FALSE(serial.empty());
-  // All emission sites sit in serial pipeline sections, so the global seq
-  // is assigned in program order and the streams match byte for byte.
-  EXPECT_EQ(serial, parallel);
-}
-
 // --- provenance completeness -------------------------------------------------
 
 TEST_F(JournalTest, TerminalRecordsAgreeWithFinalState) {

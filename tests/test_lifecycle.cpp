@@ -248,9 +248,12 @@ TEST(SloEngine, BurnRateWindowsAndExpires) {
 
 // --------------------------------------------- resolver tick-determinism ----
 
-void RunOverloadScript(k8s::ClusterSimulator& sim, int ticks) {
+// Returns every tick's stats, in tick order.
+std::vector<k8s::ResolveStats> RunOverloadScript(k8s::ClusterSimulator& sim,
+                                                 int ticks) {
   // Deliberately oversubscribed so pods queue across ticks and the SLO
   // engine sees real waits, violations, and preemption epochs.
+  std::vector<k8s::ResolveStats> history;
   Rng rng(11);
   std::int64_t apps = 0;
   for (int t = 0; t < ticks; ++t) {
@@ -269,15 +272,16 @@ void RunOverloadScript(k8s::ClusterSimulator& sim, int ticks) {
     sim.SubmitBatchJob("job-" + std::to_string(t), 20,
                        cluster::ResourceVector::Cores(1, 2),
                        /*lifetime_ticks=*/2);
-    sim.Tick();
+    history.push_back(sim.Tick());
   }
+  return history;
 }
 
 // Per-tick fingerprint of every SLO surface a run exposes via ResolveStats.
-std::string SloFingerprint(const k8s::ClusterSimulator& sim) {
+std::string SloFingerprint(const std::vector<k8s::ResolveStats>& history) {
   std::string out;
   char buf[256];
-  for (const k8s::ResolveStats& s : sim.history()) {
+  for (const k8s::ResolveStats& s : history) {
     std::snprintf(
         buf, sizeof(buf),
         "t=%lld adm=%lld w=%lld v=%lld att=%.9f burn=%.9f "
@@ -313,13 +317,14 @@ k8s::ResolverOptions LifecycleOptions(int threads, int shards) {
 std::pair<std::string, std::string> RunAndCapture(int threads, int shards) {
   k8s::ClusterSimulator sim(LifecycleOptions(threads, shards));
   sim.AddNodes(12, cluster::ResourceVector::Cores(16, 32), "node", 4, 2);
-  RunOverloadScript(sim, 8);
-  return {SloFingerprint(sim), obs::RenderSloJson(obs::IntrospectionSnapshot())};
+  const std::string fingerprint = SloFingerprint(RunOverloadScript(sim, 8));
+  return {fingerprint, obs::RenderSloJson(obs::IntrospectionSnapshot())};
 }
 
-TEST(LifecycleDeterminism, SloBitIdenticalAcrossThreadCounts) {
-  const auto serial = RunAndCapture(/*threads=*/1, /*shards=*/0);
-  const auto parallel = RunAndCapture(/*threads=*/8, /*shards=*/0);
+// The shard-solve pool is the one place thread count reaches the solver.
+TEST(LifecycleDeterminism, SloBitIdenticalAcrossThreadCountsSharded) {
+  const auto serial = RunAndCapture(/*threads=*/1, /*shards=*/4);
+  const auto parallel = RunAndCapture(/*threads=*/8, /*shards=*/4);
   EXPECT_EQ(serial.first, parallel.first);
   EXPECT_EQ(serial.second, parallel.second);
   // The run is genuinely overloaded: violations must have been flagged by
@@ -329,18 +334,10 @@ TEST(LifecycleDeterminism, SloBitIdenticalAcrossThreadCounts) {
   EXPECT_NE(serial.first.substr(last_v, 5), " v=0 ");
 }
 
-TEST(LifecycleDeterminism, SloBitIdenticalAcrossThreadCountsSharded) {
-  const auto serial = RunAndCapture(/*threads=*/1, /*shards=*/4);
-  const auto parallel = RunAndCapture(/*threads=*/8, /*shards=*/4);
-  EXPECT_EQ(serial.first, parallel.first);
-  EXPECT_EQ(serial.second, parallel.second);
-}
-
 TEST(LifecycleResolver, OverloadAccountsEveryPendingPod) {
   k8s::ClusterSimulator sim(LifecycleOptions(/*threads=*/1, /*shards=*/0));
   sim.AddNodes(8, cluster::ResourceVector::Cores(8, 16), "node", 2, 2);
-  RunOverloadScript(sim, 6);
-  const k8s::ResolveStats& last = sim.history().back();
+  const k8s::ResolveStats last = RunOverloadScript(sim, 6).back();
   // Every pod still pending is aged >= 1 and visible in the summary.
   EXPECT_EQ(last.pending_ages.open, sim.adaptor().PendingPods().size());
   if (last.pending_ages.open > 0) {

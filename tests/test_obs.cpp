@@ -439,7 +439,6 @@ TEST_F(ObsTest, ResolverPhaseBreakdownCoversResolveTime) {
   obs::StartTracing();
   k8s::ResolverOptions options;
   options.aladdin = k8s::Resolver::DefaultOptions();
-  options.aladdin.threads = 1;
   k8s::ClusterSimulator sim(options);
   sim.AddNodes(16, cluster::ResourceVector::Cores(32, 64));
   k8s::PodSpec spec;

@@ -225,8 +225,7 @@ TEST(ShardedEquivalence, KOneMatchesUnshardedBitIdentical) {
   const Topology topo =
       Topology::Uniform(48, ResourceVector::Cores(32, 64), 8, 3);
 
-  core::AladdinOptions inner;
-  inner.threads = 1;  // the coordinator forces this on its shard solvers
+  const core::AladdinOptions inner;
 
   Workload wl_a;
   cluster::ClusterState state_a = wl_a.MakeState(topo);
@@ -272,7 +271,7 @@ TEST(ShardedEquivalence, FixedKIsIdenticalAcrossThreadCounts) {
       cluster::ClusterState state = wl.MakeState(topo);
       core::ShardedOptions options;
       options.shards = k;
-      options.threads = threads;
+      options.aladdin.threads = threads;
       core::ShardedScheduler scheduler(options);
       const std::vector<std::string> journal =
           DriveWaves(scheduler, wl, state, 5, 7 + static_cast<std::uint64_t>(k),
@@ -423,9 +422,10 @@ TEST(ShardedSpill, OverflowingHomeShardSpillsToUntriedShard) {
   EXPECT_TRUE(state.CheckConsistency());
 }
 
-TEST(ShardedSpill, ZeroRebalanceRoundsSurfacesUnplaced) {
-  // Same scenario with spilling disabled: the bad routing choice must
-  // surface as unplaced with a terminal cause, not silently re-route.
+TEST(ShardedSpill, OverCapacityWaveSurfacesUnplacedAfterSpill) {
+  // Same pair, 20 containers for 18 cores: 10 land on the home shard, the
+  // spill round places 8 more on shard 1, and the last 2 have no untried
+  // shard left. They must surface as unplaced with a terminal cause.
   Topology topo;
   (void)topo.AddMachine(topo.AddRack(topo.AddSubCluster()),
                         ResourceVector::Cores(10, 100));
@@ -433,24 +433,29 @@ TEST(ShardedSpill, ZeroRebalanceRoundsSurfacesUnplaced) {
                         ResourceVector::Cores(8, 100));
 
   Workload wl;
-  wl.AddApplication("wave", 16, ResourceVector::Cores(1, 1));
+  wl.AddApplication("wave", 20, ResourceVector::Cores(1, 1));
   cluster::ClusterState state = wl.MakeState(topo);
 
   core::ShardedOptions options;
   options.shards = 2;
-  options.rebalance_rounds = 0;
+  options.routing = core::ShardRouting::kLeastUtilized;
   core::ShardedScheduler scheduler(options);
 
   std::vector<ContainerId> pending;
   for (const auto& c : wl.containers()) pending.push_back(c.id);
   const sim::ScheduleRequest request{&wl, &pending};
   const sim::ScheduleOutcome outcome = scheduler.Schedule(request, state);
-  EXPECT_EQ(outcome.unplaced.size(), 6u);
+  EXPECT_EQ(outcome.unplaced.size(), 2u);
   ASSERT_EQ(outcome.unplaced_causes.size(), outcome.unplaced.size())
       << "causes stay parallel to unplaced";
   for (const obs::Cause cause : outcome.unplaced_causes) {
     EXPECT_NE(cause, obs::Cause::kNone);
   }
+  const auto& stats = scheduler.last_shard_stats();
+  ASSERT_EQ(stats.size(), 2u);
+  EXPECT_EQ(stats[1].spilled, 10u) << "the home shard's overflow spilled";
+  EXPECT_EQ(stats[0].placed + stats[1].placed, 18u);
+  EXPECT_TRUE(state.CheckConsistency());
 }
 
 // ------------------------------------------------- resolver end-to-end ----
@@ -462,17 +467,22 @@ TEST(ResolverSharded, MultiShardRunStaysConsistent) {
 
   k8s::ClusterSimulator sim(options);
   sim.AddNodes(16, cluster::ResourceVector::Cores(32, 64), "node", 4, 2);
-  RunScript(sim, 9);
+  std::vector<k8s::ResolveStats> history;
+  RunScript(sim, 9,
+            [&history](const k8s::ResolveStats& stats,
+                       const std::vector<k8s::Binding>&) {
+              history.push_back(stats);
+            });
 
-  ASSERT_FALSE(sim.history().empty());
+  ASSERT_FALSE(history.empty());
   // Per-shard breakdown present and accounted: routed covers every shard.
-  const auto& last = sim.history().back();
+  const auto& last = history.back();
   ASSERT_EQ(last.shards.size(), 4u);
   std::size_t machines = 0;
   for (const auto& shard : last.shards) machines += shard.machines;
   EXPECT_EQ(machines, 15u) << "node-7 was removed at tick 5";
   std::size_t bound = 0;
-  for (const auto& tick : sim.history()) bound += tick.new_bindings;
+  for (const auto& tick : history) bound += tick.new_bindings;
   EXPECT_GT(bound, 0u);
 }
 

@@ -24,13 +24,8 @@ Checks, in order:
   * lifecycle event shapes (obs/lifecycle.h + obs/slo.h): pod_arrived
     carries an app and an epoch, shard_routed/shard_spilled carry a target
     shard with round 0 / round >= 1, slo_violated carries an age >= 1;
-  * micro-batch markers (core ScheduleBatch): each batch_scheduled event
-    carries the request's index within its batch (`machine`) and the
-    arrival size (`detail` >= 0). Per-request terminal records are emitted
-    in request order, so within a tick the indices must be seq-contiguous:
-    each marker either starts a new batch at index 0 or continues the
-    previous marker's batch at index + 1. batch_deferred carries the number
-    of deferred containers (`detail` >= 1);
+  * batch_deferred (k8s resolver --batch_deadline_ticks) carries the
+    number of deferred containers (`detail` >= 1);
   * lifecycle *span* checks — epochs per pod count up consecutively from
     0, failed attempts never precede their epoch's arrival (pending-age is
     monotone), at most one slo_violated per epoch with an age consistent
@@ -69,7 +64,7 @@ CAUSES = {
     "migrated_for_rebalance", "preempted_by_priority", "depth_limit_stop",
     "isomorphism_prune", "pod_retired", "baseline_unplaced",
     "pod_arrived", "shard_routed", "shard_spilled", "slo_violated",
-    "batch_scheduled", "batch_deferred", "alert_opened", "alert_resolved",
+    "batch_deferred", "alert_opened", "alert_resolved",
 }
 # Closed AlertKind vocabulary (obs/watchdog.h); alert_opened/alert_resolved
 # records carry the kind as an index in `machine`.
@@ -96,9 +91,6 @@ def validate(lines: list[str], no_catch_all: bool = False) -> list[str]:
     spans: dict[int, dict] = {}
     first_seq = None
     seq_ok = True
-    # (tick, index) of the last batch_scheduled marker, for the
-    # request-order contiguity check.
-    last_batch: tuple[int, int] | None = None
     # Watchdog alert pairing state. Like the span checks, pairing errors
     # are only reported on complete journals: a ring-dropped open would
     # fabricate an "resolved without an open" violation.
@@ -215,21 +207,6 @@ def validate(lines: list[str], no_catch_all: bool = False) -> list[str]:
                                        f"slo_violated age {age} at tick "
                                        f"{tick} inconsistent with arrival "
                                        f"tick {span['arrival']}")
-        elif kind == "event" and cause == "batch_scheduled":
-            index = record["machine"]
-            if index < 0:
-                errors.append(f"{where}: batch_scheduled without a request "
-                              f"index")
-            elif index != 0 and (last_batch is None
-                                 or last_batch != (tick, index - 1)):
-                errors.append(f"{where}: batch_scheduled index {index} at "
-                              f"tick {tick} breaks request order (expected "
-                              f"0 or a tick-{tick} predecessor at index "
-                              f"{index - 1})")
-            if record["detail"] < 0:
-                errors.append(f"{where}: batch_scheduled with negative "
-                              f"arrival size {record['detail']}")
-            last_batch = (tick, index)
         elif kind == "event" and cause == "batch_deferred":
             if record["detail"] < 1:
                 errors.append(f"{where}: batch_deferred with count "

@@ -131,44 +131,44 @@ class TableFormatTest(unittest.TestCase):
         self.assertEqual(len(offsets), 1)
 
 
-class BatchMetricsTest(unittest.TestCase):
-    """The ISSUE 9 batch metrics ride the existing policy: the bench-JSON
-    batch counters are identity-checked (batching must not change how many
-    solves a fixed workload takes), and the BM_BatchRefresh* microbench
-    timings are ratio-checked like any google-benchmark entry."""
+class WaterfallMetricsTest(unittest.TestCase):
+    """The group-waterfall metrics ride the existing policy: the bench-JSON
+    waterfall counters are identity-checked (a fixed workload must take the
+    same number of runs), and the BM_GroupWaterfallVsDinic microbench
+    timing is ratio-checked like any google-benchmark entry."""
 
-    def test_batch_counters_are_identity_checked(self):
+    def test_group_counters_are_identity_checked(self):
         _, failures = run_compare(
-            {"batches_solved": (24.0, "count"),
-             "batch_size_max": (3000.0, "count")},
-            {"batches_solved": (25.0, "count"),
-             "batch_size_max": (3000.0, "count")})
+            {"core/group_runs": (24.0, "count"),
+             "core/group_placed": (3000.0, "count")},
+            {"core/group_runs": (25.0, "count"),
+             "core/group_placed": (3000.0, "count")})
         self.assertEqual(len(failures), 1)
-        self.assertIn("batches_solved", failures[0])
+        self.assertIn("core/group_runs", failures[0])
 
-    def test_batch_refresh_regression_fails(self):
+    def test_waterfall_regression_fails(self):
         doc = {"context": {}, "benchmarks": [
-            {"name": "BM_BatchRefreshWarm/4096", "run_type": "iteration",
-             "real_time": 2.0, "time_unit": "ms"},
             {"name": "BM_GroupWaterfallVsDinic/1", "run_type": "iteration",
-             "real_time": 40.0, "time_unit": "ms"}]}
+             "real_time": 2.0, "time_unit": "ms"},
+            {"name": "BM_AggregatedNetworkResolve/2000",
+             "run_type": "iteration", "real_time": 40.0, "time_unit": "ms"}]}
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "micro.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
             values, units = perf_compare.load_metrics(path)
         slower = dict(values)
-        slower["BM_BatchRefreshWarm/4096"] = 9.0  # x4.5 past --max-ratio 2
+        slower["BM_GroupWaterfallVsDinic/1"] = 9.0  # x4.5 past --max-ratio 2
         _, failures = perf_compare.compare(values, units, slower,
                                            max_ratio=2.0)
         self.assertEqual(len(failures), 1)
-        self.assertIn("BM_BatchRefreshWarm/4096", failures[0])
+        self.assertIn("BM_GroupWaterfallVsDinic/1", failures[0])
 
-    def test_warm_start_win_reads_as_ok(self):
-        # The expected direction — warm refresh beating the committed
+    def test_waterfall_win_reads_as_ok(self):
+        # The expected direction — a faster solve than the committed
         # baseline — must never fail the gate.
         _, failures = run_compare(
-            {"BM_BatchRefreshWarm/4096": (8.0, "ms")},
-            {"BM_BatchRefreshWarm/4096": (2.0, "ms")}, max_ratio=2.0)
+            {"BM_GroupWaterfallVsDinic/1": (8.0, "ms")},
+            {"BM_GroupWaterfallVsDinic/1": (2.0, "ms")}, max_ratio=2.0)
         self.assertEqual(failures, [])
 
 
