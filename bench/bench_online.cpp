@@ -98,8 +98,7 @@ int main(int argc, char** argv) {
                              "partition the cluster into this many shards "
                              "solved concurrently (0 or 1 = unsharded)");
   auto& routing = flags.String("routing", "least-utilized",
-                               "shard routing policy: hash, least-utilized, "
-                               "constraint-driven");
+                               "shard routing policy: hash, least-utilized");
   auto& batch_deadline =
       flags.Int64("batch_deadline_ticks", 1,
                   "solve long-lived pods only every N ticks (deferred "
@@ -122,13 +121,12 @@ int main(int argc, char** argv) {
       "Online", "streaming waves through EHC -> MA -> RE (Fig. 6 stack)");
 
   k8s::ResolverOptions options;
-  options.aladdin = k8s::Resolver::DefaultOptions();
   options.aladdin.threads = static_cast<int>(threads);
   options.shards = static_cast<int>(shards);
   options.routing = core::ShardRoutingFromName(routing);
   if (options.routing == core::ShardRouting::kCount) {
     LOG_ERROR << "unknown --routing '" << routing
-              << "' (hash, least-utilized, constraint-driven)";
+              << "' (hash, least-utilized)";
     return 1;
   }
   options.slo.wait_ticks = slo_ticks;

@@ -18,6 +18,7 @@
 #include "common/log.h"
 #include "obs/cli.h"
 #include "obs/lifecycle.h"
+#include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/watchdog.h"
 #include "core/scheduler.h"
@@ -127,8 +128,13 @@ int main(int argc, char** argv) {
               workload.container_count(), workload.application_count(),
               topology.machine_count(), scheduler->name().c_str(),
               trace::ArrivalOrderName(order));
+  // The phase registry diffed around the replay feeds the --timeseries
+  // sample's phase_seconds.
+  const std::vector<obs::PhaseDelta> phases_before = obs::CapturePhases();
   const sim::RunMetrics metrics =
       sim::RunExperimentOn(*scheduler, workload, topology, order, 1);
+  const std::vector<obs::PhaseDelta> run_phases =
+      obs::DiffPhases(phases_before, obs::CapturePhases());
   sim::PrintRunTable({metrics});
 
   // One-shot replay: the outcome's terminal diagnosis is the cause
@@ -231,7 +237,7 @@ int main(int argc, char** argv) {
     point.frag_pct =
         metrics.used_machines > 0 ? 100.0 - point.avg_util_pct : 0.0;
     point.wall_seconds = metrics.wall_seconds;
-    point.phase_seconds = obs::ExclusiveSeconds(metrics.outcome.phases);
+    point.phase_seconds = obs::ExclusiveSeconds(run_phases);
     if (!timeseries.Append(point)) {
       LOG_ERROR << "failed writing " << obs_cli.timeseries_path();
       return 1;

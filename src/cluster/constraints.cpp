@@ -47,6 +47,7 @@ bool ConstraintSet::Conflicts(ApplicationId a, ApplicationId b) const {
 
 std::span<const ApplicationId> ConstraintSet::ConflictsOf(
     ApplicationId a) const {
+  // analyze:allow(A102) constructed once (function-local static), empty
   static const std::vector<ApplicationId> kEmpty;
   const auto ai = static_cast<std::size_t>(a.value());
   if (!a.valid() || ai >= adjacency_.size()) return kEmpty;

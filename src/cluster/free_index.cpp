@@ -46,13 +46,4 @@ void FreeIndex::OnChanged(MachineId m) {
   indexed_free_[mi] = now;
 }
 
-MachineId FreeIndex::TightestWithAtLeast(std::int64_t need) const {
-  MachineId found = MachineId::Invalid();
-  ScanAscending(need, [&found](MachineId m) {
-    found = m;
-    return true;
-  });
-  return found;
-}
-
 }  // namespace aladdin::cluster

@@ -1,7 +1,7 @@
 // Sorted index of machines by free CPU, shared by the baseline schedulers
 // (best-fit scans for Medea, worst-fit scans for Go-Kube, candidate
-// generation for Firmament) and the core task scheduler's per-task
-// placement loop. The Aladdin core keeps its own richer index
+// generation for Firmament) and the short-lived task run placer
+// (core::PlaceTaskRun). The Aladdin core keeps its own richer index
 // (core/network.h) with rack/sub-cluster aggregates.
 //
 // The index mirrors a ClusterState it is attached to; callers must invoke
@@ -57,8 +57,8 @@ class FreeIndex {
 
   // Resume a best-fit scan strictly after the key (free_cpu, machine):
   // same ascending (free, id) order as ScanAscending, but every key <= the
-  // given one is skipped. The task run placer (core::TaskScheduler::
-  // PlaceRun) resumes where the previous winner was discovered — the
+  // given one is skipped. The task run placer (core::PlaceTaskRun)
+  // resumes where the previous winner was discovered — the
   // skipped prefix is exactly the machines that already rejected this
   // request shape and have not changed since, plus exhausted ex-winners
   // re-keyed to smaller keys.
@@ -91,9 +91,6 @@ class FreeIndex {
     }
     return false;
   }
-
-  // The single tightest machine with free CPU >= need, or Invalid.
-  [[nodiscard]] MachineId TightestWithAtLeast(std::int64_t need) const;
 
  private:
   using Key = std::pair<std::int64_t, std::int32_t>;

@@ -14,21 +14,6 @@ namespace aladdin::cluster {
 
 inline constexpr std::size_t kResourceDims = 2;
 
-enum class ResourceKind : std::size_t {  // analyze:closed_enum
-  kCpu = 0,
-  kMemory = 1,
-};
-
-inline const char* ResourceName(ResourceKind k) {
-  switch (k) {
-    case ResourceKind::kCpu:
-      return "cpu_millis";
-    case ResourceKind::kMemory:
-      return "mem_mib";
-  }
-  return "?";
-}
-
 class ResourceVector {
  public:
   constexpr ResourceVector() : v_{} {}

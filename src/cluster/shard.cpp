@@ -134,6 +134,7 @@ void ShardView::MirrorMachine(const ClusterState& global,
   const MachineId local = plan_->LocalOf(global_machine);
   // Pass 1: evict residents the global machine no longer holds. Copy the
   // list first — Evict mutates DeployedOn in place.
+  // analyze:allow(A103) pooled scratch, capacity retained across ticks
   scratch_.assign(state_.DeployedOn(local).begin(),
                   state_.DeployedOn(local).end());
   for (const ContainerId c : scratch_) {

@@ -15,8 +15,8 @@
 //    the arena (reclaimed wholesale by the next Reset). Reserve up front
 //    where sizes are known.
 //  * Single-threaded by design: one arena per owning component, never shared
-//    across the ThreadPool (the parallel scoring paths use per-thread
-//    flow::Workspace state instead, keeping results deterministic).
+//    across the ThreadPool (each concurrent shard solve owns its solver and
+//    so its own arena, keeping results deterministic).
 #pragma once
 
 #include <cstddef>

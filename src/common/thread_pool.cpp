@@ -85,6 +85,7 @@ void ParallelFor(ThreadPool& pool, std::size_t begin, std::size_t end,
   // deterministic (matters only for perf, not results — tasks are
   // independent by contract).
   const std::size_t chunk = (n + workers - 1) / workers;
+  // analyze:allow(A102) bounded: one future per chunk, <= thread_count()
   std::vector<std::future<void>> futures;
   for (std::size_t lo = begin; lo < end; lo += chunk) {
     const std::size_t hi = std::min(end, lo + chunk);

@@ -12,14 +12,21 @@ template <typename T>
 std::size_t Idx(T id) {
   return static_cast<std::size_t>(id.value());
 }
+
+// Repair budgets. Together they keep a repair within the paper's
+// O(V·E²·c) cost bound (§IV.D).
+// Repair attempts per container within one Repair() call.
+constexpr int kMaxAttemptsPerContainer = 3;
+// Machines examined (descending free CPU) per repair attempt.
+constexpr int kCandidateMachines = 64;
+// Victims displaced per repair.
+constexpr std::size_t kMaxVictims = 4;
 }  // namespace
 
 RepairEngine::RepairEngine(AggregatedNetwork& network,
-                           const PriorityWeights& weights,
-                           const RepairOptions& options, Scratch* scratch)
+                           const PriorityWeights& weights, Scratch* scratch)
     : network_(network),
       weights_(weights),
-      options_(options),
       scratch_(scratch != nullptr ? *scratch : owned_scratch_) {}
 
 int& RepairEngine::AttemptCount(cluster::ContainerId c) {
@@ -54,9 +61,7 @@ bool RepairEngine::RepairOnMachine(cluster::ContainerId c,
     const auto& vc = state.containers()[Idx(v)];
     if (state.constraints().Conflicts(cont.app, vc.app)) victims.push_back(v);
   }
-  if (victims.size() > static_cast<std::size_t>(options_.max_victims)) {
-    return false;
-  }
+  if (victims.size() > kMaxVictims) return false;
 
   // Filler victims to cover the resource deficit, cheapest weighted flow
   // first (those are the legal preemption targets if no alternative exists).
@@ -79,9 +84,7 @@ bool RepairEngine::RepairOnMachine(cluster::ContainerId c,
               });
     for (cluster::ContainerId v : fillers) {
       if (cont.request.FitsIn(available)) break;
-      if (victims.size() >= static_cast<std::size_t>(options_.max_victims)) {
-        return false;
-      }
+      if (victims.size() >= kMaxVictims) return false;
       victims.push_back(v);
       available += state.containers()[Idx(v)].request;
     }
@@ -125,10 +128,8 @@ bool RepairEngine::RepairOnMachine(cluster::ContainerId c,
   preempted.clear();
   std::int64_t preempted_flow = 0;
   for (cluster::ContainerId v : victims) {
-    cluster::MachineId m2;
-    if (options_.allow_migration) {
-      m2 = network_.FindMachine(v, search, counters, /*exclude=*/m);
-    }
+    const cluster::MachineId m2 =
+        network_.FindMachine(v, search, counters, /*exclude=*/m);
     if (m2.valid()) {
       network_.Deploy(v, m2);  // migration, counted on commit
       moved.emplace_back(v, m2);
@@ -140,8 +141,7 @@ bool RepairEngine::RepairOnMachine(cluster::ContainerId c,
     // monotonicity: the transaction must not displace more weighted flow
     // than it admits, or the "repair" would shrink the objective the
     // network maximises.
-    if (options_.allow_preemption && v_flow < c_flow &&
-        preempted_flow + v_flow < c_flow) {
+    if (v_flow < c_flow && preempted_flow + v_flow < c_flow) {
       preempted.push_back(v);
       preempted_flow += v_flow;
       continue;
@@ -189,7 +189,6 @@ bool RepairEngine::TryPlace(cluster::ContainerId c,
     }
     return true;
   }
-  if (!options_.allow_migration && !options_.allow_preemption) return false;
 
   // Two-tier scan, emptiest machines first. Tier 1 spends the main budget
   // on machines whose conflicting tenants all have strictly lower weighted
@@ -213,7 +212,7 @@ bool RepairEngine::TryPlace(cluster::ContainerId c,
     return false;
   };
   bool placed = false;
-  int budget = options_.candidate_machines;
+  int budget = kCandidateMachines;
   network_.ScanDescending(
       static_cast<int>(state.topology().machine_count()),
       [&](cluster::MachineId m) {
@@ -224,7 +223,7 @@ bool RepairEngine::TryPlace(cluster::ContainerId c,
         return placed;
       });
   if (placed) return true;
-  int heavy_budget = std::max(4, options_.candidate_machines / 4);
+  int heavy_budget = std::max(4, kCandidateMachines / 4);
   network_.ScanDescending(
       static_cast<int>(state.topology().machine_count()),
       [&](cluster::MachineId m) {
@@ -265,11 +264,11 @@ std::vector<cluster::ContainerId> RepairEngine::Repair(
   }
   while (head < queue.size()) {
     const cluster::ContainerId c = queue[head++];
-    if (AttemptCount(c)++ >= options_.max_attempts_per_container) {
+    if (AttemptCount(c)++ >= kMaxAttemptsPerContainer) {
       if (obs::JournalEnabled()) {
         obs::EmitDecision(obs::DecisionKind::kReject,
                           obs::Cause::kRepairAttemptBudget, c.value(), -1, -1,
-                          options_.max_attempts_per_container);
+                          kMaxAttemptsPerContainer);
       }
       pending.push_back(c);
       continue;
@@ -311,8 +310,7 @@ int RepairEngine::Compact(const SearchOptions& search,
       if (migration_budget <= 0) return freed_total;
       const auto tenants_span = state.DeployedOn(m);
       if (tenants_span.empty()) continue;  // drained by an earlier move
-      if (tenants_span.size() >
-          static_cast<std::size_t>(options_.max_victims) * 2) {
+      if (tenants_span.size() > kMaxVictims * 2) {
         continue;  // too expensive to drain
       }
       if (static_cast<std::int64_t>(tenants_span.size()) > migration_budget) {

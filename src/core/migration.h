@@ -24,17 +24,6 @@
 
 namespace aladdin::core {
 
-struct RepairOptions {
-  int max_attempts_per_container = 3;
-  // Machines examined (descending free CPU) per repair attempt.
-  int candidate_machines = 64;
-  // Victims displaced per repair (paper's bound: cost stays within
-  // O(V·E²·c), §IV.D).
-  int max_victims = 4;
-  bool allow_migration = true;
-  bool allow_preemption = true;
-};
-
 class RepairEngine {
  public:
   // Reusable per-tick scratch. A RepairEngine is cheap to construct (three
@@ -63,7 +52,7 @@ class RepairEngine {
   };
 
   RepairEngine(AggregatedNetwork& network, const PriorityWeights& weights,
-               const RepairOptions& options, Scratch* scratch = nullptr);
+               Scratch* scratch = nullptr);
 
   // Attempts to place every container in `pending`, highest weighted flow
   // first. Preempted victims join the queue (always at strictly lower
@@ -87,7 +76,7 @@ class RepairEngine {
                 std::vector<cluster::ContainerId>& requeue);
 
   // Attempt to clear space for `c` on machine `m` by migrating/preempting
-  // at most max_victims blockers. Returns true (and deploys c) on success;
+  // at most kMaxVictims blockers. Returns true (and deploys c) on success;
   // restores the exact prior placement on failure.
   bool RepairOnMachine(cluster::ContainerId c, cluster::MachineId m,
                        const SearchOptions& search, SearchCounters& counters,
@@ -99,7 +88,6 @@ class RepairEngine {
 
   AggregatedNetwork& network_;
   const PriorityWeights& weights_;
-  RepairOptions options_;
   Scratch owned_scratch_;  // used when no external scratch is supplied
   Scratch& scratch_;
 };

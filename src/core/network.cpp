@@ -65,6 +65,7 @@ void AggregatedNetwork::Sync() {
   // machine mutated since the memo was recorded gets its epoch bumped by
   // the replay below.
   if (il_memo_.size() < state_->applications().size()) {
+    // analyze:allow(A103) high-water growth with the append-only app list
     il_memo_.resize(state_->applications().size());
   }
   bool overflowed = false;

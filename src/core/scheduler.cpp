@@ -18,6 +18,15 @@ namespace aladdin::core {
 
 namespace {
 
+// Repair passes per solve: passes iterate until one stops making progress
+// or this budget is hit (§IV.D's cost bound).
+constexpr int kMaxRepairPasses = 4;
+// Compaction sweeps per solve (RepairEngine::Compact's `max_passes`).
+constexpr int kCompactionPasses = 3;
+// Ceiling on compaction migrations, as a fraction of total containers
+// (keeps Fig. 13(b) in the paper's ~1.7 % regime).
+constexpr double kCompactionMigrationFraction = 0.02;
+
 #if ALADDIN_DCHECK_IS_ON()
 // Post-solve cross-check (compiled out in Release): the placements Aladdin
 // emitted must survive the independent auditor. Medea-style schedulers may
@@ -63,6 +72,7 @@ AggregatedNetwork& AladdinScheduler::PrepareNetwork(
     network_->Sync();
     return *network_;
   }
+  // analyze:allow(A101) attach arm: runs only for a new state (instance id)
   network_ = std::make_unique<AggregatedNetwork>(state.topology());
   network_->Attach(&state);
   attached_state_id_ = state.instance_id();
@@ -120,24 +130,13 @@ void AladdinScheduler::PrepareWeights(const trace::Workload& workload) {
 
 ALADDIN_HOT sim::ScheduleOutcome AladdinScheduler::Schedule(
     const sim::ScheduleRequest& request, cluster::ClusterState& state) {
-  // The outcome's phase diff covers the prep too: weights (cached when the
-  // priority/request population is unchanged) and one Sync() of the warm
-  // network. The solve folds its own mutations in eagerly.
-  const std::vector<obs::PhaseDelta> phases_before =
-      obs::MetricsEnabled() ? obs::CapturePhases()
-                            : std::vector<obs::PhaseDelta>{};
-  PrepareWeights(*request.workload);
-  AggregatedNetwork& network = PrepareNetwork(state);
-  return Solve(request, state, network, phases_before);
-}
-
-ALADDIN_HOT sim::ScheduleOutcome AladdinScheduler::Solve(
-    const sim::ScheduleRequest& request,
-    [[maybe_unused]] cluster::ClusterState& state,  // DCHECK-build audits
-    AggregatedNetwork& network,
-    const std::vector<obs::PhaseDelta>& phases_before) {
   const trace::Workload& workload = *request.workload;
   sim::ScheduleOutcome outcome;
+  // Weights (cached when the priority/request population is unchanged) and
+  // one Sync() of the warm network; the solve below folds its own mutations
+  // in eagerly.
+  PrepareWeights(workload);
+  AggregatedNetwork& network = PrepareNetwork(state);
 
 #if ALADDIN_DCHECK_IS_ON()
   // Violations already present on entry (online mode re-schedules into a
@@ -282,11 +281,10 @@ ALADDIN_HOT sim::ScheduleOutcome AladdinScheduler::Solve(
   // Augmenting the network keeps going "until f(i,j) = 0": each repair pass
   // migrates blockers around, which can open paths for containers an
   // earlier pass gave up on, so we iterate until a pass makes no progress.
-  RepairEngine repair(network, weights_, options_.repair, &repair_scratch_);
+  RepairEngine repair(network, weights_, &repair_scratch_);
   if (options_.enable_repair) {
     ALADDIN_PHASE_SCOPE("core/repair");
-    for (int pass = 0; pass < options_.max_repair_passes && !pending.empty();
-         ++pass) {
+    for (int pass = 0; pass < kMaxRepairPasses && !pending.empty(); ++pass) {
       const std::size_t before = pending.size();
       pending = repair.Repair(std::move(pending), search, counters);
       ++outcome.rounds;
@@ -297,10 +295,10 @@ ALADDIN_HOT sim::ScheduleOutcome AladdinScheduler::Solve(
   // --- Phase 3: packing compaction. --------------------------------------
   if (options_.enable_compaction) {
     ALADDIN_PHASE_SCOPE("core/compact");
-    const auto budget = static_cast<std::int64_t>(std::llround(
-        options_.compaction_migration_fraction *
-        static_cast<double>(workload.container_count())));
-    repair.Compact(search, counters, options_.compaction_passes, budget);
+    const auto budget = static_cast<std::int64_t>(
+        std::llround(kCompactionMigrationFraction *
+                     static_cast<double>(workload.container_count())));
+    repair.Compact(search, counters, kCompactionPasses, budget);
     ++outcome.rounds;
     // Compaction may have opened admissible machines for stragglers.
     if (options_.enable_repair && !pending.empty()) {
@@ -351,7 +349,6 @@ ALADDIN_HOT sim::ScheduleOutcome AladdinScheduler::Solve(
     // Bytes bumped out of the per-tick arena. Arena use is confined to
     // serial sections, so this is deterministic across --threads.
     ALADDIN_METRIC_ADD("core/arena_bytes", arena_.bytes_used());
-    outcome.phases = obs::DiffPhases(phases_before, obs::CapturePhases());
   }
 #if ALADDIN_DCHECK_IS_ON()
   {

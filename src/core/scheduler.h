@@ -24,7 +24,6 @@
 #include "core/migration.h"
 #include "core/network.h"
 #include "core/weights.h"
-#include "obs/metrics.h"
 #include "sim/scheduler.h"
 
 namespace aladdin::core {
@@ -41,19 +40,14 @@ struct AladdinOptions {
   // weights. 0 means "derive minimal weights per Eq. 4–5 from the workload".
   std::int64_t weight_base = 16;
 
-  // Repair / rescheduling (§III.B, §IV.D). Repair passes iterate until a
-  // pass stops making progress or this budget is hit (the cost stays within
+  // Repair / rescheduling (§III.B, §IV.D): migration and preemption for
+  // containers the augmentation could not admit, with pass and per-repair
+  // budgets fixed in scheduler.cpp / migration.cpp (the cost stays within
   // the paper's O(V·E²·c) bound, §IV.D).
   bool enable_repair = true;
-  int max_repair_passes = 4;
-  RepairOptions repair;
 
   // Packing compaction (bounded; see RepairEngine::Compact).
   bool enable_compaction = true;
-  int compaction_passes = 3;
-  // Ceiling on compaction migrations, as a fraction of total containers
-  // (keeps Fig. 13(b) in the paper's ~1.7 % regime).
-  double compaction_migration_fraction = 0.02;
 
   // Worker threads for ShardedScheduler's concurrent shard solves (0 =
   // hardware concurrency, 1 = serial); the unsharded solve is always serial
@@ -87,14 +81,6 @@ class AladdinScheduler : public sim::Scheduler {
   // the Eq. 5 audit) is skipped when the workload's priority/request
   // population is unchanged — the common case on no-arrival ticks.
   void PrepareWeights(const trace::Workload& workload);
-  // The pipeline (augment → repair → compact) against the prepared network.
-  // `phases_before` is the capture the outcome's phase diff closes. Kept
-  // apart from Schedule() as its own ALADDIN_HOT root: aladdin-analyze
-  // matches calls by name, and every scheduler's Schedule() shares one.
-  sim::ScheduleOutcome Solve(const sim::ScheduleRequest& request,
-                             cluster::ClusterState& state,
-                             AggregatedNetwork& network,
-                             const std::vector<obs::PhaseDelta>& phases_before);
 
   AladdinOptions options_;
   PriorityWeights weights_;

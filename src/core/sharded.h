@@ -8,14 +8,14 @@
 //                 mirror (full re-attach only for shards whose scope
 //                 overflowed, not for the whole cluster).
 //   2. Route    — assign each arriving application to a shard with a
-//                 deterministic pluggable policy (hash / least-utilized /
-//                 constraint-driven). Before the parallel solve every shard
-//                 reports, for each anti-affinity-constrained application,
-//                 how many of its machines the blacklist (Eq. 7–8) leaves
-//                 eligible — the blacklist-exchange round — and a shard
-//                 with zero eligible machines is vetoed regardless of
-//                 policy, so cross-shard inter-app anti-affinity steers
-//                 routing instead of producing dead-on-arrival solves.
+//                 deterministic policy (hash / least-utilized). Before the
+//                 parallel solve every shard reports, for each
+//                 anti-affinity-constrained application, how many of its
+//                 machines the blacklist (Eq. 7–8) leaves eligible — the
+//                 blacklist-exchange round — and a shard with zero eligible
+//                 machines is vetoed regardless of policy, so cross-shard
+//                 inter-app anti-affinity steers routing instead of
+//                 producing dead-on-arrival solves.
 //   3. Solve    — shards with work run concurrently; each solver's journal
 //                 emissions are parked in a per-shard capture buffer
 //                 (obs::ScopedDecisionCapture), never touching the global
@@ -52,10 +52,8 @@ namespace aladdin::core {
 // (workload, cluster state, arrival order) — never of addresses, thread
 // interleavings or wall time — so a restarted process routes identically.
 enum class ShardRouting : std::uint8_t {  // analyze:closed_enum
-  kHash = 0,        // FNV-1a of the application name, mod K
-  kLeastUtilized,   // shard with the most free CPU at routing time
-  kConstraintDriven,  // most eligible machines under the app's blacklist;
-                      // falls back to least-utilized for unconstrained apps
+  kHash = 0,       // FNV-1a of the application name, mod K
+  kLeastUtilized,  // shard with the most free CPU at routing time
   kCount
 };
 
@@ -174,10 +172,13 @@ class ShardedScheduler : public sim::Scheduler {
   bool pool_created_ = false;
 
   // Routing state. home_shard_ persists across ticks (an application's
-  // later waves land with its earlier containers); app_slot_ and the
-  // round-app scratch are per-call and reset after use.
+  // later waves land with its earlier containers); app_slot_, app_failed_
+  // and the round-app scratch are per-call and reset after use.
   std::vector<std::int32_t> home_shard_;  // per application, -1 = unrouted
   std::vector<std::int32_t> app_slot_;    // per application, -1 = not seen
+  // Per application: 1 while a spill round left one of its containers
+  // pending (blocks re-homing).
+  std::vector<std::uint8_t> app_failed_;
   struct RoundApp {
     cluster::ApplicationId app;
     int target = -1;

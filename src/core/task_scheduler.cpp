@@ -6,84 +6,23 @@
 
 namespace aladdin::core {
 
-const char* TaskPlacementPolicyName(TaskPlacementPolicy policy) {
-  switch (policy) {
-    case TaskPlacementPolicy::kBestFit:
-      return "best-fit";
-    case TaskPlacementPolicy::kWorstFit:
-      return "worst-fit";
-    case TaskPlacementPolicy::kFirstFit:
-      return "first-fit";
-  }
-  return "?";
-}
-
-TaskScheduler::TaskScheduler(TaskSchedulerOptions options)
-    : options_(options) {}
-
-std::string TaskScheduler::name() const {
-  return std::string("TaskScheduler(") +
-         TaskPlacementPolicyName(options_.policy) + ")";
-}
-
-cluster::MachineId TaskScheduler::PlaceOne(cluster::ClusterState& state,
-                                           cluster::FreeIndex& index,
-                                           cluster::ContainerId task,
-                                           TaskPlacementPolicy policy) {
-  const auto& request =
-      state.containers()[static_cast<std::size_t>(task.value())].request;
-  cluster::MachineId target = cluster::MachineId::Invalid();
-  switch (policy) {
-    case TaskPlacementPolicy::kBestFit:
-      index.ScanAscending(request.cpu_millis(), [&](cluster::MachineId m) {
-        if (!request.FitsIn(state.Free(m))) return false;
-        target = m;
-        return true;
-      });
-      break;
-    case TaskPlacementPolicy::kWorstFit:
-      index.ScanDescending([&](cluster::MachineId m) {
-        // The emptiest machine either fits or nothing does.
-        if (request.FitsIn(state.Free(m))) target = m;
-        return true;
-      });
-      break;
-    case TaskPlacementPolicy::kFirstFit: {
-      const auto machine_count = state.topology().machine_count();
-      for (std::size_t mi = 0; mi < machine_count; ++mi) {
-        const cluster::MachineId m(static_cast<std::int32_t>(mi));
-        if (request.FitsIn(state.Free(m))) {
-          target = m;
-          break;
-        }
-      }
-      break;
-    }
-  }
-  if (target.valid()) {
-    state.Deploy(task, target);
-    index.OnChanged(target);
-    ALADDIN_METRIC_ADD("core/task_placed", 1);
-  }
-  return target;
-}
-
-ALADDIN_HOT std::size_t TaskScheduler::PlaceRun(
+ALADDIN_HOT std::size_t PlaceTaskRun(
     cluster::ClusterState& state, cluster::FreeIndex& index,
     std::span<const cluster::ContainerId> tasks,
     std::span<cluster::MachineId> out) {
   ALADDIN_DCHECK(tasks.size() == out.size())
-      << "PlaceRun out span must match the run";
+      << "PlaceTaskRun out span must match the run";
   if (tasks.empty()) return 0;
   const auto& request =
       state.containers()[static_cast<std::size_t>(tasks[0].value())].request;
 #if ALADDIN_DCHECK_IS_ON()
   for (cluster::ContainerId task : tasks) {
-    ALADDIN_DCHECK(!state.IsPlaced(task)) << "PlaceRun task already placed";
+    ALADDIN_DCHECK(!state.IsPlaced(task))
+        << "PlaceTaskRun task already placed";
     ALADDIN_DCHECK(
         state.containers()[static_cast<std::size_t>(task.value())].request ==
         request)
-        << "PlaceRun requires identical requests across the run";
+        << "PlaceTaskRun requires identical requests across the run";
   }
 #endif
   std::size_t placed = 0;
@@ -129,21 +68,6 @@ ALADDIN_HOT std::size_t TaskScheduler::PlaceRun(
     ALADDIN_METRIC_ADD("core/task_placed", placed);
   }
   return placed;
-}
-
-sim::ScheduleOutcome TaskScheduler::Schedule(
-    const sim::ScheduleRequest& request, cluster::ClusterState& state) {
-  sim::ScheduleOutcome outcome;
-  cluster::FreeIndex index;
-  index.Attach(state);
-  for (cluster::ContainerId task : *request.arrival) {
-    ++outcome.explored_paths;
-    if (!PlaceOne(state, index, task, options_.policy).valid()) {
-      outcome.unplaced.push_back(task);
-    }
-  }
-  outcome.rounds = 1;
-  return outcome;
 }
 
 }  // namespace aladdin::core

@@ -4,69 +4,35 @@
 //
 // Short-lived batch tasks have no LLA constraints and live for minutes, so
 // they skip the flow machinery entirely: a single pass in queue order,
-// placing each task by a simple packing policy over raw resources. The
-// scheduler implements sim::Scheduler (usable standalone for batch-only
-// clusters) and exposes PlaceOne for embedders that interleave task
-// placement with LLA scheduling (the k8s resolver).
+// placing each task on the tightest machine that fits its raw resources
+// (best fit). The k8s resolver interleaves it with LLA scheduling, one run
+// of identical requests at a time.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <string>
 
 #include "cluster/free_index.h"
-#include "sim/scheduler.h"
 
 namespace aladdin::core {
 
-enum class TaskPlacementPolicy {
-  kBestFit,   // tightest machine that fits (packs; the default)
-  kWorstFit,  // emptiest machine (spreads, leaves big holes intact)
-  kFirstFit,  // lowest machine id that fits (classic queue scheduler)
-};
-
-const char* TaskPlacementPolicyName(TaskPlacementPolicy policy);
-
-struct TaskSchedulerOptions {
-  TaskPlacementPolicy policy = TaskPlacementPolicy::kBestFit;
-};
-
-class TaskScheduler : public sim::Scheduler {
- public:
-  explicit TaskScheduler(TaskSchedulerOptions options = {});
-
-  [[nodiscard]] std::string name() const override;
-
-  sim::ScheduleOutcome Schedule(const sim::ScheduleRequest& request,
-                                cluster::ClusterState& state) override;
-
-  // Places one task against an externally maintained index; returns the
-  // machine used (Invalid if nothing fits). Updates state and index.
-  static cluster::MachineId PlaceOne(cluster::ClusterState& state,
-                                     cluster::FreeIndex& index,
-                                     cluster::ContainerId task,
-                                     TaskPlacementPolicy policy);
-
-  // Best-fit run placer (ISSUE 9): places a run of tasks with identical
-  // resource requests, bit-identically to calling PlaceOne(kBestFit) per
-  // task but without the per-task rescan. The current winner absorbs tasks
-  // while the request keeps fitting (deferring its index re-key); when it
-  // stops fitting the scan resumes strictly after the winner's discovery
-  // key (FreeIndex::ScanAscendingFrom) — every earlier key is a machine
-  // that already rejected this request shape and is unchanged, or an
-  // exhausted ex-winner re-keyed below its discovery position. Once a
-  // resumed scan comes up empty, all remaining tasks are unplaced (state
-  // unchanged, so a serial rescan would fail identically). out[i] receives
-  // the machine for tasks[i] (Invalid when unplaced); failures form a
-  // suffix. Returns the number placed. Requires tasks.size() == out.size()
-  // and all tasks unplaced with equal request vectors.
-  static std::size_t PlaceRun(cluster::ClusterState& state,
-                              cluster::FreeIndex& index,
-                              std::span<const cluster::ContainerId> tasks,
-                              std::span<cluster::MachineId> out);
-
- private:
-  TaskSchedulerOptions options_;
-};
+// Best-fit run placer: places a run of tasks with identical
+// resource requests, bit-identically to a per-task best-fit scan (the
+// tightest machine that fits, FreeIndex::ScanAscending) but without the
+// per-task rescan. The current winner absorbs tasks while the request keeps
+// fitting (deferring its index re-key); when it stops fitting the scan
+// resumes strictly after the winner's discovery key
+// (FreeIndex::ScanAscendingFrom) — every earlier key is a machine that
+// already rejected this request shape and is unchanged, or an exhausted
+// ex-winner re-keyed below its discovery position. Once a resumed scan
+// comes up empty, all remaining tasks are unplaced (state unchanged, so a
+// serial rescan would fail identically). out[i] receives the machine for
+// tasks[i] (Invalid when unplaced); failures form a suffix. Returns the
+// number placed. Requires tasks.size() == out.size() and all tasks unplaced
+// with equal request vectors.
+std::size_t PlaceTaskRun(cluster::ClusterState& state,
+                         cluster::FreeIndex& index,
+                         std::span<const cluster::ContainerId> tasks,
+                         std::span<cluster::MachineId> out);
 
 }  // namespace aladdin::core

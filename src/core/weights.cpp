@@ -15,6 +15,7 @@ struct ClassRange {
 
 // Eq. 3: bucket flow magnitudes by priority class.
 std::vector<ClassRange> ClassRanges(const trace::Workload& workload) {
+  // analyze:allow(A102) weights-cache miss only; O(priority classes)
   std::vector<ClassRange> ranges(cluster::kPriorityClasses);
   for (const auto& c : workload.containers()) {
     const auto k = static_cast<std::size_t>(
@@ -34,6 +35,7 @@ std::vector<ClassRange> ClassRanges(const trace::Workload& workload) {
 PriorityWeights ComputeMinimalWeights(const trace::Workload& workload) {
   const auto ranges = ClassRanges(workload);
   PriorityWeights weights;
+  // analyze:allow(A103) weights-cache miss only; O(priority classes)
   weights.weight.assign(ranges.size(), 1);  // Eq. 4: w_1 = 1
   std::int64_t prev_weight = 1;
   std::int64_t prev_max = 0;
@@ -57,6 +59,7 @@ PriorityWeights ComputeMinimalWeights(const trace::Workload& workload) {
 
 PriorityWeights MakeGeometricWeights(int classes, std::int64_t base) {
   PriorityWeights weights;
+  // analyze:allow(A103) weights-cache miss only; O(priority classes)
   weights.weight.reserve(static_cast<std::size_t>(classes));
   std::int64_t w = 1;
   for (int k = 0; k < classes; ++k) {

@@ -97,13 +97,6 @@ void Graph::ResetFlows() {
   for (Arc& a : arcs_) a.flow = 0;
 }
 
-void Graph::SetCapacity(ArcId a, Capacity capacity) {
-  ALADDIN_DCHECK(capacity >= arcs_[Index(a)].flow)
-      << "SetCapacity: capacity " << capacity << " below flow "
-      << arcs_[Index(a)].flow << " on arc " << a;
-  arcs_[Index(a)].capacity = capacity;
-}
-
 Capacity Graph::NetOutflow(VertexId v) const {
   Capacity net = 0;
   for (std::int32_t raw : OutArcs(v)) {

@@ -108,10 +108,6 @@ class Graph {
   // Zero all flows, keeping topology and capacities.
   void ResetFlows();
 
-  // Replace the capacity of an existing arc. Requires new capacity >= flow;
-  // this is what keeps in-place updates ValidateInvariants()-clean.
-  void SetCapacity(ArcId a, Capacity capacity);
-
   // Total flow out of v minus flow into v (positive at a source).
   [[nodiscard]] Capacity NetOutflow(VertexId v) const;
 

@@ -108,13 +108,6 @@ constexpr std::size_t kOldestPendingRows = 10;
 
 }  // namespace
 
-Resolver::Resolver(ModelAdaptor& adaptor, core::AladdinOptions options)
-    : Resolver(adaptor, [&options] {
-        ResolverOptions resolver_options;
-        resolver_options.aladdin = options;
-        return resolver_options;
-      }()) {}
-
 Resolver::Resolver(ModelAdaptor& adaptor, ResolverOptions options)
     : adaptor_(adaptor),
       options_(options),
@@ -407,7 +400,7 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
       }
       // analyze:allow(A103) pooled scratch, capacity retained across ticks
       task_out_.assign(task_run_.size(), cluster::MachineId::Invalid());
-      core::TaskScheduler::PlaceRun(state, free_index_, task_run_, task_out_);
+      core::PlaceTaskRun(state, free_index_, task_run_, task_out_);
       for (std::size_t k = 0; k < task_run_.size(); ++k) {
         const cluster::ContainerId c = task_run_[k];
         const cluster::MachineId m = task_out_[k];

@@ -76,7 +76,11 @@ struct ResolveStats {
 };
 
 struct ResolverOptions {
-  core::AladdinOptions aladdin;
+  // Compaction is off: in the live integration a "compaction" is a
+  // disruptive pod restart, so the resolver only migrates when a placement
+  // needs repair, mirroring Fig. 7's rescheduling rather than continuous
+  // defragmentation.
+  core::AladdinOptions aladdin{.enable_compaction = false};
   // Shard the long-lived solve across this many disjoint machine
   // partitions, solved concurrently (core::ShardedScheduler). 0 and 1 both
   // keep the single, serial AladdinScheduler; from 2 on `aladdin.threads`
@@ -101,9 +105,7 @@ struct ResolverOptions {
 
 class Resolver {
  public:
-  explicit Resolver(ModelAdaptor& adaptor,
-                    core::AladdinOptions options = DefaultOptions());
-  Resolver(ModelAdaptor& adaptor, ResolverOptions options);
+  explicit Resolver(ModelAdaptor& adaptor, ResolverOptions options = {});
 
   // One scheduling pass over the current snapshot. `tick` stamps bindings.
   ResolveStats Resolve(std::int64_t tick, std::vector<Binding>* bindings =
@@ -113,14 +115,9 @@ class Resolver {
   // fed when ResolverOptions::watchdog is set; snapshotting is always safe.
   [[nodiscard]] const obs::Watchdog& watchdog() const { return watchdog_; }
 
-  // Resolver defaults: compaction off — in the live integration a
-  // "compaction" is a disruptive pod restart, so the resolver only
-  // migrates when a placement needs repair, mirroring Fig. 7's
-  // rescheduling rather than continuous defragmentation.
+  // The solver options ResolverOptions{} starts from (compaction off).
   static core::AladdinOptions DefaultOptions() {
-    core::AladdinOptions options;
-    options.enable_compaction = false;
-    return options;
+    return ResolverOptions{}.aladdin;
   }
 
  private:
@@ -165,7 +162,7 @@ class Resolver {
   Arena arena_;
   std::vector<cluster::ContainerId> long_lived_;
   std::vector<PodUid> short_lived_;
-  // Short-lived run-placement scratch (TaskScheduler::PlaceRun).
+  // Short-lived run-placement scratch (core::PlaceTaskRun).
   std::vector<cluster::ContainerId> task_run_;
   std::vector<cluster::MachineId> task_out_;
 

@@ -6,11 +6,6 @@
 
 namespace aladdin::k8s {
 
-ClusterSimulator::ClusterSimulator(core::AladdinOptions options)
-    : resolver_(adaptor_, options) {
-  adaptor_.Attach(ehc_);
-}
-
 ClusterSimulator::ClusterSimulator(ResolverOptions options)
     : resolver_(adaptor_, options) {
   adaptor_.Attach(ehc_);

@@ -25,11 +25,7 @@ namespace aladdin::k8s {
 
 class ClusterSimulator {
  public:
-  explicit ClusterSimulator(
-      core::AladdinOptions options = Resolver::DefaultOptions());
-  // Full control over the resolver options (shards, batch deadline,
-  // watchdog).
-  explicit ClusterSimulator(ResolverOptions options);
+  explicit ClusterSimulator(ResolverOptions options = {});
 
   // --- provisioning ----------------------------------------------------
   // Adds `count` nodes named <prefix>-<index>, round-robined into racks of

@@ -30,7 +30,7 @@ ObsCli::ObsCli(Flags& flags, bool with_obs) {
     journal_ring_ = &flags.Int64("journal_ring",
                                  static_cast<std::int64_t>(
                                      JournalOptions{}.ring_capacity),
-                                 "per-thread journal ring capacity (records)");
+                                 "journal ring capacity (records)");
     timeseries_path_ = &flags.String(
         "timeseries", "",
         "write per-tick time-series snapshots (.csv or .jsonl) to this path");

@@ -1,11 +1,9 @@
 #include "obs/journal.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,45 +52,23 @@ static_assert(sizeof(kKindNames) / sizeof(kKindNames[0]) ==
                   static_cast<std::size_t>(DecisionKind::kCount),
               "kKindNames out of sync with DecisionKind");
 
-// Per-thread ring, same discipline as obs/trace: fixed capacity, oldest
-// overwritten, drops counted, shared ownership so records survive thread
-// exit and are still drained at end of run.
-struct ThreadBuffer {
-  explicit ThreadBuffer(std::size_t capacity) : ring(capacity) {}
-
-  void Append(const Decision& decision) {
-    MutexLock lock(mutex);
-    if (ring.empty()) return;
-    ring[head] = decision;
-    head = (head + 1) % ring.size();
-    if (size < ring.size()) {
-      ++size;
-    } else {
-      ++dropped;
-    }
-  }
-
+// Every emission runs in a serial section (shard workers park theirs under
+// ScopedDecisionCapture), so one ring under the registry lock holds the
+// whole stream, and stamping seq under that lock makes ring order seq order.
+struct JournalRegistry {
   Mutex mutex;
-  std::vector<Decision> ring
-      ALADDIN_GUARDED_BY(mutex);  // fixed capacity; oldest overwritten
+  // Fixed capacity, oldest overwritten, drops counted. Empty until
+  // StartJournal sizes it, so an unjournaled process never pays for it.
+  std::vector<Decision> ring ALADDIN_GUARDED_BY(mutex);
   std::size_t head ALADDIN_GUARDED_BY(mutex) = 0;  // next write position
   std::size_t size ALADDIN_GUARDED_BY(mutex) = 0;
   std::uint64_t dropped ALADDIN_GUARDED_BY(mutex) = 0;
-};
-
-struct JournalRegistry {
-  Mutex mutex;
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers
-      ALADDIN_GUARDED_BY(mutex);
-  std::size_t ring_capacity ALADDIN_GUARDED_BY(mutex) =
-      JournalOptions{}.ring_capacity;
+  std::uint64_t next_seq ALADDIN_GUARDED_BY(mutex) = 0;
+  std::uint64_t emitted ALADDIN_GUARDED_BY(mutex) = 0;
+  std::int64_t tick ALADDIN_GUARDED_BY(mutex) = 0;
   std::string sink_path ALADDIN_GUARDED_BY(mutex);
   // Open iff sink_path is non-empty and Start succeeded.
   std::ofstream sink ALADDIN_GUARDED_BY(mutex);
-
-  std::atomic<std::uint64_t> next_seq{0};
-  std::atomic<std::uint64_t> emitted{0};
-  std::atomic<std::int64_t> tick{0};
 };
 
 JournalRegistry& Journal() {
@@ -100,47 +76,47 @@ JournalRegistry& Journal() {
   return *registry;
 }
 
-ThreadBuffer& ThisThreadBuffer() {
-  thread_local std::shared_ptr<ThreadBuffer> buffer = [] {
-    JournalRegistry& registry = Journal();
-    MutexLock lock(registry.mutex);
-    auto created = std::make_shared<ThreadBuffer>(registry.ring_capacity);
-    registry.buffers.push_back(created);
-    return created;
-  }();
-  return *buffer;
+// Stamps seq/tick on `decision` and appends it to the ring.
+void Append(Decision decision) {
+  JournalRegistry& registry = Journal();
+  MutexLock lock(registry.mutex);
+  decision.seq = registry.next_seq++;
+  decision.tick = registry.tick;
+  ++registry.emitted;
+  if (registry.ring.empty()) return;
+  registry.ring[registry.head] = decision;
+  registry.head = (registry.head + 1) % registry.ring.size();
+  if (registry.size < registry.ring.size()) {
+    ++registry.size;
+  } else {
+    ++registry.dropped;
+  }
 }
 
-// Collects every buffered record in seq order, optionally clearing the
-// rings. The registry lock is held across the buffer sweep so a concurrent
-// StartJournal cannot resize rings mid-collection.
+// Every buffered record, oldest first (= seq order), optionally clearing
+// the ring.
 std::vector<Decision> Collect(bool clear) {
   JournalRegistry& registry = Journal();
   std::vector<Decision> out;
   MutexLock lock(registry.mutex);
-  for (const std::shared_ptr<ThreadBuffer>& buffer : registry.buffers) {
-    MutexLock buffer_lock(buffer->mutex);
-    const std::size_t capacity = buffer->ring.size();
-    if (capacity > 0) {
-      const std::size_t oldest =
-          (buffer->head + capacity - buffer->size) % capacity;
-      for (std::size_t k = 0; k < buffer->size; ++k) {
-        out.push_back(buffer->ring[(oldest + k) % capacity]);
-      }
-    }
-    if (clear) {
-      buffer->head = 0;
-      buffer->size = 0;
+  const std::size_t capacity = registry.ring.size();
+  if (capacity > 0) {
+    const std::size_t oldest =
+        (registry.head + capacity - registry.size) % capacity;
+    out.reserve(registry.size);
+    for (std::size_t k = 0; k < registry.size; ++k) {
+      out.push_back(registry.ring[(oldest + k) % capacity]);
     }
   }
-  std::sort(out.begin(), out.end(), [](const Decision& a, const Decision& b) {
-    return a.seq < b.seq;
-  });
+  if (clear) {
+    registry.head = 0;
+    registry.size = 0;
+  }
   return out;
 }
 
-// Flight-recorder dump on ALADDIN_CHECK failure: write whatever the rings
-// still hold next to the sink (or to a default name in flight-recorder
+// Flight-recorder dump on ALADDIN_CHECK failure: write whatever the ring
+// still holds next to the sink (or to a default name in flight-recorder
 // mode), so a crash leaves the last N decisions behind for explain.py.
 void CrashDumpJournal() {
   static std::atomic<bool> dumping{false};
@@ -234,14 +210,13 @@ void StartJournal(const JournalOptions& options) {
   JournalRegistry& registry = Journal();
   {
     MutexLock lock(registry.mutex);
-    registry.ring_capacity = options.ring_capacity;
-    for (const std::shared_ptr<ThreadBuffer>& buffer : registry.buffers) {
-      MutexLock buffer_lock(buffer->mutex);
-      buffer->ring.assign(options.ring_capacity, Decision{});
-      buffer->head = 0;
-      buffer->size = 0;
-      buffer->dropped = 0;
-    }
+    registry.ring.assign(options.ring_capacity, Decision{});
+    registry.head = 0;
+    registry.size = 0;
+    registry.dropped = 0;
+    registry.next_seq = 0;
+    registry.emitted = 0;
+    registry.tick = 0;
     if (registry.sink.is_open()) registry.sink.close();
     registry.sink_path = options.jsonl_path;
     if (!registry.sink_path.empty()) {
@@ -252,9 +227,6 @@ void StartJournal(const JournalOptions& options) {
         registry.sink_path.clear();
       }
     }
-    registry.next_seq.store(0, std::memory_order_relaxed);
-    registry.emitted.store(0, std::memory_order_relaxed);
-    registry.tick.store(0, std::memory_order_relaxed);
   }
   SetCheckFailureHook(&CrashDumpJournal);
   internal::SetModeBit(kJournal, true);
@@ -271,17 +243,13 @@ bool JournalSinkOpen() {
 void SetJournalTick(std::int64_t tick) {
   if (!JournalEnabled()) return;
   JournalRegistry& registry = Journal();
-  registry.tick.store(tick, std::memory_order_relaxed);
   bool has_sink = false;
   {
     MutexLock lock(registry.mutex);
+    registry.tick = tick;
     has_sink = registry.sink.is_open();
   }
   if (has_sink) (void)FlushJournal();
-}
-
-std::int64_t JournalTick() {
-  return Journal().tick.load(std::memory_order_relaxed);
 }
 
 void EmitDecision(DecisionKind kind, Cause cause, std::int32_t container,
@@ -301,11 +269,7 @@ void EmitDecision(DecisionKind kind, Cause cause, std::int32_t container,
     g_capture.sink->push_back(decision);
     return;
   }
-  JournalRegistry& registry = Journal();
-  decision.seq = registry.next_seq.fetch_add(1, std::memory_order_relaxed);
-  decision.tick = registry.tick.load(std::memory_order_relaxed);
-  registry.emitted.fetch_add(1, std::memory_order_relaxed);
-  ThisThreadBuffer().Append(decision);
+  Append(decision);
 }
 
 ScopedDecisionCapture::ScopedDecisionCapture(std::vector<Decision>* sink,
@@ -321,16 +285,8 @@ ScopedDecisionCapture::~ScopedDecisionCapture() {
 }
 
 void EmitCapturedDecisions(const std::vector<Decision>& decisions) {
-  if (!JournalEnabled() || decisions.empty()) return;
-  JournalRegistry& registry = Journal();
-  ThreadBuffer& buffer = ThisThreadBuffer();
-  for (const Decision& captured : decisions) {
-    Decision decision = captured;
-    decision.seq = registry.next_seq.fetch_add(1, std::memory_order_relaxed);
-    decision.tick = registry.tick.load(std::memory_order_relaxed);
-    registry.emitted.fetch_add(1, std::memory_order_relaxed);
-    buffer.Append(decision);
-  }
+  if (!JournalEnabled()) return;
+  for (const Decision& captured : decisions) Append(captured);
 }
 
 std::vector<Decision> JournalSnapshot() { return Collect(/*clear=*/false); }
@@ -338,16 +294,13 @@ std::vector<Decision> JournalSnapshot() { return Collect(/*clear=*/false); }
 std::uint64_t DroppedJournalDecisions() {
   JournalRegistry& registry = Journal();
   MutexLock lock(registry.mutex);
-  std::uint64_t dropped = 0;
-  for (const std::shared_ptr<ThreadBuffer>& buffer : registry.buffers) {
-    MutexLock buffer_lock(buffer->mutex);
-    dropped += buffer->dropped;
-  }
-  return dropped;
+  return registry.dropped;
 }
 
 std::uint64_t EmittedJournalDecisions() {
-  return Journal().emitted.load(std::memory_order_relaxed);
+  JournalRegistry& registry = Journal();
+  MutexLock lock(registry.mutex);
+  return registry.emitted;
 }
 
 std::string DecisionToJson(const Decision& decision) {
@@ -419,25 +372,14 @@ bool DecisionFromJson(const std::string& line, Decision* decision) {
   return true;
 }
 
-std::string JournalToJsonl() {
-  const std::vector<Decision> decisions = Collect(/*clear=*/false);
-  std::string out;
-  out.reserve(decisions.size() * 96);
-  for (const Decision& d : decisions) {
-    out += DecisionToJson(d);
-    out += '\n';
-  }
-  return out;
-}
-
 bool FlushJournal() {
   JournalRegistry& registry = Journal();
   {
     MutexLock lock(registry.mutex);
     if (!registry.sink.is_open()) return true;
   }
-  // Collect (which clears the rings) outside the registry write below so the
-  // buffer locks are not held while touching the filesystem.
+  // Collect (which clears the ring) takes the lock itself; the write below
+  // re-takes it.
   const std::vector<Decision> decisions = Collect(/*clear=*/true);
   MutexLock lock(registry.mutex);
   if (!registry.sink.is_open()) return true;

@@ -5,23 +5,25 @@
 //
 //   obs::StartJournal({.jsonl_path = "run.journal.jsonl"});
 //   ... run the scheduler (resolver calls SetJournalTick per tick) ...
-//   obs::FinishJournal();                 // drain the rings to the sink
+//   obs::FinishJournal();                 // drain the ring to the sink
 //
 // Emission sites all live in *serial* sections of the pipeline (the
-// augmentation loop, repair/compaction transactions, reconcile) — parallel
-// search workers never emit — so the global sequence number is assigned in
-// program order and the drained stream is bit-identical for --threads 1 and
-// --threads N, the same guarantee the metrics registry gives (PR 2/3).
+// augmentation loop, repair/compaction transactions, reconcile); the one
+// concurrent section, the sharded coordinator's shard solves, parks its
+// records under ScopedDecisionCapture and replays them serially. So the
+// global sequence number is assigned in program order and the drained
+// stream is bit-identical for any --threads, the same guarantee the metrics
+// registry gives.
 //
-// Storage reuses the per-thread ring discipline of obs/trace: fixed-size
-// rings, oldest records overwritten, drops counted. With a JSONL sink
-// configured the rings are drained at every tick boundary (SetJournalTick)
-// so nothing wraps on long runs; without one they act as a bounded
-// flight recorder, dumped to disk by a common/check failure hook so a crash
-// leaves the last N decisions behind (see StartJournal).
+// Storage is one fixed-size ring, sized by StartJournal: oldest records
+// overwritten, drops counted. With a JSONL sink configured the ring is
+// drained at every tick boundary (SetJournalTick) so nothing wraps on long
+// runs; without one it acts as a bounded flight recorder, dumped to disk by
+// a common/check failure hook so a crash leaves the last N decisions behind
+// (see StartJournal).
 //
 // Cost when disabled: call sites guard on obs::JournalEnabled() — one
-// relaxed atomic load — and ALADDIN_OBS=OFF compiles that to `false`.
+// relaxed atomic load.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +50,7 @@ enum class Cause : std::uint8_t {  // analyze:closed_enum
   kAntiAffinityIntraApp,  // Eq. 7–8: blocked by the container's own app
   kAntiAffinityInterApp,  // Eq. 7–8: blocked by conflicting applications
   kNoAdmissiblePath,      // mixed/unknown blockers (defensive fallback)
-  kRepairAttemptBudget,   // repair gave up after max_attempts_per_container
+  kRepairAttemptBudget,   // repair gave up after its per-container attempts
   // Movement causes.
   kMigratedForRepair,     // moved aside to admit a blocked container
   kMigratedForRebalance,  // moved by the compaction pass (Fig. 7c)
@@ -94,7 +96,7 @@ enum class DecisionKind : std::uint8_t {  // analyze:closed_enum
 [[nodiscard]] const char* DecisionKindName(DecisionKind kind);
 
 // One journal record. Ids are raw int32 values of the cluster:: id types
-// (-1 = not applicable) so the record stays a flat POD the rings can copy.
+// (-1 = not applicable) so the record stays a flat POD the ring can copy.
 struct Decision {
   std::uint64_t seq = 0;      // global emission order (deterministic)
   std::int64_t tick = 0;      // resolver tick (0 for one-shot Schedule calls)
@@ -111,16 +113,16 @@ struct Decision {
 };
 
 struct JournalOptions {
-  // Records retained per thread before the oldest are overwritten.
+  // Records retained before the oldest are overwritten.
   std::size_t ring_capacity = 1 << 16;
   // JSONL sink; empty means flight-recorder mode (in-memory ring only).
   std::string jsonl_path;
 };
 
-// Clears the rings, opens the sink (if any), installs the check-failure
-// flight-recorder hook, and arms the journal mode bit. A sink that fails
-// to open is reported and dropped (flight-recorder mode); callers that
-// must have the file check JournalSinkOpen() afterwards.
+// Sizes and clears the ring, opens the sink (if any), installs the
+// check-failure flight-recorder hook, and arms the journal mode bit. A sink
+// that fails to open is reported and dropped (flight-recorder mode);
+// callers that must have the file check JournalSinkOpen() afterwards.
 void StartJournal(const JournalOptions& options = {});
 // True iff a JSONL sink is currently open.
 [[nodiscard]] bool JournalSinkOpen();
@@ -128,9 +130,8 @@ void StartJournal(const JournalOptions& options = {});
 void StopJournal();
 
 // Tick stamp for subsequent decisions. With a sink configured this also
-// drains the rings, so per-thread buffers never wrap across ticks.
+// drains the ring, so it never wraps across ticks.
 void SetJournalTick(std::int64_t tick);
-[[nodiscard]] std::int64_t JournalTick();
 
 // Appends one record (no-op unless the journal bit is armed). Must only be
 // called from serial sections — the seq counter is assigned in call order
@@ -146,7 +147,7 @@ void EmitDecision(DecisionKind kind, Cause cause, std::int32_t container,
 //
 // While a ScopedDecisionCapture is live on a thread, EmitDecision calls on
 // that thread append to `sink` with no sequence number and `shard` stamped,
-// instead of reaching the global rings. The coordinator later replays each
+// instead of reaching the global ring. The coordinator later replays each
 // shard's buffer in fixed shard order via EmitCapturedDecisions — which
 // assigns seq/tick in call order from a serial section — so the drained
 // stream is bit-identical regardless of how many worker threads ran the
@@ -183,10 +184,7 @@ void EmitCapturedDecisions(const std::vector<Decision>& decisions);
 [[nodiscard]] bool DecisionFromJson(const std::string& line,
                                     Decision* decision);
 
-// The current buffer serialised as JSONL (one record per line, seq order).
-[[nodiscard]] std::string JournalToJsonl();
-
-// Appends buffered records to the configured sink and clears the rings.
+// Appends buffered records to the configured sink and clears the ring.
 // No-op (true) without a sink. False on I/O failure.
 bool FlushJournal();
 // StopJournal + final flush + sink close. False on I/O failure.

@@ -6,22 +6,6 @@
 
 namespace aladdin::obs {
 
-const char* SpanStateName(SpanState state) {
-  switch (state) {
-    case SpanState::kNever:
-      return "never";
-    case SpanState::kPending:
-      return "pending";
-    case SpanState::kPlaced:
-      return "placed";
-    case SpanState::kRetired:
-      return "retired";
-    case SpanState::kCount:
-      break;
-  }
-  return "?";
-}
-
 const LifecycleSpan* LifecycleLedger::SpanPtr(std::int32_t container) const {
   const auto i = static_cast<std::size_t>(container);
   if (container < 0 || i >= spans_.size()) return nullptr;

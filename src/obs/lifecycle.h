@@ -38,8 +38,6 @@ enum class SpanState : std::uint8_t {  // analyze:closed_enum
   kCount
 };
 
-[[nodiscard]] const char* SpanStateName(SpanState state);
-
 struct LifecycleSpan {
   std::int32_t container = -1;
   std::int32_t app = -1;

@@ -2,12 +2,12 @@
 // Phase timers behind the obs/runtime.h kill switches.
 //
 // Counters and phase timers are *sharded*: each thread writes its own
-// cache-line-padded cell (relaxed atomics), so the parallel admissible-path
-// search never contends on a metric, and reads sum the shards. Because every
-// increment is an exact integer add, counter totals are bit-identical
-// between serial and parallel runs of the same work — tools/perf_compare.py
-// identity-checks them (unit "count"), while phase times export as time
-// units and are only ratio-checked.
+// cache-line-padded cell (relaxed atomics), so concurrent shard solves never
+// contend on a metric, and reads sum the shards. Because every increment is
+// an exact integer add, counter totals are bit-identical between serial and
+// parallel runs of the same work — tools/perf_compare.py identity-checks
+// them (unit "count"), while phase times export as time units and are only
+// ratio-checked.
 //
 // Call-site idiom (one registry lookup ever, then a relaxed load + add):
 //
@@ -256,7 +256,6 @@ void ExportMetrics(BenchJson& out);
 // Human-readable dump for --metrics stdout.
 [[nodiscard]] std::string FormatMetrics();
 
-#if ALADDIN_OBS_ENABLED
 // One interned-lookup-then-add counter bump; no-op while metrics are off.
 #define ALADDIN_METRIC_ADD(name, delta)                           \
   do {                                                            \
@@ -285,24 +284,5 @@ void ExportMetrics(BenchJson& out);
           static_cast<double>(value));                            \
     }                                                             \
   } while (false)
-#else
-// sizeof keeps the operands type-checked and "used" without evaluating them.
-#define ALADDIN_METRIC_ADD(name, delta)              \
-  do {                                               \
-    (void)sizeof(name);                              \
-    (void)sizeof(delta);                             \
-  } while (false)
-#define ALADDIN_METRIC_GAUGE_SET(name, value)        \
-  do {                                               \
-    (void)sizeof(name);                              \
-    (void)sizeof(value);                             \
-  } while (false)
-#define ALADDIN_METRIC_OBSERVE(name, unit, value)    \
-  do {                                               \
-    (void)sizeof(name);                              \
-    (void)sizeof(unit);                              \
-    (void)sizeof(value);                             \
-  } while (false)
-#endif
 
 }  // namespace aladdin::obs

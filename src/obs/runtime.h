@@ -1,27 +1,19 @@
-// Observability kill switches.
+// Observability kill switch.
 //
-// The obs layer (metrics registry + scoped tracing) must cost nothing when
-// nobody is looking at it, so it is gated twice:
+// The obs layer (metrics registry, scoped tracing, decision journal) must
+// cost nothing when nobody is looking at it, so it is gated by a
+// process-global mode mask, read with one relaxed atomic load at the top of
+// every instrumented scope. With every bit clear a scope is a load +
+// branch; no clock is read, no cell is touched.
 //
-//  * compile time — building with -DALADDIN_OBS_ENABLED=0 (CMake option
-//    ALADDIN_OBS=OFF) compiles every ALADDIN_TRACE_* / ALADDIN_METRIC_*
-//    macro down to nothing; the obs library still links so the snapshot /
-//    export API keeps working (it just reports an empty registry);
-//  * run time — a process-global mode mask, read with one relaxed atomic
-//    load at the top of every instrumented scope. With both bits clear a
-//    scope is a load + branch; no clock is read, no cell is touched.
-//
-// The two bits are independent: kMetrics arms the counters, gauges,
-// histograms and phase-time accumulators; kTracing arms the per-thread
-// trace-event ring buffers. Benches typically enable both (--metrics /
-// --trace); the library default is everything off.
+// The bits are independent: kMetrics arms the counters, gauges, histograms
+// and phase-time accumulators; kTracing arms the per-thread trace-event
+// ring buffers; kJournal arms the decision journal. Benches typically
+// enable metrics and tracing (--metrics / --trace); the library default is
+// everything off.
 #pragma once
 
 #include <cstdint>
-
-#ifndef ALADDIN_OBS_ENABLED
-#define ALADDIN_OBS_ENABLED 1
-#endif
 
 namespace aladdin::obs {
 
@@ -41,11 +33,7 @@ enum ModeBits : std::uint32_t {
   return (CurrentMode() & kTracing) != 0;
 }
 [[nodiscard]] inline bool JournalEnabled() {
-#if ALADDIN_OBS_ENABLED
   return (CurrentMode() & kJournal) != 0;
-#else
-  return false;
-#endif
 }
 
 // Arms / disarms the metrics side. Cheap; callable at any time.

@@ -238,6 +238,7 @@ SloSnapshot SloEngine::Snapshot(std::size_t app_rows) const {
     ++snap.apps_total;
     SloAppRow row;
     row.app = static_cast<std::int32_t>(i);
+    // analyze:allow(A102) the empty-string fallback does not allocate
     row.name = i < app_names_.size() ? app_names_[i] : std::string{};
     row.admitted = app.admitted;
     row.within = app.within;
@@ -258,6 +259,7 @@ SloSnapshot SloEngine::Snapshot(std::size_t app_rows) const {
               if (a.admitted != b.admitted) return a.admitted > b.admitted;
               return a.app < b.app;
             });
+  // analyze:allow(A103) truncation to app_rows, never grows
   if (snap.apps.size() > app_rows) snap.apps.resize(app_rows);
 
   for (std::size_t s = 0; s < shards_.size(); ++s) {

@@ -26,7 +26,7 @@
 // tracing and the per-tick phase breakdown share one instrumentation point.
 //
 // Cost when disabled: one relaxed atomic load and a branch per scope — no
-// clock read, no allocation. Compile out entirely with ALADDIN_OBS=OFF.
+// clock read, no allocation.
 #pragma once
 
 #include <cstdint>
@@ -96,7 +96,6 @@ class ScopedTrace {
 #define ALADDIN_OBS_CONCAT_INNER(a, b) a##b
 #define ALADDIN_OBS_CONCAT(a, b) ALADDIN_OBS_CONCAT_INNER(a, b)
 
-#if ALADDIN_OBS_ENABLED
 #define ALADDIN_OBS_SCOPE_IMPL(name, exclusive)                           \
   static ::aladdin::obs::Phase& ALADDIN_OBS_CONCAT(obs_phase_,            \
                                                    __LINE__) =            \
@@ -123,24 +122,5 @@ class ScopedTrace {
           name, static_cast<double>(value));                              \
     }                                                                     \
   } while (false)
-#else
-#define ALADDIN_TRACE_SCOPE(name) \
-  do {                            \
-    (void)sizeof(name);           \
-  } while (false)
-#define ALADDIN_PHASE_SCOPE(name) \
-  do {                            \
-    (void)sizeof(name);           \
-  } while (false)
-#define ALADDIN_TRACE_INSTANT(name) \
-  do {                              \
-    (void)sizeof(name);             \
-  } while (false)
-#define ALADDIN_TRACE_COUNTER(name, value) \
-  do {                                     \
-    (void)sizeof(name);                    \
-    (void)sizeof(value);                   \
-  } while (false)
-#endif
 
 }  // namespace aladdin::obs

@@ -51,14 +51,6 @@ const char* AlertKindName(AlertKind kind) {
   return kAlertKindNames[i];
 }
 
-AlertKind AlertKindFromName(const std::string& name) {
-  for (std::size_t i = 0; i < static_cast<std::size_t>(AlertKind::kCount);
-       ++i) {
-    if (name == kAlertKindNames[i]) return static_cast<AlertKind>(i);
-  }
-  return AlertKind::kCount;
-}
-
 const char* AlertSeverityName(AlertSeverity severity) {
   const auto i = static_cast<std::size_t>(severity);
   if (i >= static_cast<std::size_t>(AlertSeverity::kCount)) return "?";

@@ -49,8 +49,6 @@ enum class AlertKind : std::uint8_t {  // analyze:closed_enum
 };
 
 [[nodiscard]] const char* AlertKindName(AlertKind kind);
-// Inverse of AlertKindName; returns kCount for unknown names.
-[[nodiscard]] AlertKind AlertKindFromName(const std::string& name);
 
 enum class AlertSeverity : std::uint8_t {  // analyze:closed_enum
   kWarning = 0,  // breached the configured threshold

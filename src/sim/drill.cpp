@@ -73,7 +73,6 @@ k8s::ResolverOptions BaseResolverOptions(const DrillOptions& options) {
   resolver.watchdog_options = MaskFor(options.scenario);
   resolver.shards = options.shards;
   resolver.aladdin.threads = options.threads;
-  resolver.aladdin.enable_compaction = false;
   return resolver;
 }
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/log.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/trace.h"
 
@@ -53,15 +52,6 @@ trace::Workload MakeBenchWorkload(double scale, std::uint64_t seed) {
 std::size_t BenchMachineCount(double scale) {
   return std::max<std::size_t>(
       16, static_cast<std::size_t>(std::llround(10000.0 * scale)));
-}
-
-std::vector<RunMetrics> RunSweep(std::vector<std::function<RunMetrics()>> jobs,
-                                 std::size_t threads) {
-  std::vector<RunMetrics> results(jobs.size());
-  ThreadPool pool(threads);
-  ParallelFor(pool, 0, jobs.size(),
-              [&](std::size_t i) { results[i] = jobs[i](); });
-  return results;
 }
 
 }  // namespace aladdin::sim

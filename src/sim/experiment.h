@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -42,13 +41,5 @@ trace::Workload MakeBenchWorkload(double scale, std::uint64_t seed = 42);
 // The paper's machine/container proportion: 10,000 machines for the scale-1
 // trace, scaled linearly (minimum 16).
 std::size_t BenchMachineCount(double scale);
-
-// Runs independent experiment jobs across a thread pool (one scheduler
-// instance per job — Scheduler implementations are not thread-safe, so jobs
-// must construct their own). Results land at the job's index; execution
-// order is unspecified but the output is deterministic because each job is.
-// threads == 0 uses the hardware concurrency.
-std::vector<RunMetrics> RunSweep(
-    std::vector<std::function<RunMetrics()>> jobs, std::size_t threads = 0);
 
 }  // namespace aladdin::sim

@@ -8,7 +8,6 @@
 
 #include "cluster/state.h"
 #include "obs/journal.h"
-#include "obs/metrics.h"
 #include "trace/arrival.h"
 #include "trace/workload.h"
 
@@ -37,11 +36,6 @@ struct ScheduleOutcome {
   std::int64_t rounds = 0;          // scheduling rounds (Firmament) / passes
   std::int64_t il_prunes = 0;       // isomorphism-limiting skips (Aladdin)
   std::int64_t dl_stops = 0;        // depth-limiting terminations (Aladdin)
-
-  // Where the wall time went, from the obs phase registry (empty unless
-  // metrics were armed — see obs/runtime.h). Exclusive entries partition
-  // the call; nested ones (core/find_machine, flow/*) overlap them.
-  std::vector<obs::PhaseDelta> phases;
 };
 
 class Scheduler {

@@ -8,7 +8,7 @@
 //     search counters, machine epochs — including anti-affinity fixtures
 //     that force the per-container fallback, and it disengages entirely
 //     without DL;
-//   * core::TaskScheduler::PlaceRun equals per-task PlaceOne(kBestFit);
+//   * core::PlaceTaskRun equals a per-task best-fit scan;
 //   * a batch deadline only defers (never loses) pods.
 //
 // These run under the asan/tsan presets too.
@@ -215,8 +215,27 @@ TEST(GroupWaterfall, DisengagesWithoutDepthLimiting) {
 
 // ------------------------------------------------ task-run placement ----
 
-// PlaceRun == per-task PlaceOne(kBestFit), including winner exhaustion
-// mid-run and the all-fail suffix, under randomized pre-occupancy.
+// Reference per-task best fit: rescan the index for the tightest machine
+// that fits, deploy, re-key. PlaceTaskRun must reproduce it task by task.
+MachineId PlaceOneBestFit(cluster::ClusterState& state,
+                          cluster::FreeIndex& index, ContainerId task) {
+  const auto& request =
+      state.containers()[static_cast<std::size_t>(task.value())].request;
+  MachineId target = MachineId::Invalid();
+  index.ScanAscending(request.cpu_millis(), [&](MachineId m) {
+    if (!request.FitsIn(state.Free(m))) return false;
+    target = m;
+    return true;
+  });
+  if (target.valid()) {
+    state.Deploy(task, target);
+    index.OnChanged(target);
+  }
+  return target;
+}
+
+// PlaceTaskRun == per-task best fit, including winner exhaustion mid-run
+// and the all-fail suffix, under randomized pre-occupancy.
 TEST(TaskRunPlacement, PlaceRunMatchesPlaceOnePerTask) {
   for (const std::uint64_t seed : {3u, 17u, 29u, 71u}) {
     Rng rng(seed);
@@ -253,14 +272,13 @@ TEST(TaskRunPlacement, PlaceRunMatchesPlaceOnePerTask) {
       tasks.emplace_back(static_cast<std::int32_t>(i));
     }
     std::vector<MachineId> run_out(tasks.size(), MachineId::Invalid());
-    const std::size_t placed = core::TaskScheduler::PlaceRun(
-        run_state, run_index, tasks, run_out);
+    const std::size_t placed =
+        core::PlaceTaskRun(run_state, run_index, tasks, run_out);
 
     std::size_t one_placed = 0;
     std::vector<MachineId> one_out;
     for (const ContainerId task : tasks) {
-      const MachineId m = core::TaskScheduler::PlaceOne(
-          one_state, one_index, task, core::TaskPlacementPolicy::kBestFit);
+      const MachineId m = PlaceOneBestFit(one_state, one_index, task);
       one_out.push_back(m);
       if (m.valid()) ++one_placed;
     }
@@ -291,7 +309,6 @@ TEST(TaskRunPlacement, PlaceRunMatchesPlaceOnePerTask) {
 // the next boundary without losing pods.
 TEST(ResolverBatch, DeadlineDefersThenCatchesUp) {
   k8s::ResolverOptions deferred_options;
-  deferred_options.aladdin = k8s::Resolver::DefaultOptions();
   deferred_options.batch_deadline_ticks = 2;
   k8s::ClusterSimulator sim(deferred_options);
   sim.AddNodes(16, cluster::ResourceVector::Cores(32, 64), "node", 4, 2);

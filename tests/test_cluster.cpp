@@ -312,16 +312,27 @@ TEST_F(StateTest, AppsOnTracksCounts) {
 
 // --------------------------------------------------------- free index ----
 
+// The single tightest machine with free CPU >= need, or Invalid: the first
+// machine an ascending scan from `need` visits.
+MachineId TightestWithAtLeast(const FreeIndex& index, std::int64_t need) {
+  MachineId found = MachineId::Invalid();
+  index.ScanAscending(need, [&found](MachineId m) {
+    found = m;
+    return true;
+  });
+  return found;
+}
+
 TEST_F(StateTest, FreeIndexTightest) {
   ClusterState state = wl_.MakeState(topo_);
   state.Deploy(C(web_, 0), MachineId(0));  // machine 0 has 24 cores free
   FreeIndex index;
   index.Attach(state);
   // Tightest machine with >= 20 cores free is machine 0 (24 < 32).
-  EXPECT_EQ(index.TightestWithAtLeast(20000), MachineId(0));
+  EXPECT_EQ(TightestWithAtLeast(index, 20000), MachineId(0));
   // Tightest with >= 30 cores is the first untouched machine.
-  EXPECT_EQ(index.TightestWithAtLeast(30000), MachineId(1));
-  EXPECT_FALSE(index.TightestWithAtLeast(33000).valid());
+  EXPECT_EQ(TightestWithAtLeast(index, 30000), MachineId(1));
+  EXPECT_FALSE(TightestWithAtLeast(index, 33000).valid());
 }
 
 TEST_F(StateTest, FreeIndexOnChanged) {
@@ -330,7 +341,7 @@ TEST_F(StateTest, FreeIndexOnChanged) {
   index.Attach(state);
   state.Deploy(C(web_, 0), MachineId(2));
   index.OnChanged(MachineId(2));
-  EXPECT_EQ(index.TightestWithAtLeast(20000), MachineId(2));
+  EXPECT_EQ(TightestWithAtLeast(index, 20000), MachineId(2));
 }
 
 TEST_F(StateTest, FreeIndexScanOrder) {

@@ -335,7 +335,7 @@ TEST(Repair, MigrationScenarioFig3b) {
   network.Deploy(wl.application(a).containers[0], m_big);
 
   const PriorityWeights weights = ComputeMinimalWeights(wl);
-  RepairEngine repair(network, weights, RepairOptions{});
+  RepairEngine repair(network, weights);
   SearchCounters counters;
   const auto unplaced = repair.Repair({wl.application(b).containers[0]},
                                       SearchOptions{}, counters);
@@ -365,7 +365,7 @@ TEST(Repair, PreemptionOnlyAgainstLowerWeightedFlow) {
     AggregatedNetwork network(topo);
     network.Attach(&state);
     network.Deploy(wl.application(low).containers[0], MachineId(0));
-    RepairEngine repair(network, weights, RepairOptions{});
+    RepairEngine repair(network, weights);
     SearchCounters counters;
     const auto unplaced = repair.Repair({wl.application(high).containers[0]},
                                         SearchOptions{}, counters);
@@ -382,7 +382,7 @@ TEST(Repair, PreemptionOnlyAgainstLowerWeightedFlow) {
     AggregatedNetwork network(topo);
     network.Attach(&state);
     network.Deploy(wl.application(high).containers[0], MachineId(0));
-    RepairEngine repair(network, weights, RepairOptions{});
+    RepairEngine repair(network, weights);
     SearchCounters counters;
     const auto unplaced = repair.Repair({wl.application(low).containers[0]},
                                         SearchOptions{}, counters);
@@ -408,7 +408,7 @@ TEST(Repair, RollbackRestoresStateWhenImpossible) {
   network.Deploy(wl.application(a).containers[0], MachineId(0));
 
   const PriorityWeights weights = ComputeMinimalWeights(wl);
-  RepairEngine repair(network, weights, RepairOptions{});
+  RepairEngine repair(network, weights);
   SearchCounters counters;
   const auto unplaced = repair.Repair({wl.application(b).containers[0]},
                                       SearchOptions{}, counters);
@@ -445,7 +445,7 @@ TEST(Repair, Fig7TwoDimensionalRescheduling) {
                    .valid());
 
   const PriorityWeights weights = ComputeMinimalWeights(wl);
-  RepairEngine repair(network, weights, RepairOptions{});
+  RepairEngine repair(network, weights);
   const auto unplaced = repair.Repair({wl.application(s3).containers[0]},
                                       SearchOptions{}, counters);
   EXPECT_TRUE(unplaced.empty());
@@ -469,7 +469,7 @@ TEST(Repair, CompactionDrainsLightMachines) {
                    MachineId(i));
   }
   const PriorityWeights weights = ComputeMinimalWeights(wl);
-  RepairEngine repair(network, weights, RepairOptions{});
+  RepairEngine repair(network, weights);
   SearchCounters counters;
   const int freed = repair.Compact(SearchOptions{}, counters, 5, 100);
   EXPECT_GE(freed, 2);
@@ -490,7 +490,7 @@ TEST(Repair, CompactionRespectsMigrationBudget) {
                    MachineId(i));
   }
   const PriorityWeights weights = ComputeMinimalWeights(wl);
-  RepairEngine repair(network, weights, RepairOptions{});
+  RepairEngine repair(network, weights);
   SearchCounters counters;
   repair.Compact(SearchOptions{}, counters, 5, /*migration_budget=*/2);
   EXPECT_LE(state.migrations(), 2);
@@ -511,7 +511,7 @@ TEST(Repair, CompactionNeverViolatesConstraints) {
   }
   (void)app;
   const PriorityWeights weights = ComputeMinimalWeights(wl);
-  RepairEngine repair(network, weights, RepairOptions{});
+  RepairEngine repair(network, weights);
   SearchCounters counters;
   repair.Compact(SearchOptions{}, counters, 5, 100);
   EXPECT_TRUE(cluster::CollectColocationViolations(state).empty());
@@ -675,59 +675,33 @@ TEST(AladdinScheduler, SchedulesFullBenchWorkloadCleanly) {
 
 // ------------------------------------------------------ task scheduler ----
 
+// Places every container of `wl` — one application, so one run of identical
+// requests — with the short-lived task run placer, in submission order.
+// Returns how many stayed unplaced.
+std::size_t PlaceTasks(const Workload& wl, cluster::ClusterState& state) {
+  const auto arrival =
+      trace::MakeArrivalSequence(wl, trace::ArrivalOrder::kFifo);
+  cluster::FreeIndex index;
+  index.Attach(state);
+  std::vector<MachineId> out(arrival.size());
+  return arrival.size() - PlaceTaskRun(state, index, arrival, out);
+}
+
 TEST(TaskScheduler, BestFitPacks) {
   Workload wl;
   wl.AddApplication("batch", 8, ResourceVector::Cores(4, 8));
   const Topology topo = Topology::Uniform(4, ResourceVector::Cores(32, 64));
-  TaskScheduler scheduler;  // best-fit default
-  const auto arrival = trace::MakeArrivalSequence(wl, trace::ArrivalOrder::kFifo);
   auto state = wl.MakeState(topo);
-  sim::ScheduleRequest request{&wl, &arrival};
-  const auto outcome = scheduler.Schedule(request, state);
-  EXPECT_TRUE(outcome.unplaced.empty());
+  EXPECT_EQ(PlaceTasks(wl, state), 0u);
   EXPECT_EQ(state.UsedMachineCount(), 1u);  // 8 x 4 = 32 cores on one box
-}
-
-TEST(TaskScheduler, WorstFitSpreads) {
-  Workload wl;
-  wl.AddApplication("batch", 4, ResourceVector::Cores(4, 8));
-  const Topology topo = Topology::Uniform(4, ResourceVector::Cores(32, 64));
-  TaskSchedulerOptions options;
-  options.policy = TaskPlacementPolicy::kWorstFit;
-  TaskScheduler scheduler(options);
-  const auto arrival = trace::MakeArrivalSequence(wl, trace::ArrivalOrder::kFifo);
-  auto state = wl.MakeState(topo);
-  sim::ScheduleRequest request{&wl, &arrival};
-  scheduler.Schedule(request, state);
-  EXPECT_EQ(state.UsedMachineCount(), 4u);  // one per machine
-}
-
-TEST(TaskScheduler, FirstFitUsesLowestIds) {
-  Workload wl;
-  const auto app = wl.AddApplication("batch", 3, ResourceVector::Cores(8, 16));
-  const Topology topo = Topology::Uniform(4, ResourceVector::Cores(32, 64));
-  TaskSchedulerOptions options;
-  options.policy = TaskPlacementPolicy::kFirstFit;
-  TaskScheduler scheduler(options);
-  const auto arrival = trace::MakeArrivalSequence(wl, trace::ArrivalOrder::kFifo);
-  auto state = wl.MakeState(topo);
-  sim::ScheduleRequest request{&wl, &arrival};
-  scheduler.Schedule(request, state);
-  for (ContainerId c : wl.application(app).containers) {
-    EXPECT_EQ(state.PlacementOf(c), MachineId(0));
-  }
 }
 
 TEST(TaskScheduler, ReportsUnplacedWhenFull) {
   Workload wl;
   wl.AddApplication("batch", 3, ResourceVector::Cores(32, 64));
   const Topology topo = Topology::Uniform(2, ResourceVector::Cores(32, 64));
-  TaskScheduler scheduler;
-  const auto arrival = trace::MakeArrivalSequence(wl, trace::ArrivalOrder::kFifo);
   auto state = wl.MakeState(topo);
-  sim::ScheduleRequest request{&wl, &arrival};
-  const auto outcome = scheduler.Schedule(request, state);
-  EXPECT_EQ(outcome.unplaced.size(), 1u);
+  EXPECT_EQ(PlaceTasks(wl, state), 1u);
   EXPECT_TRUE(state.VerifyResourceInvariant());
 }
 
@@ -738,11 +712,8 @@ TEST(TaskScheduler, IgnoresAntiAffinityByDesign) {
   const auto a = wl.AddApplication("a", 2, ResourceVector::Cores(2, 4), 0,
                                    /*anti_affinity_within=*/true);
   const Topology topo = Topology::Uniform(2, ResourceVector::Cores(32, 64));
-  TaskScheduler scheduler;
-  const auto arrival = trace::MakeArrivalSequence(wl, trace::ArrivalOrder::kFifo);
   auto state = wl.MakeState(topo);
-  sim::ScheduleRequest request{&wl, &arrival};
-  scheduler.Schedule(request, state);
+  PlaceTasks(wl, state);
   // Best-fit stacks both on machine 0 despite the within rule.
   EXPECT_EQ(state.PlacementOf(wl.application(a).containers[0]),
             state.PlacementOf(wl.application(a).containers[1]));

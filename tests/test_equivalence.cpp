@@ -242,9 +242,7 @@ TEST(IncrementalNetwork, PlacementsMatchFreshRebuildAcrossWaves) {
 //   * Unsharded only: a fresh sharded coordinator has none of the
 //     persistent one's home-shard routing memory.
 TEST(ResolverEquivalence, IncrementalMatchesRebuildPerTick) {
-  k8s::ResolverOptions options;
-  options.aladdin = k8s::Resolver::DefaultOptions();
-  k8s::ClusterSimulator sim(options);
+  k8s::ClusterSimulator sim;
   sim.AddNodes(16, cluster::ResourceVector::Cores(32, 64), "node", 4, 2);
 
   k8s::ModelAdaptor shadow = sim.adaptor();
@@ -254,7 +252,7 @@ TEST(ResolverEquivalence, IncrementalMatchesRebuildPerTick) {
             [&](const k8s::ResolveStats& stats,
                 const std::vector<k8s::Binding>& bindings) {
               const std::string label = "tick " + std::to_string(stats.tick);
-              k8s::Resolver fresh(shadow, options);
+              k8s::Resolver fresh(shadow);
               std::vector<k8s::Binding> fresh_bindings;
               const k8s::ResolveStats want =
                   fresh.Resolve(stats.tick, &fresh_bindings);
@@ -361,9 +359,7 @@ TEST(ZeroAllocSteadyState, ResolverTicksStayGrowFlatAfterWarmup) {
   obs::Registry::Get().ResetAll();
   obs::SetMetricsEnabled(true);
 
-  k8s::ResolverOptions options;
-  options.aladdin = k8s::Resolver::DefaultOptions();
-  k8s::ClusterSimulator sim(options);
+  k8s::ClusterSimulator sim;
   sim.AddNodes(24, cluster::ResourceVector::Cores(32, 64), "node", 4, 2);
 
   auto run_tick = [&sim](int t) {

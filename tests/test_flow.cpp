@@ -143,16 +143,6 @@ TEST(Graph, ResetFlows) {
   EXPECT_EQ(g.arc(arc).flow, 0);
 }
 
-TEST(Graph, SetCapacity) {
-  Graph g;
-  const VertexId a = g.AddVertex();
-  const VertexId b = g.AddVertex();
-  const ArcId arc = g.AddArc(a, b, 10, 0);
-  g.Push(arc, 5);
-  g.SetCapacity(arc, 7);
-  EXPECT_EQ(g.Residual(arc), 2);
-}
-
 TEST(Graph, ConsistencyHoldsAfterMaxFlow) {
   Graph g;
   const VertexId s = g.AddVertex();

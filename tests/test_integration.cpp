@@ -3,7 +3,6 @@
 // invariants recounted by the independent auditor.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -177,32 +176,6 @@ TEST(Integration, MemoryDimensionEnforcedWhenEnabled) {
     // covers both dimensions; re-assert placement accounting here.
     EXPECT_EQ(m.audit.placed + m.audit.unplaced, wl.container_count())
         << scheduler->name();
-  }
-}
-
-TEST(Integration, RunSweepMatchesSerialExecution) {
-  // The parallel sweep helper must produce exactly what serial runs do.
-  const trace::Workload wl = sim::MakeBenchWorkload(0.01, 42);
-  sim::ExperimentConfig config;
-  config.machines = sim::BenchMachineCount(0.01);
-  config.order = trace::ArrivalOrder::kRandom;
-
-  std::vector<std::function<sim::RunMetrics()>> jobs;
-  for (int i = 0; i < 4; ++i) {
-    jobs.emplace_back([&wl, config] {
-      core::AladdinScheduler scheduler;
-      return sim::RunExperiment(scheduler, wl, config);
-    });
-  }
-  const auto parallel = sim::RunSweep(std::move(jobs), 3);
-  core::AladdinScheduler reference_scheduler;
-  const sim::RunMetrics reference =
-      sim::RunExperiment(reference_scheduler, wl, config);
-  ASSERT_EQ(parallel.size(), 4u);
-  for (const auto& m : parallel) {
-    EXPECT_EQ(m.used_machines, reference.used_machines);
-    EXPECT_EQ(m.audit.placed, reference.audit.placed);
-    EXPECT_EQ(m.migrations, reference.migrations);
   }
 }
 

@@ -226,11 +226,6 @@ TEST(GraphLimitsTest, VertexLimitIsEnforced) {
 TEST_F(GraphInvariantsTest, PushBeyondResidualDies) {
   EXPECT_DEATH(graph_.Push(st_, 6), "exceeds residual");
 }
-
-TEST_F(GraphInvariantsTest, SetCapacityBelowFlowDies) {
-  graph_.Push(sa_, 8);
-  EXPECT_DEATH(graph_.SetCapacity(sa_, 7), "below flow");
-}
 #endif
 
 // ----------------------------------------- cluster state consistency ----

@@ -212,10 +212,6 @@ TEST(UnplacedCauses, BaselinesReportTheCatchAllCause) {
   }
 }
 
-// Everything below emits through EmitDecision, which an ALADDIN_OBS=OFF
-// build compiles to a no-op (JournalEnabled() is constant false there).
-#if ALADDIN_OBS_ENABLED
-
 // --- ring mechanics ----------------------------------------------------------
 
 TEST_F(JournalTest, RingWraparoundKeepsNewestAndCountsDrops) {
@@ -382,8 +378,6 @@ TEST_F(JournalTest, CheckFailureDumpsFlightRecorder) {
   EXPECT_EQ(dumped[0].container, 7);
   EXPECT_EQ(dumped[1].cause, obs::Cause::kCapacityExhaustedCpu);
 }
-
-#endif  // ALADDIN_OBS_ENABLED
 
 }  // namespace
 }  // namespace aladdin

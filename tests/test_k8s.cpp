@@ -251,6 +251,14 @@ TEST(Resolver, ReportsUnschedulable) {
   EXPECT_EQ(ma.FindPod(1)->phase, PodPhase::kPending);
 }
 
+// In the live integration a compaction is a disruptive pod restart, so the
+// resolver's own defaults turn it off; no caller has to override them.
+TEST(Resolver, DefaultOptionsTurnCompactionOff) {
+  EXPECT_FALSE(ResolverOptions{}.aladdin.enable_compaction);
+  EXPECT_TRUE(ResolverOptions{}.aladdin.enable_repair);
+  EXPECT_FALSE(Resolver::DefaultOptions().enable_compaction);
+}
+
 // -------------------------------------------------------------- simulator ----
 
 TEST(Simulator, EndToEndMixedWorkload) {

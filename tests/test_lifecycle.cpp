@@ -306,7 +306,6 @@ std::string SloFingerprint(const std::vector<k8s::ResolveStats>& history) {
 
 k8s::ResolverOptions LifecycleOptions(int threads, int shards) {
   k8s::ResolverOptions options;
-  options.aladdin = k8s::Resolver::DefaultOptions();
   options.aladdin.threads = threads;
   options.shards = shards;
   options.slo.wait_ticks = 1;  // tight objective: violations guaranteed

@@ -230,11 +230,6 @@ TEST_F(ObsTest, PhaseCaptureDiffAndExclusiveCoverage) {
   EXPECT_EQ(it->calls, 4);
 }
 
-// Everything below exercises the ALADDIN_TRACE_* / ALADDIN_PHASE_* macros,
-// which an ALADDIN_OBS=OFF build compiles down to nothing — the direct-API
-// tests above still run there, these cannot.
-#if ALADDIN_OBS_ENABLED
-
 TEST_F(ObsTest, ScopedTraceFeedsPhaseAccumulators) {
   for (int i = 0; i < 10; ++i) {
     ALADDIN_TRACE_SCOPE("test/scoped_phase");
@@ -437,9 +432,7 @@ TEST_F(ObsTest, PrometheusMetricNameSanitization) {
 
 TEST_F(ObsTest, ResolverPhaseBreakdownCoversResolveTime) {
   obs::StartTracing();
-  k8s::ResolverOptions options;
-  options.aladdin = k8s::Resolver::DefaultOptions();
-  k8s::ClusterSimulator sim(options);
+  k8s::ClusterSimulator sim;
   sim.AddNodes(16, cluster::ResourceVector::Cores(32, 64));
   k8s::PodSpec spec;
   spec.requests = cluster::ResourceVector::Cores(2, 4);
@@ -476,8 +469,6 @@ TEST_F(ObsTest, ResolverPhaseBreakdownCoversResolveTime) {
         << expected << " missing from the trace";
   }
 }
-
-#endif  // ALADDIN_OBS_ENABLED
 
 }  // namespace
 }  // namespace aladdin

@@ -207,7 +207,7 @@ TEST_P(FuzzTest, RepairTransactionsNeverCorruptState) {
     if (state.IsPlaced(c.id)) flow_before += weights.WeightedFlow(c);
   }
 
-  core::RepairEngine repair(network, weights, core::RepairOptions{});
+  core::RepairEngine repair(network, weights);
   const auto still_unplaced =
       repair.Repair(pending, core::SearchOptions{}, counters);
 
@@ -345,7 +345,7 @@ TEST(HeavyFuzz, SearchOracleAndRepairInvariantsAcrossVariedClusters) {
     for (const auto& c : wl.containers()) {
       if (state.IsPlaced(c.id)) flow_before += weights.WeightedFlow(c);
     }
-    core::RepairEngine repair(net, weights, core::RepairOptions{});
+    core::RepairEngine repair(net, weights);
     const auto left = repair.Repair(pending, core::SearchOptions{}, counters);
     std::int64_t flow_after = 0;
     for (const auto& c : wl.containers()) {

@@ -299,8 +299,7 @@ TEST(ShardedEquivalence, RestartedCoordinatorRoutesIdentically) {
   const Topology topo =
       Topology::Uniform(48, ResourceVector::Cores(32, 64), 8, 3);
   for (const core::ShardRouting routing :
-       {core::ShardRouting::kHash, core::ShardRouting::kLeastUtilized,
-        core::ShardRouting::kConstraintDriven}) {
+       {core::ShardRouting::kHash, core::ShardRouting::kLeastUtilized}) {
     core::ShardedOptions options;
     options.shards = 4;
     options.routing = routing;
@@ -462,7 +461,6 @@ TEST(ShardedSpill, OverCapacityWaveSurfacesUnplacedAfterSpill) {
 
 TEST(ResolverSharded, MultiShardRunStaysConsistent) {
   k8s::ResolverOptions options;
-  options.aladdin = k8s::Resolver::DefaultOptions();
   options.shards = 4;
 
   k8s::ClusterSimulator sim(options);

@@ -56,6 +56,33 @@ A1_EXEMPT_CALLEES = {
                           "explicit test calls only",
 }
 
+# Cold functions reachable from hot roots, keyed "<defining file>:<name>" —
+# the unqualified name, because the lexer backend qualifies an out-of-line
+# member without its class, so file + name is what both backends agree on.
+# The walk neither flags nor descends into them. Each is an attach, rebuild
+# or once-per-process arm that a steady-state tick never runs; the reason
+# says which.
+A1_COLD_FUNCTIONS = {
+    "src/cluster/shard.cpp:Build":
+        "ShardPlan::Build partitions the topology; only AttachShards calls "
+        "it",
+    "src/cluster/state.cpp:ClusterState":
+        "constructors run on a resolver rebuild (topology change, via "
+        "Workload::MakeState) or a shard attach (ShardView), never per tick",
+    "src/cluster/state.cpp:ConfigureDirtyScopes":
+        "re-scopes the dirty log for a new shard plan; only AttachShards "
+        "calls it",
+    "src/core/sharded.cpp:AttachShards":
+        "runs only when Schedule() meets a new state (instance id change); "
+        "every later tick takes SyncShards",
+    "src/core/sharded.cpp:SolvePool":
+        "creates the shard-solve pool once (pool_created_ guard); later "
+        "calls return the cached pointer",
+    "src/core/scheduler.cpp:name":
+        "AladdinScheduler::name() builds a display string; on the solve "
+        "path only PrepareWeights' Eq. 5 violation warning calls it",
+}
+
 # Files (exact path or trailing-slash prefix) whose functions the walk does
 # not descend into / flag. These are reachable from hot roots but run under
 # explicit runtime gates (flags or DCHECK builds), so their allocations are

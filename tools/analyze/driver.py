@@ -131,6 +131,7 @@ def _list_allows(models: list[SourceFile]) -> int:
     for table, label in ((config.D103_EXEMPT, "D103 file exemption"),
                          (config.A1_EXEMPT_FILES, "A1 file exemption"),
                          (config.A1_EXEMPT_CALLEES, "A1 callee exemption"),
+                         (config.A1_COLD_FUNCTIONS, "A1 cold function"),
                          (config.L104_EXEMPT, "L104 file exemption")):
         for name, reason in sorted(table.items()):
             rows.append(f"{name}: {label} — {reason}")

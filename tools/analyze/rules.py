@@ -277,13 +277,18 @@ def _class_of(fn: FunctionDef) -> str:
 
 
 def _reachable_from_hot(
-        ctx: RuleContext) -> dict[str, tuple[FunctionDef, list[str]]]:
+        ctx: RuleContext
+) -> dict[tuple[str, int], tuple[FunctionDef, list[str]]]:
     """BFS over the name-matched call graph from every ALADDIN_HOT root.
 
-    Returns qualified-name -> (function, call chain from the root). Name
-    matching is conservative (a callee name reaches every same-named
-    definition); exemptions in config.py prune the sanctioned scratch types
-    and runtime-gated cold paths.
+    Returns definition site (file, line) -> (function, call chain from the
+    root). Name matching is conservative (a callee name reaches every
+    same-named definition); exemptions in config.py prune the sanctioned
+    scratch types, runtime-gated cold paths and cold functions. The
+    visited set is keyed by definition site, not by qualified name: the
+    lexer backend qualifies an out-of-line member without its class, so
+    same-named methods of two classes in one namespace share a qualified
+    name and would otherwise shadow each other.
     """
     defs_by_name: dict[str, list[FunctionDef]] = {}
     all_fns: list[FunctionDef] = []
@@ -297,25 +302,27 @@ def _reachable_from_hot(
             return _class_of(fn) in config.A1_EXEMPT_CLASSES
         if config.file_exempt(fn.file, config.A1_EXEMPT_FILES):
             return True
+        if f"{fn.file}:{fn.name}" in config.A1_COLD_FUNCTIONS:
+            return True
         if _class_of(fn) in config.A1_EXEMPT_CLASSES:
             return True
         return any(key in fn.qualified for key in config.A1_EXEMPT_CALLEES)
 
-    reached: dict[str, tuple[FunctionDef, list[str]]] = {}
+    reached: dict[tuple[str, int], tuple[FunctionDef, list[str]]] = {}
     frontier: list[tuple[FunctionDef, list[str]]] = []
     for fn in all_fns:
         if fn.is_hot and not exempt(fn):
             frontier.append((fn, [fn.name]))
     while frontier:
         fn, chain = frontier.pop()
-        if fn.qualified in reached:
+        if (fn.file, fn.line) in reached:
             continue
-        reached[fn.qualified] = (fn, chain)
+        reached[(fn.file, fn.line)] = (fn, chain)
         for callee, _tok in call_names(fn.body):
             if _MACRO_NAME.match(callee):
                 continue  # ALADDIN_*/gtest macros are not calls to follow
             for target in defs_by_name.get(callee, ()):
-                if target.qualified in reached or exempt(target):
+                if (target.file, target.line) in reached or exempt(target):
                     continue
                 frontier.append((target, chain + [target.name]))
     return reached

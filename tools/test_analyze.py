@@ -57,6 +57,13 @@ class ViolatingFixtures(unittest.TestCase):
         self.assertEqual(active, ["A101", "A101", "A102", "A103", "A104"])
         self.assertEqual(suppressed, [])
 
+    def test_a1_same_named_members(self):
+        # Planner::Run and Merger::Run share a name and a namespace; the
+        # walk must visit both definitions, so each make_unique is an A101.
+        active, suppressed = analyze_fixture("a1_same_name.cpp")
+        self.assertEqual(active, ["A101", "A101"])
+        self.assertEqual(suppressed, [])
+
     def test_l1(self):
         active, suppressed = analyze_fixture("l1_violating.cpp")
         self.assertEqual(active, ["L101", "L102", "L103", "L104"])
