@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
       cause_totals{};
 
   // Per-shard totals across all ticks (--shards only).
-  std::vector<core::ShardTickStats> shard_totals;
+  std::vector<obs::ShardLoad> shard_totals;
 
   Rng rng(static_cast<std::uint64_t>(seed));
   Sample resolve_ms;
@@ -184,9 +184,17 @@ int main(int argc, char** argv) {
                        cluster::ResourceVector::Cores(1, 2),
                        /*lifetime_ticks=*/2);
 
+    // The time series' phase seconds: the registry diffed around the tick.
+    const bool tick_phases = timeseries.has_value() && obs::MetricsEnabled();
+    const std::vector<obs::PhaseDelta> tick_phases_before =
+        tick_phases ? obs::CapturePhases() : std::vector<obs::PhaseDelta>{};
     WallTimer tick_timer;
     const k8s::ResolveStats stats = sim.Tick();
     total_tick_seconds += tick_timer.ElapsedSeconds();
+    const double tick_phase_seconds =
+        tick_phases ? obs::ExclusiveSeconds(obs::DiffPhases(
+                          tick_phases_before, obs::CapturePhases()))
+                    : 0.0;
     resolve_ms.Add(stats.wall_seconds * 1e3);
     total_seconds += stats.wall_seconds;
     total_bindings += static_cast<std::int64_t>(stats.new_bindings);
@@ -207,8 +215,8 @@ int main(int argc, char** argv) {
       if (shard_totals.size() < stats.shards.size()) {
         shard_totals.resize(stats.shards.size());
       }
-      for (const core::ShardTickStats& s : stats.shards) {
-        core::ShardTickStats& total =
+      for (const obs::ShardLoad& s : stats.shards) {
+        obs::ShardLoad& total =
             shard_totals[static_cast<std::size_t>(s.shard)];
         total.shard = s.shard;
         total.machines = s.machines;
@@ -232,7 +240,7 @@ int main(int argc, char** argv) {
       point.frag_pct =
           occ.used_machines > 0 ? 100.0 - occ.avg_util_pct : 0.0;
       point.wall_seconds = stats.wall_seconds;
-      point.phase_seconds = obs::ExclusiveSeconds(stats.phases);
+      point.phase_seconds = tick_phase_seconds;
       point.slo_attainment_pct = stats.slo.attainment_pct;
       point.pending_age_p99 = stats.pending_ages.p99;
       if (options.watchdog) {
@@ -276,7 +284,7 @@ int main(int argc, char** argv) {
         {"shard", "machines", "routed", "placed", "unplaced", "solve s"});
     double max_solve = 0.0;
     double sum_solve = 0.0;
-    for (const core::ShardTickStats& s : shard_totals) {
+    for (const obs::ShardLoad& s : shard_totals) {
       shard_table.Cell(static_cast<std::int64_t>(s.shard))
           .Cell(static_cast<std::int64_t>(s.machines))
           .Cell(static_cast<std::int64_t>(s.routed))
@@ -409,7 +417,7 @@ int main(int argc, char** argv) {
       double max_solve = 0.0;
       double sum_solve = 0.0;
       std::int64_t routed = 0;
-      for (const core::ShardTickStats& s : shard_totals) {
+      for (const obs::ShardLoad& s : shard_totals) {
         max_solve = std::max(max_solve, s.solve_seconds);
         sum_solve += s.solve_seconds;
         routed += static_cast<std::int64_t>(s.routed);

@@ -58,7 +58,13 @@ void CrossCheckOutcome(const cluster::ClusterState& state,
 }  // namespace
 
 AladdinScheduler::AladdinScheduler(AladdinOptions options)
-    : options_(options) {}
+    : options_(options) {
+  // Geometric weights depend on the base alone.
+  if (options_.weight_base > 0) {
+    weights_ = MakeGeometricWeights(cluster::kPriorityClasses,
+                                    options_.weight_base);
+  }
+}
 
 AggregatedNetwork& AladdinScheduler::PrepareNetwork(
     cluster::ClusterState& state) {
@@ -90,51 +96,22 @@ std::string AladdinScheduler::name() const {
 }
 
 void AladdinScheduler::PrepareWeights(const trace::Workload& workload) {
-  // Fingerprint everything the weight derivation (and the Eq. 5 audit)
-  // reads: per-app priority, per-container request CPU and replica count,
-  // plus the knob itself. Content-hashing (FNV-1a) rather than caching on
-  // the workload address alone means a recycled address can never serve
-  // stale weights. Applications are append-only while a workload is live,
-  // so the common steady-state tick hashes a few thousand small ints —
-  // orders cheaper than re-deriving class ranges and re-auditing Eq. 5.
-  std::uint64_t fp = 1469598103934665603ull;
-  const auto mix = [&fp](std::uint64_t v) {
-    fp ^= v;
-    fp *= 1099511628211ull;
-  };
-  mix(static_cast<std::uint64_t>(options_.weight_base));
-  mix(static_cast<std::uint64_t>(workload.container_count()));
-  for (const cluster::Application& app : workload.applications()) {
-    mix(static_cast<std::uint64_t>(app.priority));
-    mix(static_cast<std::uint64_t>(app.request.cpu_millis()));
-    mix(static_cast<std::uint64_t>(app.containers.size()));
-  }
-  if (weights_ready_ && fp == weights_fingerprint_) {
-    ALADDIN_METRIC_ADD("core/weights_cached", 1);
-    return;
-  }
   // Eq. 3–5: priority weights. The evaluation's knob is a geometric base;
   // base 0 derives the minimal valid weights from the workload itself.
   ALADDIN_PHASE_SCOPE("core/weights");
-  weights_ = options_.weight_base > 0
-                 ? MakeGeometricWeights(cluster::kPriorityClasses,
-                                        options_.weight_base)
-                 : ComputeMinimalWeights(workload);
+  if (options_.weight_base <= 0) weights_ = ComputeMinimalWeights(workload);
   if (!SatisfiesEq5(weights_, workload)) {
     LOG_WARN << name() << ": weights violate Eq. 5 for this workload; "
              << "priority safety of preemption is not guaranteed";
   }
-  weights_fingerprint_ = fp;
-  weights_ready_ = true;
 }
 
 ALADDIN_HOT sim::ScheduleOutcome AladdinScheduler::Schedule(
     const sim::ScheduleRequest& request, cluster::ClusterState& state) {
   const trace::Workload& workload = *request.workload;
   sim::ScheduleOutcome outcome;
-  // Weights (cached when the priority/request population is unchanged) and
-  // one Sync() of the warm network; the solve below folds its own mutations
-  // in eagerly.
+  // Weights and one Sync() of the warm network; the solve below folds its
+  // own mutations in eagerly.
   PrepareWeights(workload);
   AggregatedNetwork& network = PrepareNetwork(state);
 

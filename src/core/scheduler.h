@@ -67,25 +67,19 @@ class AladdinScheduler : public sim::Scheduler {
                                 cluster::ClusterState& state) override;
 
   [[nodiscard]] const AladdinOptions& options() const { return options_; }
-  // Weights used by the last Schedule() call (for tests/ablation).
-  [[nodiscard]] const PriorityWeights& last_weights() const {
-    return weights_;
-  }
 
  private:
   // Returns the network to schedule on: the cached one (synced with the
   // state's dirty log) when it is still attached to this exact state
   // object, else a freshly attached rebuild.
   AggregatedNetwork& PrepareNetwork(cluster::ClusterState& state);
-  // Eq. 3–5 weights with a content-fingerprint cache: recomputation (and
-  // the Eq. 5 audit) is skipped when the workload's priority/request
-  // population is unchanged — the common case on no-arrival ticks.
+  // Eq. 3–5 weights for one solve: derives the minimal weights when
+  // weight_base is 0 (geometric weights are fixed at construction), then
+  // audits Eq. 5. Both read the application table, not the containers.
   void PrepareWeights(const trace::Workload& workload);
 
   AladdinOptions options_;
   PriorityWeights weights_;
-  std::uint64_t weights_fingerprint_ = 0;
-  bool weights_ready_ = false;
 
   // The network survives Schedule() calls; the instance id (not just the
   // address — states are frequently stack- or optional-allocated) proves

@@ -455,7 +455,7 @@ sim::ScheduleOutcome ShardedScheduler::Schedule(
   const int k = plan_->shard_count();
   for (int s = 0; s < k; ++s) {
     ShardRuntime& rt = shards_[static_cast<std::size_t>(s)];
-    rt.stats = ShardTickStats{};
+    rt.stats = obs::ShardLoad{};
     rt.stats.shard = s;
     rt.stats.machines = plan_->shard_machines(s).size();
   }

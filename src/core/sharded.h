@@ -44,6 +44,7 @@
 #include "core/scheduler.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
+#include "obs/watchdog.h"
 #include "sim/scheduler.h"
 
 namespace aladdin::core {
@@ -72,21 +73,6 @@ struct ShardedOptions {
   AladdinOptions aladdin;
 };
 
-// Per-shard activity of the most recent Schedule() call (bench/tooling).
-struct ShardTickStats {
-  int shard = 0;
-  std::size_t machines = 0;
-  std::size_t routed = 0;    // containers assigned (incl. spill retries)
-  std::size_t spilled = 0;   // routed arrivals from spill rounds (>= 1)
-  std::size_t placed = 0;    // containers admitted by this shard's solver
-  std::size_t unplaced = 0;  // terminal give-ups attributed to this shard
-  // End-of-tick cpu occupancy of the shard's machines, exact cpu-millis —
-  // the watchdog's imbalance detector divides these into permille.
-  std::int64_t free_cpu_millis = 0;
-  std::int64_t capacity_cpu_millis = 0;
-  double solve_seconds = 0.0;
-};
-
 class ShardedScheduler : public sim::Scheduler {
  public:
   explicit ShardedScheduler(ShardedOptions options = {});
@@ -103,7 +89,8 @@ class ShardedScheduler : public sim::Scheduler {
   [[nodiscard]] const ShardedOptions& options() const { return options_; }
   // Valid after the first Schedule() call.
   [[nodiscard]] const cluster::ShardPlan* plan() const { return plan_.get(); }
-  [[nodiscard]] const std::vector<ShardTickStats>& last_shard_stats() const {
+  // Per-shard activity of the most recent Schedule() call.
+  [[nodiscard]] const std::vector<obs::ShardLoad>& last_shard_stats() const {
     return last_shard_stats_;
   }
 
@@ -121,7 +108,7 @@ class ShardedScheduler : public sim::Scheduler {
     std::int64_t migrations_mark = 0;
     std::int64_t preemptions_mark = 0;
     std::int64_t free_cpu = 0;  // routing estimate, refreshed per tick
-    ShardTickStats stats;
+    obs::ShardLoad stats;
     // Interned per-shard metric handles (K > 1 only; null otherwise so the
     // K = 1 run exports exactly the unsharded counter set).
     obs::Counter* routed_counter = nullptr;
@@ -196,7 +183,7 @@ class ShardedScheduler : public sim::Scheduler {
   std::vector<Pending> next_pending_;
   std::vector<Pending> given_up_;
   std::vector<cluster::ContainerId> merge_scratch_;  // per-merge diff list
-  std::vector<ShardTickStats> last_shard_stats_;
+  std::vector<obs::ShardLoad> last_shard_stats_;
 };
 
 }  // namespace aladdin::core

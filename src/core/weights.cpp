@@ -1,6 +1,7 @@
 #include "core/weights.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 
 namespace aladdin::core {
@@ -13,17 +14,22 @@ struct ClassRange {
   bool present = false;
 };
 
-// Eq. 3: bucket flow magnitudes by priority class.
-std::vector<ClassRange> ClassRanges(const trace::Workload& workload) {
-  // analyze:allow(A102) weights-cache miss only; O(priority classes)
-  std::vector<ClassRange> ranges(cluster::kPriorityClasses);
-  for (const auto& c : workload.containers()) {
+using ClassRangeTable = std::array<ClassRange, cluster::kPriorityClasses>;
+
+// Eq. 3: bucket flow magnitudes by priority class. The walk reads the
+// application table, not the container table: an application's containers
+// are isomorphic copies of its request and priority (the IL premise,
+// §IV.A), and every application owns at least one container, so the ranges
+// are exactly those of a per-container walk.
+ClassRangeTable ClassRanges(const trace::Workload& workload) {
+  ClassRangeTable ranges{};
+  for (const cluster::Application& app : workload.applications()) {
     const auto k = static_cast<std::size_t>(
-        std::clamp<cluster::Priority>(c.priority, 0,
+        std::clamp<cluster::Priority>(app.priority, 0,
                                       cluster::kPriorityClasses - 1));
     auto& r = ranges[k];
     r.present = true;
-    const std::int64_t flow = c.request.cpu_millis();
+    const std::int64_t flow = app.request.cpu_millis();
     r.min_flow = std::min(r.min_flow, flow);
     r.max_flow = std::max(r.max_flow, flow);
   }
@@ -35,7 +41,7 @@ std::vector<ClassRange> ClassRanges(const trace::Workload& workload) {
 PriorityWeights ComputeMinimalWeights(const trace::Workload& workload) {
   const auto ranges = ClassRanges(workload);
   PriorityWeights weights;
-  // analyze:allow(A103) weights-cache miss only; O(priority classes)
+  // analyze:allow(A103) weight_base 0 only; O(priority classes)
   weights.weight.assign(ranges.size(), 1);  // Eq. 4: w_1 = 1
   std::int64_t prev_weight = 1;
   std::int64_t prev_max = 0;
@@ -59,7 +65,6 @@ PriorityWeights ComputeMinimalWeights(const trace::Workload& workload) {
 
 PriorityWeights MakeGeometricWeights(int classes, std::int64_t base) {
   PriorityWeights weights;
-  // analyze:allow(A103) weights-cache miss only; O(priority classes)
   weights.weight.reserve(static_cast<std::size_t>(classes));
   std::int64_t w = 1;
   for (int k = 0; k < classes; ++k) {

@@ -56,14 +56,6 @@ obs::Cause DiagnoseShortLived(const cluster::ClusterState& state,
                       : obs::Cause::kCapacityExhaustedCpu;
 }
 
-// Exact-integer cpu occupancy of a shard in permille, for the watchdog's
-// imbalance detector and the /statusz shard table.
-std::int64_t ShardUtilPermille(const core::ShardTickStats& s) {
-  if (s.capacity_cpu_millis <= 0) return 0;
-  return (s.capacity_cpu_millis - s.free_cpu_millis) * 1000 /
-         s.capacity_cpu_millis;
-}
-
 // Deterministic solve effort of one outcome — the watchdog's regression
 // signal. Bit-identical across thread counts (the equivalence tests pin
 // the individual counters); wall time never feeds it.
@@ -73,10 +65,8 @@ std::int64_t SolveEffort(const sim::ScheduleOutcome& outcome) {
 }
 
 // Resolve() epilogue: stamp the wall time, surface the unschedulable
-// breakdown, diff the phase registry into stats.phases, and feed the
-// per-resolve metrics.
-void FinishStats(ResolveStats& stats, const WallTimer& timer,
-                 const std::vector<obs::PhaseDelta>& phases_before) {
+// breakdown, and feed the per-resolve metrics.
+void FinishStats(ResolveStats& stats, const WallTimer& timer) {
   stats.wall_seconds = timer.ElapsedSeconds();
   if (stats.unschedulable > 0) {
     // analyze:allow(A102) breakdown string built only when pods went unplaced
@@ -91,7 +81,6 @@ void FinishStats(ResolveStats& stats, const WallTimer& timer,
              << " unschedulable pod(s) [" << breakdown << "]";
   }
   if (!obs::MetricsEnabled()) return;
-  stats.phases = obs::DiffPhases(phases_before, obs::CapturePhases());
   ALADDIN_METRIC_ADD("k8s/resolves", 1);
   ALADDIN_METRIC_ADD("k8s/bindings", stats.new_bindings);
   ALADDIN_METRIC_ADD("k8s/migrations", stats.migrations);
@@ -184,6 +173,7 @@ void Resolver::SyncFreeIndex() {
 void Resolver::TrackArrivals(const std::vector<PodUid>& pending,
                              const cluster::ClusterState& state,
                              std::int64_t tick) {
+  ALADDIN_PHASE_SCOPE("k8s/lifecycle");
   slo_.BeginTick(tick);
   for (PodUid uid : pending) {
     const cluster::ContainerId c = adaptor_.ContainerOf(uid);
@@ -201,7 +191,9 @@ void Resolver::FinishLifecycle(ResolveStats& stats,
                                const cluster::ClusterState& state,
                                std::int64_t tick, std::int64_t solve_cost,
                                std::int64_t solve_wall_micros) {
-  // Once-per-tick summary work, O(tracked spans + apps), never per-pod.
+  ALADDIN_PHASE_SCOPE("k8s/lifecycle");
+  // Once-per-tick summary work over the open spans and the apps' SLO
+  // counts, never over closed history or per-pod.
   stats.pending_ages =
       obs::SummarizePendingAges(ledger_.PendingAgeCounts(tick));
   stats.slo = slo_.Snapshot(kSloSnapshotAppRows);
@@ -210,20 +202,7 @@ void Resolver::FinishLifecycle(ResolveStats& stats,
   status.tick = tick;
   status.slo = stats.slo;
   status.pending_ages = stats.pending_ages;
-  // analyze:allow(A103) once-per-tick snapshot, bounded by the shard count
-  status.shards.reserve(stats.shards.size());
-  for (const core::ShardTickStats& s : stats.shards) {
-    obs::IntrospectionShard shard;
-    shard.shard = s.shard;
-    shard.machines = s.machines;
-    shard.routed = s.routed;
-    shard.placed = s.placed;
-    shard.unplaced = s.unplaced;
-    shard.spilled = s.spilled;
-    shard.util_permille = ShardUtilPermille(s);
-    shard.solve_seconds = s.solve_seconds;
-    status.shards.push_back(shard);
-  }
+  status.shards = stats.shards;
 
   if (options_.watchdog) {
     obs::WatchdogTickInput input;
@@ -234,18 +213,7 @@ void Resolver::FinishLifecycle(ResolveStats& stats,
     input.pending_age_p99 = stats.pending_ages.p99;
     input.pending_open = static_cast<std::int64_t>(stats.pending_ages.open);
     input.app_reopens = ledger_.TakeReopens();
-    // analyze:allow(A103) once-per-tick input, bounded by the shard count
-    input.shards.reserve(stats.shards.size());
-    for (const core::ShardTickStats& s : stats.shards) {
-      obs::WatchdogShardLoad load;
-      load.shard = s.shard;
-      load.machines = static_cast<std::int64_t>(s.machines);
-      load.routed = static_cast<std::int64_t>(s.routed);
-      load.spilled = static_cast<std::int64_t>(s.spilled);
-      load.placed = static_cast<std::int64_t>(s.placed);
-      load.util_permille = ShardUtilPermille(s);
-      input.shards.push_back(load);
-    }
+    input.shards = stats.shards;
     input.solve_cost = solve_cost;
     input.solve_wall_micros = solve_wall_micros;
     // analyze:allow(A103) once-per-tick input, bounded by the cause vocabulary
@@ -291,12 +259,6 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
     return it != unplaced_cause.end() ? it->second
                                       : obs::Cause::kNoAdmissiblePath;
   };
-  // analyze:allow(A102) metrics-gated snapshot, off by default in production
-  const std::vector<obs::PhaseDelta> phases_before =
-      obs::MetricsEnabled()
-          ? obs::CapturePhases()
-          : std::vector<obs::PhaseDelta>{};  // analyze:allow(A102) empty vector, no allocation
-
   // Per-tick scratch: member buffers keep their capacity across resolves,
   // the arena rewinds to its retained chunks. (`pending` stays a fresh
   // vector — PendingPods() materialises it on the adaptor side.)
@@ -486,7 +448,7 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
   causes.FillStats(stats);
   FinishLifecycle(stats, state, tick, solve_cost,
                   static_cast<std::int64_t>(timer.ElapsedSeconds() * 1e6));
-  FinishStats(stats, timer, phases_before);
+  FinishStats(stats, timer);
   return stats;
 }
 

@@ -37,7 +37,6 @@
 #include "k8s/adaptor.h"
 #include "obs/journal.h"
 #include "obs/lifecycle.h"
-#include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/watchdog.h"
 
@@ -57,16 +56,9 @@ struct ResolveStats {
   std::vector<std::pair<obs::Cause, std::size_t>> unschedulable_causes;
   double wall_seconds = 0.0;
 
-  // Phase breakdown of this resolve from the obs registry (empty unless
-  // metrics were armed). Exclusive phases partition the resolve; their
-  // seconds-sum approximates wall_seconds (the bench coverage check).
-  // With shards > 1 the shard solves run concurrently, so the exclusive
-  // sum reports aggregate CPU seconds and may exceed wall_seconds.
-  std::vector<obs::PhaseDelta> phases;
-
   // Per-shard breakdown of the long-lived solve (empty unless
   // ResolverOptions::shards >= 2).
-  std::vector<core::ShardTickStats> shards;
+  std::vector<obs::ShardLoad> shards;
 
   // Lifecycle / SLO view after this resolve. Exact tick integers mutated
   // only from serial sections, so both are bit-identical across thread
@@ -132,6 +124,7 @@ class Resolver {
 
   // Opens lifecycle spans (and interns app names with the SLO engine) for
   // pending pods not already tracked. Serial section; journals kPodArrived.
+  // Runs under the exclusive phase k8s/lifecycle, as does FinishLifecycle.
   void TrackArrivals(const std::vector<PodUid>& pending,
                      const cluster::ClusterState& state, std::int64_t tick);
   // Lifecycle epilogue: pending-age summary, SLO snapshot into `stats`,

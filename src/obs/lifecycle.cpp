@@ -23,8 +23,24 @@ LifecycleSpan& LifecycleLedger::Slot(std::int32_t container) {
   if (i >= spans_.size()) {
     // analyze:allow(A103) amortised growth, bounded by the container universe
     spans_.resize(i + 1);
+    // analyze:allow(A103) kept parallel to spans_, same bound
+    open_slot_.resize(i + 1);
   }
   return spans_[i];
+}
+
+void LifecycleLedger::Open(std::int32_t container) {
+  open_slot_[static_cast<std::size_t>(container)] =
+      static_cast<std::int32_t>(open_.size());
+  open_.push_back(container);
+}
+
+void LifecycleLedger::Close(std::int32_t container) {
+  const std::int32_t slot = open_slot_[static_cast<std::size_t>(container)];
+  const std::int32_t moved = open_.back();
+  open_[static_cast<std::size_t>(slot)] = moved;
+  open_slot_[static_cast<std::size_t>(moved)] = slot;
+  open_.pop_back();
 }
 
 void LifecycleLedger::OnArrival(std::int32_t container, std::int32_t app,
@@ -50,7 +66,7 @@ void LifecycleLedger::OnArrival(std::int32_t container, std::int32_t app,
   span.state = SpanState::kPending;
   span.last_cause = Cause::kNone;
   span.slo_flagged = false;
-  ++open_spans_;
+  Open(container);
   if (JournalEnabled()) {
     EmitDecision(DecisionKind::kEvent, Cause::kPodArrived, container,
                  /*machine=*/-1, /*other=*/app, /*detail=*/span.epoch);
@@ -75,7 +91,7 @@ std::int64_t LifecycleLedger::OnPlaced(std::int32_t container,
   span->shard = shard;
   span->terminal_tick = tick;
   span->state = SpanState::kPlaced;
-  --open_spans_;
+  Close(container);
   return tick - span->arrival_tick;
 }
 
@@ -89,7 +105,7 @@ void LifecycleLedger::OnPreempted(std::int32_t container, std::int64_t tick) {
 void LifecycleLedger::OnRetired(std::int32_t container, std::int64_t tick) {
   LifecycleSpan* span = MutableSpan(container);
   if (span == nullptr || span->state == SpanState::kRetired) return;
-  if (span->state == SpanState::kPending) --open_spans_;
+  if (span->state == SpanState::kPending) Close(container);
   span->terminal_tick = tick;
   span->state = SpanState::kRetired;
 }
@@ -106,8 +122,8 @@ std::vector<PendingRow> LifecycleLedger::OldestPending(
     }
     return a.container < b.container;
   };
-  for (const LifecycleSpan& span : spans_) {
-    if (span.state != SpanState::kPending) continue;
+  for (const std::int32_t container : open_) {
+    const LifecycleSpan& span = spans_[static_cast<std::size_t>(container)];
     PendingRow row;
     row.container = span.container;
     row.app = span.app;
@@ -141,9 +157,9 @@ std::vector<std::int64_t> LifecycleLedger::PendingAgeCounts(
     std::int64_t now) const {
   // analyze:allow(A102) once-per-tick histogram, bounded by the max age
   std::vector<std::int64_t> counts;
-  for (const LifecycleSpan& span : spans_) {
-    if (span.state != SpanState::kPending) continue;
-    const std::int64_t age = span.PendingAge(now);
+  for (const std::int32_t container : open_) {
+    const std::int64_t age =
+        spans_[static_cast<std::size_t>(container)].PendingAge(now);
     if (age < 0) continue;  // defensive: arrival in the future
     const auto slot = static_cast<std::size_t>(age);
     // analyze:allow(A103) bounded by the max pending age in ticks

@@ -104,17 +104,16 @@ class LifecycleLedger {
   [[nodiscard]] const LifecycleSpan* SpanPtr(std::int32_t container) const;
   [[nodiscard]] LifecycleSpan* MutableSpan(std::int32_t container);
 
-  [[nodiscard]] std::size_t open_spans() const { return open_spans_; }
-  [[nodiscard]] std::size_t tracked() const { return spans_.size(); }
+  [[nodiscard]] std::size_t open_spans() const { return open_.size(); }
 
   // The `limit` oldest open spans, ordered by (arrival_tick, container) —
-  // deterministic ties — as /statusz table rows. O(tracked · log limit).
+  // deterministic ties — as /statusz table rows. O(open · log limit).
   [[nodiscard]] std::vector<PendingRow> OldestPending(std::int64_t now,
                                                       std::size_t limit) const;
 
   // Exact pending-age counts at the end of `now`: result[age] = number of
   // open spans whose PendingAge(now) == age. Basis for the per-tick
-  // pending-age percentiles in ResolveStats.
+  // pending-age percentiles in ResolveStats. O(open + max age).
   [[nodiscard]] std::vector<std::int64_t> PendingAgeCounts(
       std::int64_t now) const;
 
@@ -127,11 +126,20 @@ class LifecycleLedger {
 
  private:
   LifecycleSpan& Slot(std::int32_t container);
+  // Span bookkeeping for the open list: a span entering kPending joins it,
+  // one leaving kPending is swap-removed.
+  void Open(std::int32_t container);
+  void Close(std::int32_t container);
 
   // Dense by container id: ids are small ints assigned in arrival order, so
   // a vector keeps iteration deterministic (analyzer rule D1) and O(1).
   std::vector<LifecycleSpan> spans_;
-  std::size_t open_spans_ = 0;
+  // Container ids of the pending spans, in no particular order (every
+  // reader's output is independent of it), and each pending container's
+  // index into that list, parallel to spans_. The per-tick readers walk
+  // the open list, never the whole history.
+  std::vector<std::int32_t> open_;
+  std::vector<std::int32_t> open_slot_;
   // Re-opens since the last TakeReopens: dense count by app plus the list
   // of touched apps (kept so the drain is proportional to activity).
   std::vector<std::int64_t> reopen_counts_;

@@ -104,12 +104,6 @@ void SloEngine::RegisterApp(std::int32_t app, std::string_view name) {
   if (app_names_[i].empty()) app_names_[i].assign(name);
 }
 
-std::string_view SloEngine::AppName(std::int32_t app) const {
-  const auto i = static_cast<std::size_t>(app);
-  if (app < 0 || i >= app_names_.size()) return {};
-  return app_names_[i];
-}
-
 SloEngine::AppSlo& SloEngine::AppSlot(std::int32_t app) {
   ALADDIN_CHECK(app >= 0) << "SLO accounting for invalid app";
   const auto i = static_cast<std::size_t>(app);
@@ -232,14 +226,38 @@ SloSnapshot SloEngine::Snapshot(std::size_t app_rows) const {
                           static_cast<double>(good + bad)) /
                              budget;
 
+  // Rank (violations, admitted, app) keys, then build rows — a name copy
+  // and three percentile walks each — only for the `app_rows` worst.
+  // Worst-first, deterministic ties: most violations, then most admitted
+  // (busiest), then app id. A total order, so the partial sort's prefix
+  // is the full sort's.
+  rank_scratch_.clear();
   for (std::size_t i = 0; i < apps_.size(); ++i) {
     const AppSlo& app = apps_[i];
     if (app.admitted == 0 && app.violations == 0) continue;
-    ++snap.apps_total;
+    rank_scratch_.push_back(RankKey{app.violations, app.admitted,
+                                    static_cast<std::int32_t>(i)});
+  }
+  snap.apps_total = rank_scratch_.size();
+  const std::size_t rows = std::min(app_rows, rank_scratch_.size());
+  std::partial_sort(rank_scratch_.begin(),
+                    rank_scratch_.begin() + static_cast<std::ptrdiff_t>(rows),
+                    rank_scratch_.end(),
+                    [](const RankKey& a, const RankKey& b) {
+                      if (a.violations != b.violations) {
+                        return a.violations > b.violations;
+                      }
+                      if (a.admitted != b.admitted) {
+                        return a.admitted > b.admitted;
+                      }
+                      return a.app < b.app;
+                    });
+  for (std::size_t r = 0; r < rows; ++r) {
+    const auto i = static_cast<std::size_t>(rank_scratch_[r].app);
+    const AppSlo& app = apps_[i];
     SloAppRow row;
-    row.app = static_cast<std::int32_t>(i);
-    // analyze:allow(A102) the empty-string fallback does not allocate
-    row.name = i < app_names_.size() ? app_names_[i] : std::string{};
+    row.app = rank_scratch_[r].app;
+    if (i < app_names_.size()) row.name = app_names_[i];
     row.admitted = app.admitted;
     row.within = app.within;
     row.violations = app.violations;
@@ -249,18 +267,6 @@ SloSnapshot SloEngine::Snapshot(std::size_t app_rows) const {
     row.p999 = PercentileFromCounts(app.wait_counts, 999, 1000);
     snap.apps.push_back(std::move(row));
   }
-  // Worst-first, deterministic ties: most violations, then most admitted
-  // (busiest), then app id.
-  std::sort(snap.apps.begin(), snap.apps.end(),
-            [](const SloAppRow& a, const SloAppRow& b) {
-              if (a.violations != b.violations) {
-                return a.violations > b.violations;
-              }
-              if (a.admitted != b.admitted) return a.admitted > b.admitted;
-              return a.app < b.app;
-            });
-  // analyze:allow(A103) truncation to app_rows, never grows
-  if (snap.apps.size() > app_rows) snap.apps.resize(app_rows);
 
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     SloShardRow row;
@@ -344,7 +350,7 @@ std::string RenderStatusz(const IntrospectionStatus& status) {
   if (!status.shards.empty()) {
     AppendF(out, "\n%5s %9s %8s %8s %9s %9s %9s %8s\n", "shard", "machines",
             "routed", "placed", "unplaced", "solve_ms", "admitted", "within");
-    for (const IntrospectionShard& shard : status.shards) {
+    for (const ShardLoad& shard : status.shards) {
       std::int64_t admitted = 0;
       std::int64_t within = 0;
       for (const SloShardRow& row : slo.shards) {

@@ -104,7 +104,6 @@ class SloEngine {
 
   // Interns the app name for tables / JSON. Idempotent; first name wins.
   void RegisterApp(std::int32_t app, std::string_view name);
-  [[nodiscard]] std::string_view AppName(std::int32_t app) const;
 
   // Rotates the burn-rate window. Call once per resolve, before any
   // OnAdmitted / ObservePending of that tick.
@@ -120,7 +119,8 @@ class SloEngine {
   void ObservePending(LifecycleSpan& span, std::int64_t now);
 
   // Snapshot with at most `app_rows` per-app rows, ordered worst-first
-  // (violations desc, admitted desc, app asc — deterministic).
+  // (violations desc, admitted desc, app asc — deterministic). Ranks every
+  // app with a row's worth of activity, but builds only the rows returned.
   [[nodiscard]] SloSnapshot Snapshot(std::size_t app_rows) const;
 
   [[nodiscard]] std::int64_t admitted() const { return admitted_; }
@@ -155,6 +155,12 @@ class SloEngine {
     std::int64_t within = 0;
     std::int64_t wait_max = 0;
   };
+  // Snapshot's ranking key: the fields the worst-first row order reads.
+  struct RankKey {
+    std::int64_t violations = 0;
+    std::int64_t admitted = 0;
+    std::int32_t app = -1;
+  };
 
   void CountViolation(LifecycleSpan& span, std::int64_t age_ticks);
   AppSlo& AppSlot(std::int32_t app);
@@ -169,6 +175,7 @@ class SloEngine {
   std::vector<AppSlo> apps_;               // dense by app id
   std::vector<std::string> app_names_;     // dense by app id
   std::vector<ShardSlo> shards_;           // dense by shard (K > 1 only)
+  mutable std::vector<RankKey> rank_scratch_;  // Snapshot's, capacity kept
   // Burn window ring: per-tick good (within) / bad (new violations).
   struct BurnSlot {
     std::int64_t good = 0;
@@ -184,22 +191,11 @@ class SloEngine {
 // latest on GET /statusz and /slo. A process-wide slot guarded by a mutex
 // — publish is a copy, render is a copy-out, no lock held during I/O.
 
-struct IntrospectionShard {
-  std::int32_t shard = -1;
-  std::size_t machines = 0;
-  std::size_t routed = 0;
-  std::size_t placed = 0;
-  std::size_t unplaced = 0;
-  std::size_t spilled = 0;          // containers re-routed by spill rounds
-  std::int64_t util_permille = 0;   // used cpu / capacity, exact permille
-  double solve_seconds = 0.0;
-};
-
 struct IntrospectionStatus {
   std::int64_t tick = -1;
   SloSnapshot slo;
   PendingAgeStats pending_ages;
-  std::vector<IntrospectionShard> shards;       // per-shard load (K > 0)
+  std::vector<ShardLoad> shards;                // per-shard load (K > 1)
   std::vector<PendingRow> oldest_pending;       // worst queue residents
   std::vector<std::string> oldest_pending_app;  // app names, same order
   // Watchdog alert state (enabled=false when the resolver runs without

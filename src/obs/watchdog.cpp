@@ -340,16 +340,18 @@ void Watchdog::CheckShardImbalance(const WatchdogTickInput& input) {
     // analyze:allow(A102) once-per-tick scratch, bounded by shard count
     std::vector<std::int64_t> utils;
     utils.reserve(input.shards.size());  // analyze:allow(A103) per tick
-    for (const WatchdogShardLoad& shard : input.shards) {
-      utils.push_back(shard.util_permille);
-      routed_total += shard.routed;
-      spilled_total += shard.spilled;
-      if (shard.util_permille > max_util) {
-        max_util = shard.util_permille;
+    for (const ShardLoad& shard : input.shards) {
+      const std::int64_t util = shard.UtilPermille();
+      const auto spilled = static_cast<std::int64_t>(shard.spilled);
+      utils.push_back(util);
+      routed_total += static_cast<std::int64_t>(shard.routed);
+      spilled_total += spilled;
+      if (util > max_util) {
+        max_util = util;
         max_util_shard = shard.shard;
       }
-      if (shard.spilled > max_spill) {
-        max_spill = shard.spilled;
+      if (spilled > max_spill) {
+        max_spill = spilled;
         max_spill_shard = shard.shard;
       }
     }

@@ -164,20 +164,32 @@ struct WatchdogOptions {
   std::int64_t causemix_min_count = 32;  // floor on both totals
 };
 
-// Per-shard load sample for the imbalance detector. util_permille is
-// used-cpu / capacity-cpu in exact integer permille, computed by the
-// supplier (core::ShardedScheduler) from cpu-millis.
-struct WatchdogShardLoad {
-  std::int32_t shard = -1;
-  std::int64_t machines = 0;
-  std::int64_t routed = 0;
-  std::int64_t spilled = 0;
-  std::int64_t placed = 0;
-  std::int64_t util_permille = 0;
+// One shard's load over the most recent solve: reported by
+// core::ShardedScheduler, rendered by /statusz and read by the imbalance
+// detector. Every field but solve_seconds is an exact integer; the wall
+// time is display evidence that no detector reads.
+struct ShardLoad {
+  std::int32_t shard = 0;
+  std::size_t machines = 0;
+  std::size_t routed = 0;    // containers assigned (incl. spill retries)
+  std::size_t spilled = 0;   // routed arrivals from spill rounds (>= 1)
+  std::size_t placed = 0;    // containers admitted by this shard's solver
+  std::size_t unplaced = 0;  // terminal give-ups attributed to this shard
+  // End-of-tick cpu occupancy of the shard's machines, exact cpu-millis.
+  std::int64_t free_cpu_millis = 0;
+  std::int64_t capacity_cpu_millis = 0;
+  double solve_seconds = 0.0;
+
+  // Used cpu / capacity in exact integer permille (0 for an empty shard).
+  [[nodiscard]] std::int64_t UtilPermille() const {
+    if (capacity_cpu_millis <= 0) return 0;
+    return (capacity_cpu_millis - free_cpu_millis) * 1000 /
+           capacity_cpu_millis;
+  }
 };
 
 // One tick's detector inputs, assembled by the k8s resolver from the SLO
-// engine, lifecycle ledger, shard stats and schedule outcome. Everything
+// engine, lifecycle ledger, shard stats and schedule outcome. Every signal
 // is an exact integer; vectors are in ascending key order (the supplier's
 // obligation) so window state updates deterministically.
 struct WatchdogTickInput {
@@ -192,7 +204,7 @@ struct WatchdogTickInput {
   // kAppFlapping: (app, re-opens this tick), ascending by app.
   std::vector<std::pair<std::int32_t, std::int64_t>> app_reopens;
   // kShardImbalance: ascending by shard; empty when K <= 1.
-  std::vector<WatchdogShardLoad> shards;
+  std::vector<ShardLoad> shards;
   // kSolveRegression: deterministic effort + wall-clock evidence.
   std::int64_t solve_cost = 0;
   std::int64_t solve_wall_micros = 0;  // evidence only, never a signal

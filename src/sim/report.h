@@ -89,7 +89,7 @@ struct TimeSeriesPoint {
   double avg_util_pct = 0.0;   // mean dominant share over used machines
   double frag_pct = 0.0;       // 100 - avg_util_pct on used machines
   double wall_seconds = 0.0;   // resolve wall time
-  double phase_seconds = 0.0;  // exclusive-phase coverage of the resolve
+  double phase_seconds = 0.0;  // exclusive-phase seconds of the tick
   // Lifecycle / SLO columns (the resolver's lifecycle ledger; exact ticks).
   double slo_attainment_pct = 100.0;   // cumulative within/(within+bad)
   std::int64_t pending_age_p99 = 0;    // p99 age of still-open spans

@@ -1,8 +1,7 @@
 // Warm-solve and group-placement contract:
 //
 //   * Network::Sync() exits early on an empty dirty log
-//     (core/net_sync_noop) and PrepareWeights memoises on its fingerprint
-//     (core/weights_cached);
+//     (core/net_sync_noop);
 //   * the group-decomposed waterfall (AggregatedNetwork::PlaceGroupRun)
 //     replays per-container FindMachine + Deploy walks exactly — machines,
 //     search counters, machine epochs — including anti-affinity fixtures
@@ -79,39 +78,6 @@ TEST(WarmSolve, EmptyDirtyLogSyncIsCountedNoop) {
       << "an idle resolve over a clean state must take the no-op exit";
   EXPECT_EQ(dirty_still, dirty)
       << "a no-op sync must not replay any dirty entries";
-}
-
-// PrepareWeights memoises on the workload's content fingerprint: the
-// second solve over an unchanged population skips Eq. 3–5 recomputation.
-TEST(WarmSolve, WeightsAreCachedAcrossRequests) {
-  const Topology topo = Topology::Uniform(8, ResourceVector::Cores(32, 64));
-  Workload wl;
-  Rng rng(11);
-  const std::vector<ContainerId> wave = GrowWave(wl, rng, 6);
-  cluster::ClusterState state = wl.MakeState(topo);
-  core::AladdinScheduler engine;
-
-  obs::Registry::Get().ResetAll();
-  obs::SetMetricsEnabled(true);
-  const sim::ScheduleRequest request{&wl, &wave};
-  (void)engine.Schedule(request, state);
-  EXPECT_EQ(CounterValue("core/weights_cached"), 0)
-      << "the first solve has nothing to reuse";
-  const std::vector<ContainerId> empty;
-  const sim::ScheduleRequest idle{&wl, &empty};
-  (void)engine.Schedule(idle, state);
-  const std::int64_t cached = CounterValue("core/weights_cached");
-  obs::SetMetricsEnabled(false);
-  EXPECT_EQ(cached, 1) << "an unchanged population must hit the cache";
-
-  // Growing the workload invalidates the fingerprint.
-  wl.AddApplication("late", 2, ResourceVector::Cores(2, 4));
-  state.SyncWorkloadGrowth();
-  obs::SetMetricsEnabled(true);
-  (void)engine.Schedule(idle, state);
-  obs::SetMetricsEnabled(false);
-  EXPECT_EQ(CounterValue("core/weights_cached"), cached)
-      << "a changed population must recompute";
 }
 
 // ------------------------------------------- group waterfall identity ----

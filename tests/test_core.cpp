@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "cluster/audit.h"
+#include "common/rng.h"
 #include "core/capacity.h"
 #include "core/migration.h"
 #include "core/network.h"
@@ -87,6 +89,62 @@ TEST(Weights, WeightOfClampsOutOfRange) {
   const PriorityWeights w = MakeGeometricWeights(3, 10);
   EXPECT_EQ(w.WeightOf(-5), 1);
   EXPECT_EQ(w.WeightOf(99), 100);
+}
+
+// One single-container application per container of `wl`, in container
+// order: its application table is `wl`'s container table, so the class
+// ranges read from it are those of a walk over `wl`'s containers.
+Workload FlattenContainers(const Workload& wl) {
+  Workload flat;
+  for (const cluster::Container& c : wl.containers()) {
+    flat.AddApplication("c" + std::to_string(c.id.value()), 1, c.request,
+                        c.priority);
+  }
+  return flat;
+}
+
+// Differential oracle for the application-table class ranges: derived
+// weights and Eq. 5 verdicts equal those of a per-container walk, on the
+// paper trace and on a workload grown pod by pod with AddContainer.
+TEST(Weights, ApplicationWalkMatchesContainerWalk) {
+  trace::AlibabaTraceOptions options;
+  options.scale = 0.01;
+  const Workload paper = trace::GenerateAlibabaLike(options);
+
+  Workload grown;
+  Rng rng(3);
+  for (int a = 0; a < 40; ++a) {
+    grown.AddApplication(
+        "app-" + std::to_string(a),
+        static_cast<std::size_t>(rng.UniformInt(1, 3)),
+        ResourceVector(rng.UniformInt(100, 16000), rng.UniformInt(100, 8000)),
+        static_cast<cluster::Priority>(rng.UniformInt(0, 5)));  // 4, 5 clamp
+  }
+  for (int i = 0; i < 400; ++i) {
+    grown.AddContainer(ApplicationId(static_cast<std::int32_t>(
+        rng.UniformInt(0, 39))));
+  }
+
+  const auto expect_matches_container_walk = [](const Workload& wl) {
+    const Workload flat = FlattenContainers(wl);
+    ASSERT_EQ(flat.application_count(), wl.container_count());
+    const PriorityWeights minimal = ComputeMinimalWeights(wl);
+    EXPECT_EQ(minimal.weight, ComputeMinimalWeights(flat).weight);
+    EXPECT_TRUE(SatisfiesEq5(minimal, wl));
+    for (std::int64_t base : {2, 4, 16, 128}) {
+      const PriorityWeights w =
+          MakeGeometricWeights(cluster::kPriorityClasses, base);
+      EXPECT_EQ(SatisfiesEq5(w, wl), SatisfiesEq5(w, flat)) << "base " << base;
+    }
+  };
+  {
+    SCOPED_TRACE("paper trace");
+    expect_matches_container_walk(paper);
+  }
+  {
+    SCOPED_TRACE("grown with AddContainer");
+    expect_matches_container_walk(grown);
+  }
 }
 
 // ------------------------------------------------------------ capacity ----

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -146,6 +147,81 @@ TEST(LifecycleLedger, PendingAgeCountsBucketByAge) {
   EXPECT_EQ(stats.p50, 2);
 }
 
+// Differential oracle for the open-span list: after every step of a seeded
+// random event stream over 200 ids, the ledger's readers equal a full scan
+// of SpanPtr over every id.
+TEST(LifecycleLedger, OpenSpanReadersMatchFullScan) {
+  constexpr std::int32_t kIds = 200;
+  const obs::Cause kCauses[] = {obs::Cause::kCapacityExhaustedCpu,
+                                obs::Cause::kCapacityExhaustedMem,
+                                obs::Cause::kAntiAffinityIntraApp};
+  obs::LifecycleLedger ledger;
+  Rng rng(20261017);
+  std::int64_t tick = 0;
+  for (int step = 0; step < 3000; ++step) {
+    if (rng.Bernoulli(0.05)) ++tick;
+    const auto c = static_cast<std::int32_t>(rng.UniformInt(0, kIds - 1));
+    switch (rng.UniformInt(0, 4)) {
+      case 0:
+        ledger.OnArrival(c, c % 13, tick);
+        break;
+      case 1:
+        ledger.OnAttempt(c, kCauses[rng.UniformInt(0, 2)], tick);
+        break;
+      case 2:
+        ledger.OnPlaced(c, c % 7, -1, tick);
+        break;
+      case 3:
+        ledger.OnPreempted(c, tick);
+        break;
+      default:
+        ledger.OnRetired(c, tick);
+        break;
+    }
+
+    std::vector<obs::PendingRow> open;
+    std::vector<std::int64_t> ages;
+    for (std::int32_t id = 0; id < kIds; ++id) {
+      const obs::LifecycleSpan* span = ledger.SpanPtr(id);
+      if (span == nullptr || span->state != obs::SpanState::kPending) continue;
+      obs::PendingRow row;
+      row.container = id;
+      row.app = span->app;
+      row.arrival_tick = span->arrival_tick;
+      row.age_ticks = span->PendingAge(tick);
+      row.attempts = span->attempts;
+      row.last_cause = span->last_cause;
+      open.push_back(row);
+      const auto age = static_cast<std::size_t>(row.age_ticks);
+      if (age >= ages.size()) ages.resize(age + 1, 0);
+      ++ages[age];
+    }
+    std::sort(open.begin(), open.end(),
+              [](const obs::PendingRow& a, const obs::PendingRow& b) {
+                if (a.arrival_tick != b.arrival_tick) {
+                  return a.arrival_tick < b.arrival_tick;
+                }
+                return a.container < b.container;
+              });
+
+    ASSERT_EQ(ledger.open_spans(), open.size()) << "step " << step;
+    ASSERT_EQ(ledger.PendingAgeCounts(tick), ages) << "step " << step;
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1},
+                                std::size_t{10}, std::size_t{kIds}}) {
+      const std::vector<obs::PendingRow> rows = ledger.OldestPending(tick, k);
+      ASSERT_EQ(rows.size(), std::min(k, open.size())) << "step " << step;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i].container, open[i].container) << "step " << step;
+        EXPECT_EQ(rows[i].app, open[i].app);
+        EXPECT_EQ(rows[i].arrival_tick, open[i].arrival_tick);
+        EXPECT_EQ(rows[i].age_ticks, open[i].age_ticks);
+        EXPECT_EQ(rows[i].attempts, open[i].attempts);
+        EXPECT_EQ(rows[i].last_cause, open[i].last_cause);
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------ SLO engine ----
 
 TEST(SloEngine, PercentileFromCountsIsNearestRank) {
@@ -244,6 +320,106 @@ TEST(SloEngine, BurnRateWindowsAndExpires) {
   const obs::SloSnapshot snap = slo.Snapshot(0);
   EXPECT_DOUBLE_EQ(snap.burn_rate, 0.0);
   EXPECT_EQ(snap.violations, 1);
+}
+
+// Differential oracle for the ranked snapshot: per-app tallies kept by the
+// test, fully sorted worst-first, equal Snapshot(k)'s rows for every k. The
+// small per-app counts make (violations, admitted) ties common, so the app
+// id tie-break is exercised.
+TEST(SloEngine, SnapshotRowsMatchFullSort) {
+  constexpr std::int32_t kApps = 100;
+  obs::SloObjective objective;
+  objective.wait_ticks = 2;
+  obs::SloEngine slo(objective);
+  obs::LifecycleLedger ledger;
+  // Apps with id % 7 == 0 stay unnamed: their rows carry an empty name.
+  for (std::int32_t a = 0; a < kApps; ++a) {
+    if (a % 7 != 0) slo.RegisterApp(a, "app-" + std::to_string(a));
+  }
+  struct Tally {
+    std::int64_t admitted = 0;
+    std::int64_t within = 0;
+    std::int64_t violations = 0;
+    std::int64_t wait_max = 0;
+    std::vector<std::int64_t> waits;  // count by wait
+  };
+  std::vector<Tally> tallies(kApps);
+  Rng rng(77);
+  std::int32_t next_container = 0;
+  for (std::int64_t tick = 0; tick < 40; ++tick) {
+    slo.BeginTick(tick);
+    for (int i = 0; i < 6; ++i) {
+      const auto app = static_cast<std::int32_t>(rng.UniformInt(0, kApps - 1));
+      const std::int32_t c = next_container++;
+      ledger.OnArrival(c, app, tick - rng.UniformInt(0, 5));
+      obs::LifecycleSpan& span = *ledger.MutableSpan(c);
+      Tally& tally = tallies[static_cast<std::size_t>(app)];
+      if (rng.Bernoulli(0.3)) {
+        // Left pending: a fresh span is flagged iff its age is past the
+        // objective.
+        if (span.PendingAge(tick) > objective.wait_ticks) ++tally.violations;
+        slo.ObservePending(span, tick);
+        continue;
+      }
+      const std::int64_t wait = ledger.OnPlaced(c, 0, -1, tick);
+      slo.OnAdmitted(span, wait);
+      ++tally.admitted;
+      if (wait <= objective.wait_ticks) {
+        ++tally.within;
+      } else {
+        ++tally.violations;  // placed late, never flagged while pending
+      }
+      tally.wait_max = std::max(tally.wait_max, wait);
+      const auto slot = static_cast<std::size_t>(wait);
+      if (slot >= tally.waits.size()) tally.waits.resize(slot + 1, 0);
+      ++tally.waits[slot];
+    }
+
+    std::vector<obs::SloAppRow> expected;
+    for (std::int32_t a = 0; a < kApps; ++a) {
+      const Tally& tally = tallies[static_cast<std::size_t>(a)];
+      if (tally.admitted == 0 && tally.violations == 0) continue;
+      obs::SloAppRow row;
+      row.app = a;
+      if (a % 7 != 0) row.name = "app-" + std::to_string(a);
+      row.admitted = tally.admitted;
+      row.within = tally.within;
+      row.violations = tally.violations;
+      row.wait_max = tally.wait_max;
+      row.p50 = obs::PercentileFromCounts(tally.waits, 1, 2);
+      row.p99 = obs::PercentileFromCounts(tally.waits, 99, 100);
+      row.p999 = obs::PercentileFromCounts(tally.waits, 999, 1000);
+      expected.push_back(row);
+    }
+    std::sort(expected.begin(), expected.end(),
+              [](const obs::SloAppRow& a, const obs::SloAppRow& b) {
+                if (a.violations != b.violations) {
+                  return a.violations > b.violations;
+                }
+                if (a.admitted != b.admitted) return a.admitted > b.admitted;
+                return a.app < b.app;
+              });
+
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1},
+                                std::size_t{32}, std::size_t{kApps}}) {
+      const obs::SloSnapshot snap = slo.Snapshot(k);
+      ASSERT_EQ(snap.apps_total, expected.size()) << "tick " << tick;
+      ASSERT_EQ(snap.apps.size(), std::min(k, expected.size()));
+      for (std::size_t i = 0; i < snap.apps.size(); ++i) {
+        const obs::SloAppRow& got = snap.apps[i];
+        const obs::SloAppRow& want = expected[i];
+        EXPECT_EQ(got.app, want.app) << "tick " << tick << " row " << i;
+        EXPECT_EQ(got.name, want.name);
+        EXPECT_EQ(got.admitted, want.admitted);
+        EXPECT_EQ(got.within, want.within);
+        EXPECT_EQ(got.violations, want.violations);
+        EXPECT_EQ(got.wait_max, want.wait_max);
+        EXPECT_EQ(got.p50, want.p50);
+        EXPECT_EQ(got.p99, want.p99);
+        EXPECT_EQ(got.p999, want.p999);
+      }
+    }
+  }
 }
 
 // --------------------------------------------- resolver tick-determinism ----
@@ -393,7 +569,7 @@ obs::IntrospectionStatus SyntheticStatus() {
   app.violations = 1;
   status.slo.apps_total = 1;
   status.slo.apps.push_back(app);
-  obs::IntrospectionShard shard;
+  obs::ShardLoad shard;
   shard.shard = 0;
   shard.machines = 4;
   status.shards.push_back(shard);

@@ -15,6 +15,7 @@
 
 #include "common/stats.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "k8s/simulator.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -440,27 +441,50 @@ TEST_F(ObsTest, ResolverPhaseBreakdownCoversResolveTime) {
   sim.SubmitDeployment("web", 12, spec);
   sim.SubmitBatchJob("batch", 20, cluster::ResourceVector::Cores(1, 2),
                      /*lifetime_ticks=*/2);
-  const k8s::ResolveStats stats = sim.Tick();
+  const std::vector<obs::PhaseDelta> before = obs::CapturePhases();
+  WallTimer timer;
+  (void)sim.Tick();
+  const double tick_seconds = timer.ElapsedSeconds();
+  const std::vector<obs::PhaseDelta> phases =
+      obs::DiffPhases(before, obs::CapturePhases());
   obs::StopTracing();
 
-  ASSERT_FALSE(stats.phases.empty());
+  ASSERT_FALSE(phases.empty());
   std::vector<std::string> names;
-  for (const obs::PhaseDelta& d : stats.phases) names.push_back(d.name);
-  for (const char* expected :
-       {"k8s/sync_state", "k8s/reconcile", "core/augment", "core/task"}) {
+  for (const obs::PhaseDelta& d : phases) names.push_back(d.name);
+  for (const char* expected : {"k8s/events", "k8s/sync_state", "k8s/reconcile",
+                               "k8s/lifecycle", "core/augment", "core/task"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected << " missing from the resolve phase breakdown";
+        << expected << " missing from the tick phase breakdown";
   }
-  // Exclusive phases partition the resolve, so their sum cannot exceed the
+  // Exclusive phases partition the tick, so their sum cannot exceed the
   // measured wall time by more than clock noise.
-  const double covered = obs::ExclusiveSeconds(stats.phases);
+  const double covered = obs::ExclusiveSeconds(phases);
   EXPECT_GT(covered, 0.0);
-  EXPECT_LE(covered, stats.wall_seconds * 1.25 + 1e-4);
+  EXPECT_LE(covered, tick_seconds * 1.25 + 1e-4);
 
-  // The same instrumentation produced trace scopes spanning both layers.
+  // The same instrumentation produced trace scopes spanning both layers,
+  // and no exclusive phase opens inside another (its time would count
+  // twice in the coverage sum).
+  std::vector<std::string> exclusive;
+  for (const obs::PhaseDelta& d : phases) {
+    if (d.exclusive) exclusive.push_back(d.name);
+  }
   std::vector<std::string> trace_names;
+  std::vector<std::string> open_exclusive;
   for (const TraceEvent& event : ParseTrace(obs::TraceToJson())) {
     if (event.ph == 'B') trace_names.push_back(event.name);
+    if (std::find(exclusive.begin(), exclusive.end(), event.name) ==
+        exclusive.end()) {
+      continue;
+    }
+    if (event.ph == 'B') {
+      EXPECT_TRUE(open_exclusive.empty())
+          << event.name << " nests inside " << open_exclusive.back();
+      open_exclusive.push_back(event.name);
+    } else if (event.ph == 'E' && !open_exclusive.empty()) {
+      open_exclusive.pop_back();
+    }
   }
   for (const char* expected : {"k8s/tick", "k8s/sync_state", "core/augment"}) {
     EXPECT_NE(

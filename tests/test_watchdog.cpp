@@ -40,6 +40,20 @@ obs::WatchdogTickInput HealthyInput(std::int64_t tick) {
   return input;
 }
 
+// One shard's load sample at `util_permille` of a 1000-millicore capacity.
+obs::ShardLoad Load(std::int32_t shard, std::size_t routed,
+                    std::size_t spilled, std::int64_t util_permille) {
+  obs::ShardLoad load;
+  load.shard = shard;
+  load.machines = 8;
+  load.routed = routed;
+  load.spilled = spilled;
+  load.placed = routed;
+  load.capacity_cpu_millis = 1000;
+  load.free_cpu_millis = 1000 - util_permille;
+  return load;
+}
+
 // Feeds `ticks` healthy ticks starting at `from`; returns the next tick.
 std::int64_t WarmUp(obs::Watchdog& watchdog, std::int64_t ticks,
                     std::int64_t from = 0) {
@@ -149,10 +163,9 @@ TEST(Watchdog, ShardImbalanceFiresOnUtilSkewWithHottestSubject) {
   obs::Watchdog watchdog;
   for (std::int64_t t = 0; t < 3; ++t) {
     obs::WatchdogTickInput input = HealthyInput(t);
-    input.shards = {{0, 8, 10, 0, 10, 100},
-                    {1, 8, 10, 0, 10, 100},
-                    {2, 8, 10, 0, 10, 900},   // 9x the median
-                    {3, 8, 10, 0, 10, 100}};
+    input.shards = {Load(0, 10, 0, 100), Load(1, 10, 0, 100),
+                    Load(2, 10, 0, 900),  // 9x the median
+                    Load(3, 10, 0, 100)};
     watchdog.ObserveTick(input);
   }
   ASSERT_EQ(watchdog.opened_total(), 1);
@@ -168,8 +181,7 @@ TEST(Watchdog, ShardImbalanceFiresOnSpillRatio) {
   for (std::int64_t t = 0; t < 3; ++t) {
     obs::WatchdogTickInput input = HealthyInput(t);
     // Balanced util (below the hot-shard floor) but 3/8 of routings spill.
-    input.shards = {{0, 8, 20, 15, 20, 100},
-                    {1, 8, 20, 0, 20, 100}};
+    input.shards = {Load(0, 20, 15, 100), Load(1, 20, 0, 100)};
     watchdog.ObserveTick(input);
   }
   ASSERT_EQ(watchdog.opened_total(), 1);
