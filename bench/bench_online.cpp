@@ -61,7 +61,7 @@ Occupancy MeasureOccupancy(k8s::ModelAdaptor& adaptor) {
     const k8s::Pod* pod = adaptor.FindPod(uid);
     const cluster::MachineId m = adaptor.MachineOf(pod->node);
     if (m.valid()) {
-      used[static_cast<std::size_t>(m.value())] += pod->spec.requests;
+      used[static_cast<std::size_t>(m.value())] += pod->spec->requests;
     }
   }
   Occupancy occ;

@@ -19,11 +19,17 @@
 // retired-container journal for the resolver to evict). Node changes are
 // rare and structural, so they rebuild the topology from scratch and bump
 // topology_version(), signalling every topology-derived cache to rebuild.
+//
+// The pod store is one hash map keyed by uid, so a tick's bookkeeping costs
+// O(events + pending + expiring), never O(store). Every list the adaptor
+// returns is uid-ascending; nothing depends on hash order. Two side indices
+// keep the tick off the store: a pending list (appended to when a pod
+// becomes pending, compacted by PendingPods()) and an expiry wheel that
+// files each bound short-lived pod under the tick its lifetime elapses.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -41,29 +47,41 @@ class ModelAdaptor {
   // Wire into an EHC: the adaptor subscribes itself.
   void Attach(EventsHandlingCenter& ehc);
 
-  // Direct event entry (used by Attach's subscription and by tests).
+  // Direct event entry (used by Attach's subscription and by tests). A
+  // PodAdded without a spec, or in phase kDeleted, is ignored.
   void OnEvent(const Event& event);
 
   // --- live object store ---------------------------------------------
+  // The pointer stays valid until the pod is deleted: store elements do
+  // not move when other pods are added.
   [[nodiscard]] const Pod* FindPod(PodUid uid) const;
-  // Callers may mutate any field EXCEPT `phase` through this pointer: the
-  // pending/bound indices are keyed on it, so phase transitions must go
-  // through BindPod()/UnbindPod() (or an OnEvent).
-  Pod* MutablePod(PodUid uid);
-  [[nodiscard]] std::size_t pod_count() const { return pods_.size(); }
+  [[nodiscard]] std::size_t pod_count() const { return store_.size(); }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  // Materialised from the phase indices: O(result), uid-ascending — the
-  // same order the historical full-map scans produced.
-  [[nodiscard]] std::vector<PodUid> PendingPods() const;
+  [[nodiscard]] std::size_t bound_count() const { return bound_count_; }
+  // Pending pods, uid-ascending: compacts the pending list (drops pods no
+  // longer pending; sorts only if a uid arrived out of order). O(list).
+  // The reference is valid until a pod next becomes pending.
+  const std::vector<PodUid>& PendingPods();
+  // Bound pods, uid-ascending. O(store): collects and sorts, so the tick
+  // path reads bound_count() instead.
   [[nodiscard]] std::vector<PodUid> BoundPods() const;
-  // Whole store, uid-ascending, for consumers that sweep every pod anyway
-  // (one ordered scan instead of a uid list plus a FindPod per entry).
-  [[nodiscard]] const std::map<PodUid, Pod>& pods() const { return pods_; }
 
-  // Phase transitions, keeping the pending/bound indices in sync. The pod
-  // reference must point into this adaptor's store.
-  void BindPod(Pod& pod, const std::string& node, std::int64_t tick);
-  void UnbindPod(Pod& pod);
+  // Phase transitions, by uid; with OnEvent the only writers of a pod's
+  // phase, node and bound_at_tick. Each keeps the pending list, the bound
+  // count and the expiry wheel in sync.
+  void BindPod(PodUid uid, const std::string& node, std::int64_t tick);
+  // A bound pod moves to `node` (a migration), bound again at `tick`.
+  void MovePod(PodUid uid, const std::string& node, std::int64_t tick);
+  void UnbindPod(PodUid uid);
+
+  // --- expiry wheel ----------------------------------------------------
+  // Replaces `out` with the bound short-lived pods whose lifetime has
+  // elapsed by `now`, uid-ascending, and drops every wheel bucket at or
+  // before `now`. Entries of pods since moved, unbound or deleted drop out.
+  void TakeExpired(std::int64_t now, std::vector<PodUid>& out);
+  // Offers `uid` to TakeExpired again at `tick` (a completion whose delete
+  // did not reach the store).
+  void FileExpiry(PodUid uid, std::int64_t tick);
 
   // --- scheduling-side snapshot (lazily synced) -----------------------
   const trace::Workload& workload();
@@ -88,18 +106,35 @@ class ModelAdaptor {
   [[nodiscard]] const std::string& NodeOfMachine(cluster::MachineId m) const;
 
  private:
+  // One stored pod with its scheduling-side identity.
+  struct Record {
+    Pod pod;
+    // Invalid until the workload sync materialises the pod.
+    cluster::ContainerId container = cluster::ContainerId::Invalid();
+    bool listed_pending = false;  // has an entry in pending_list_
+  };
+
   void SyncTopologyIfDirty();  // full rebuild; node changes are structural
   void SyncWorkloadIfDirty();  // appends containers for newly seen pods
-  void RetireContainer(PodUid uid);
-  // Moves `uid` between the pending/bound indices on a phase change.
-  void ReindexPhase(PodUid uid, PodPhase from, PodPhase to);
+  void RetireContainer(const Record& record);
+  // Sets the record's phase, keeping the pending list and bound count in
+  // sync.
+  void SetPhase(Record& record, PodPhase phase);
+  // Files a bound short-lived pod under the tick its lifetime elapses.
+  void FileIfShortLived(const Pod& pod);
+  Record& RecordOf(PodUid uid);
 
-  std::map<PodUid, Pod> pods_;          // ordered: deterministic scans
+  std::unordered_map<PodUid, Record> store_;
   std::map<std::string, Node> nodes_;
-  // Phase indices over pods_: uid-sorted so PendingPods()/BoundPods() keep
-  // the deterministic ascending order without rescanning the whole store.
-  std::set<PodUid> pending_index_;
-  std::set<PodUid> bound_index_;
+  // What PendingPods() last returned, then each pod that became pending
+  // since. The next PendingPods() drops the entries of pods since bound or
+  // deleted.
+  std::vector<PodUid> pending_list_;
+  bool pending_sorted_ = true;  // pending_list_ strictly ascending
+  std::size_t bound_count_ = 0;
+  // Expiry tick -> uids filed under it. Stale entries are filtered when
+  // their bucket is taken.
+  std::map<std::int64_t, std::vector<PodUid>> expiry_wheel_;
 
   bool topology_dirty_ = true;
   bool workload_dirty_ = false;
@@ -115,7 +150,6 @@ class ModelAdaptor {
   std::multimap<std::string, cluster::ApplicationId> deferred_rules_;
   std::vector<cluster::ContainerId> retired_;
 
-  std::unordered_map<PodUid, cluster::ContainerId> container_of_pod_;
   std::vector<PodUid> pod_of_container_;          // by container index
   std::unordered_map<std::string, cluster::MachineId> machine_of_node_;
   std::vector<std::string> node_of_machine_;      // by machine index

@@ -2,16 +2,17 @@
 // changes in the LLAs' life-cycles and resources. Then, it forwards
 // pre-processed events to [the model adaptor]".
 //
-// Pre-processing here means coalescing: an object added and deleted while
-// still queued cancels out, duplicate updates collapse to the latest, and
-// dispatch order is stable (FIFO over surviving events). Subscribers see a
+// Pre-processing here means coalescing, per object (a pod uid or a node
+// name) within one drain: if the drain holds both an add and a delete of
+// the object, none of its events is dispatched; otherwise only its first
+// event is. Survivors are dispatched in queue order. Subscribers see a
 // clean, minimal stream.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "k8s/objects.h"
@@ -46,7 +47,7 @@ class EventsHandlingCenter {
   void Submit(Event event);
 
   // Coalesce the queue, dispatch surviving events to subscribers, and
-  // return how many were dispatched.
+  // return how many were dispatched. Handlers must not Submit.
   std::size_t DrainAndDispatch();
 
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
@@ -58,8 +59,14 @@ class EventsHandlingCenter {
   }
 
  private:
-  std::deque<Event> queue_;
+  std::vector<Event> queue_;
   std::vector<Handler> handlers_;
+  // Drain scratch, kept for its capacity: (object key, queue index) pairs,
+  // sorted so that each object's events sit together, and a keep flag per
+  // queued event. The key vectors are emptied after each drain.
+  std::vector<std::pair<PodUid, std::uint32_t>> pod_keys_;
+  std::vector<std::pair<std::string_view, std::uint32_t>> node_keys_;
+  std::vector<char> keep_;
   std::int64_t dispatched_total_ = 0;
   std::int64_t coalesced_total_ = 0;
 };

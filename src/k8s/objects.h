@@ -4,11 +4,13 @@
 // model those APIs exchange: pods (the container requests), nodes (the
 // machines), and bindings (the scheduler's decisions).
 //
-// Only the fields the scheduling path consumes are modelled; everything is
-// a plain value type so the event layer can copy/queue freely.
+// Only the fields the scheduling path consumes are modelled. A Pod points
+// at an immutable PodSpec that every replica of one submit call shares, so
+// the event layer copies and queues pods without copying their specs.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,8 +49,9 @@ using PodUid = std::int64_t;
 
 struct Pod {
   PodUid uid = -1;
-  std::string name;
-  PodSpec spec;
+  // Shared by the replicas of one submit call; null only on the uid-only
+  // pod of a PodDeleted event.
+  std::shared_ptr<const PodSpec> spec;
   PodPhase phase = PodPhase::kPending;
   std::string node;               // bound node name, empty while pending
   std::int64_t bound_at_tick = -1;

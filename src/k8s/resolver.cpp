@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -130,7 +131,7 @@ void Resolver::RebuildState(std::int64_t tick) {
     const auto m = adaptor_.MachineOf(pod->node);
     if (!c.valid() || !m.valid() || !state_->Fits(c, m)) {
       // Stale binding (node shrank or vanished between resolves).
-      adaptor_.UnbindPod(*adaptor_.MutablePod(uid));
+      adaptor_.UnbindPod(uid);
       continue;
     }
     state_->Deploy(c, m);
@@ -260,15 +261,13 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
                                       : obs::Cause::kNoAdmissiblePath;
   };
   // Per-tick scratch: member buffers keep their capacity across resolves,
-  // the arena rewinds to its retained chunks. (`pending` stays a fresh
-  // vector — PendingPods() materialises it on the adaptor side.)
+  // the arena rewinds to its retained chunks.
   arena_.Reset();
   std::vector<cluster::ContainerId>& long_lived = long_lived_;
   long_lived.clear();
-  std::vector<PodUid>& short_lived = short_lived_;
+  std::vector<cluster::ContainerId>& short_lived = short_lived_;
   short_lived.clear();
-  // analyze:allow(A102) pending snapshot materialised per resolve, bounded by churn
-  std::vector<PodUid> pending;
+  std::vector<PodUid>& pending = pending_;
   {
     ALADDIN_PHASE_SCOPE("k8s/sync_state");
     (void)adaptor_.workload();  // syncs the workload snapshot
@@ -279,19 +278,22 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
     } else {
       SyncState(tick);
     }
-    ALADDIN_DCHECK(state_->placed_count() == adaptor_.BoundPods().size())
+    ALADDIN_DCHECK(state_->placed_count() == adaptor_.bound_count())
         << "persistent state out of sync with the pod store";
 
-    // Split the pending set.
-    pending = adaptor_.PendingPods();
+    // Split the pending set. A copy: reconcile's preemptions append to the
+    // adaptor's pending list.
+    const std::vector<PodUid>& listed = adaptor_.PendingPods();
+    // analyze:allow(A103) pooled scratch, capacity retained across ticks
+    pending.assign(listed.begin(), listed.end());
     stats.pending_before = pending.size();
     ALADDIN_TRACE_COUNTER("k8s/pending", pending.size());
     for (PodUid uid : pending) {
-      const Pod* pod = adaptor_.FindPod(uid);
-      if (pod->spec.short_lived()) {
-        short_lived.push_back(uid);
+      const cluster::ContainerId c = adaptor_.ContainerOf(uid);
+      if (adaptor_.FindPod(uid)->spec->short_lived()) {
+        short_lived.push_back(c);
       } else {
-        long_lived.push_back(adaptor_.ContainerOf(uid));
+        long_lived.push_back(c);
       }
     }
   }
@@ -344,27 +346,24 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
   if (!short_lived.empty()) {
     ALADDIN_PHASE_SCOPE("core/task");
     SyncFreeIndex();
+    const auto RequestOf =
+        [&state](cluster::ContainerId c) -> const cluster::ResourceVector& {
+      return state.containers()[static_cast<std::size_t>(c.value())].request;
+    };
     std::size_t i = 0;
     while (i < short_lived.size()) {
-      task_run_.clear();
-      task_run_.push_back(adaptor_.ContainerOf(short_lived[i]));
-      const cluster::ResourceVector& req =
-          state.containers()[static_cast<std::size_t>(task_run_[0].value())]
-              .request;
       std::size_t j = i + 1;
-      for (; j < short_lived.size(); ++j) {
-        const cluster::ContainerId c = adaptor_.ContainerOf(short_lived[j]);
-        if (state.containers()[static_cast<std::size_t>(c.value())].request !=
-            req) {
-          break;
-        }
-        task_run_.push_back(c);
+      while (j < short_lived.size() &&
+             RequestOf(short_lived[j]) == RequestOf(short_lived[i])) {
+        ++j;
       }
+      const auto run =
+          std::span<const cluster::ContainerId>(short_lived).subspan(i, j - i);
       // analyze:allow(A103) pooled scratch, capacity retained across ticks
-      task_out_.assign(task_run_.size(), cluster::MachineId::Invalid());
-      core::PlaceTaskRun(state, free_index_, task_run_, task_out_);
-      for (std::size_t k = 0; k < task_run_.size(); ++k) {
-        const cluster::ContainerId c = task_run_[k];
+      task_out_.assign(run.size(), cluster::MachineId::Invalid());
+      core::PlaceTaskRun(state, free_index_, run, task_out_);
+      for (std::size_t k = 0; k < run.size(); ++k) {
+        const cluster::ContainerId c = run[k];
         const cluster::MachineId m = task_out_[k];
         if (m.valid()) {
           if (obs::JournalEnabled()) {
@@ -399,13 +398,13 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
       return std::binary_search(was_pending.begin(), was_pending.end(), uid);
     };
     for (PodUid uid : pending) {
-      Pod* pod = adaptor_.MutablePod(uid);
       const auto c = adaptor_.ContainerOf(uid);
       if (state.IsPlaced(c)) {
         const cluster::MachineId m = state.PlacementOf(c);
-        adaptor_.BindPod(*pod, adaptor_.NodeOfMachine(m), tick);
+        const std::string& node = adaptor_.NodeOfMachine(m);
+        adaptor_.BindPod(uid, node, tick);
         ++stats.new_bindings;
-        if (bindings != nullptr) bindings->push_back(Binding{uid, pod->node});
+        if (bindings != nullptr) bindings->push_back(Binding{uid, node});
         const std::int64_t wait =
             ledger_.OnPlaced(c.value(), m.value(), ShardOfMachine(m), tick);
         if (wait >= 0) slo_.OnAdmitted(*ledger_.MutableSpan(c.value()), wait);
@@ -422,20 +421,19 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
     for (cluster::ContainerId c : state.TakeChangedContainers()) {
       const PodUid uid = adaptor_.PodOfContainer(c);
       if (uid < 0) continue;  // tombstone: pod already deleted
-      Pod* pod = adaptor_.MutablePod(uid);
+      const Pod* pod = adaptor_.FindPod(uid);
       if (pod == nullptr || WasPending(uid)) continue;
       // A pod bound before this tick whose placement the scheduler touched.
       if (!state.IsPlaced(c)) {
         // Preempted by a higher-weighted pending pod; back to the queue.
-        adaptor_.UnbindPod(*pod);
+        adaptor_.UnbindPod(uid);
         ++stats.preemptions;
         ledger_.OnPreempted(c.value(), tick);
         continue;
       }
       const std::string& node = adaptor_.NodeOfMachine(state.PlacementOf(c));
       if (node != pod->node) {
-        pod->node = node;
-        pod->bound_at_tick = tick;
+        adaptor_.MovePod(uid, node, tick);
         ++stats.migrations;
         if (bindings != nullptr) bindings->push_back(Binding{uid, node});
       }

@@ -149,14 +149,14 @@ class Resolver {
   std::uint64_t free_index_cursor_ = 0;
   std::int64_t built_topology_version_ = -1;
 
-  // Per-tick pooling: the long/short-lived splits persist as member
-  // scratch, the reconcile-phase lookup table lives in the arena, reset
-  // each Resolve().
+  // Per-tick pooling: the pending snapshot and its long/short-lived splits
+  // persist as member scratch, the reconcile-phase lookup table lives in
+  // the arena, reset each Resolve().
   Arena arena_;
+  std::vector<PodUid> pending_;
   std::vector<cluster::ContainerId> long_lived_;
-  std::vector<PodUid> short_lived_;
-  // Short-lived run-placement scratch (core::PlaceTaskRun).
-  std::vector<cluster::ContainerId> task_run_;
+  std::vector<cluster::ContainerId> short_lived_;
+  // Short-lived run-placement output (core::PlaceTaskRun).
   std::vector<cluster::MachineId> task_out_;
 
   // Lifecycle ledger + SLO engine and the health watchdog

@@ -1,7 +1,9 @@
 #include "k8s/simulator.h"
 
 #include <algorithm>
+#include <memory>
 
+#include "common/analysis.h"
 #include "obs/trace.h"
 
 namespace aladdin::k8s {
@@ -45,40 +47,32 @@ void ClusterSimulator::RemoveNode(const std::string& name) {
 std::vector<PodUid> ClusterSimulator::SubmitDeployment(const std::string& app,
                                                        std::size_t replicas,
                                                        const PodSpec& spec) {
-  std::vector<PodUid> uids;
-  uids.reserve(replicas);
-  for (std::size_t i = 0; i < replicas; ++i) {
-    Pod pod;
-    pod.uid = NextUid();
-    pod.name = app + "-" + std::to_string(i);
-    pod.spec = spec;
-    pod.spec.app = app;
-    pod.spec.lifetime_ticks = 0;  // long-lived by definition
-    uids.push_back(pod.uid);
-    Event event;
-    event.type = EventType::kPodAdded;
-    event.pod = std::move(pod);
-    ehc_.Submit(std::move(event));
-  }
-  return uids;
+  auto shared = std::make_shared<PodSpec>(spec);
+  shared->app = app;
+  shared->lifetime_ticks = 0;  // long-lived by definition
+  return SubmitPods(std::move(shared), replicas);
 }
 
 std::vector<PodUid> ClusterSimulator::SubmitBatchJob(
     const std::string& job, std::size_t tasks,
     cluster::ResourceVector request, std::int64_t lifetime_ticks) {
+  auto shared = std::make_shared<PodSpec>();
+  shared->app = job;
+  shared->requests = request;
+  shared->lifetime_ticks = std::max<std::int64_t>(1, lifetime_ticks);
+  return SubmitPods(std::move(shared), tasks);
+}
+
+std::vector<PodUid> ClusterSimulator::SubmitPods(
+    std::shared_ptr<const PodSpec> spec, std::size_t count) {
   std::vector<PodUid> uids;
-  uids.reserve(tasks);
-  for (std::size_t i = 0; i < tasks; ++i) {
-    Pod pod;
-    pod.uid = NextUid();
-    pod.name = job + "-task-" + std::to_string(i);
-    pod.spec.app = job;
-    pod.spec.requests = request;
-    pod.spec.lifetime_ticks = std::max<std::int64_t>(1, lifetime_ticks);
-    uids.push_back(pod.uid);
+  uids.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
     Event event;
     event.type = EventType::kPodAdded;
-    event.pod = std::move(pod);
+    event.pod.uid = NextUid();
+    event.pod.spec = spec;
+    uids.push_back(event.pod.uid);
     ehc_.Submit(std::move(event));
   }
   return uids;
@@ -96,10 +90,10 @@ std::size_t ClusterSimulator::ScaleDown(const std::string& app,
   // Collect the app's pods, newest (highest uid) first.
   std::vector<PodUid> members;
   for (PodUid uid : adaptor_.PendingPods()) {
-    if (adaptor_.FindPod(uid)->spec.app == app) members.push_back(uid);
+    if (adaptor_.FindPod(uid)->spec->app == app) members.push_back(uid);
   }
   for (PodUid uid : adaptor_.BoundPods()) {
-    if (adaptor_.FindPod(uid)->spec.app == app) members.push_back(uid);
+    if (adaptor_.FindPod(uid)->spec->app == app) members.push_back(uid);
   }
   std::sort(members.rbegin(), members.rend());
   const std::size_t n = std::min(count, members.size());
@@ -107,7 +101,8 @@ std::size_t ClusterSimulator::ScaleDown(const std::string& app,
   return n;
 }
 
-ResolveStats ClusterSimulator::Tick(std::vector<Binding>* bindings) {
+ALADDIN_HOT ResolveStats ClusterSimulator::Tick(
+    std::vector<Binding>* bindings) {
   ALADDIN_TRACE_SCOPE("k8s/tick");
   ALADDIN_METRIC_ADD("k8s/ticks", 1);
   ++now_;
@@ -117,18 +112,21 @@ ResolveStats ClusterSimulator::Tick(std::vector<Binding>* bindings) {
     // resolver, kept exclusive so the tick breakdown separates event
     // handling from scheduling.
     ALADDIN_PHASE_SCOPE("k8s/events");
-    // One uid-ascending sweep of the store (same visit order as the old
-    // BoundPods() + FindPod-per-uid pair). DeletePod only queues an event,
-    // so the store is not mutated until the drain below.
-    for (const auto& [uid, pod] : adaptor_.pods()) {
-      if (pod.phase != PodPhase::kBound || !pod.spec.short_lived()) continue;
-      if (pod.bound_at_tick >= 0 &&
-          now_ >= pod.bound_at_tick + pod.spec.lifetime_ticks) {
+    // The expiry wheel yields the completed pods uid-ascending. DeletePod
+    // only queues an event, so the store is not mutated until the drain.
+    adaptor_.TakeExpired(now_, expired_);
+    for (PodUid uid : expired_) DeletePod(uid);
+    ehc_.DrainAndDispatch();
+    // A completion counts once its pod has left the store. If the drain
+    // coalesced the delete away (it also held an add of the pod), the pod
+    // is offered again next tick.
+    for (PodUid uid : expired_) {
+      if (adaptor_.FindPod(uid) == nullptr) {
         ++completed_tasks_;
-        DeletePod(uid);
+      } else {
+        adaptor_.FileExpiry(uid, now_ + 1);
       }
     }
-    ehc_.DrainAndDispatch();
   }
   ResolveStats stats = resolver_.Resolve(now_, bindings);
   ALADDIN_METRIC_GAUGE_SET("k8s/pods_pending",

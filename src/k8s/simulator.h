@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,7 @@ class ClusterSimulator {
   void RemoveNode(const std::string& name);
 
   // --- workload submission ---------------------------------------------
+  // The pods of one call share one immutable PodSpec.
   // Long-lived application with `replicas` pods.
   std::vector<PodUid> SubmitDeployment(const std::string& app,
                                        std::size_t replicas,
@@ -68,6 +70,9 @@ class ClusterSimulator {
 
  private:
   PodUid NextUid() { return next_uid_++; }
+  // Queues `count` pods that all share `spec`.
+  std::vector<PodUid> SubmitPods(std::shared_ptr<const PodSpec> spec,
+                                 std::size_t count);
 
   EventsHandlingCenter ehc_;
   ModelAdaptor adaptor_;
@@ -76,6 +81,7 @@ class ClusterSimulator {
   PodUid next_uid_ = 1;
   std::int64_t node_counter_ = 0;
   std::int64_t completed_tasks_ = 0;
+  std::vector<PodUid> expired_;  // Tick() scratch
 };
 
 }  // namespace aladdin::k8s

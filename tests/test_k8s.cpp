@@ -4,6 +4,16 @@
 // and the full simulator's mixed long-/short-lived lifecycle (§IV.D).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <memory>
+#include <set>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
+#include <vector>
+
 #include "cluster/audit.h"
 #include "k8s/adaptor.h"
 #include "k8s/events.h"
@@ -16,16 +26,26 @@ namespace {
 
 using cluster::ResourceVector;
 
-Pod MakePod(PodUid uid, const std::string& app, ResourceVector req,
-            cluster::Priority priority = 0, bool anti_within = false) {
+PodSpec MakeSpec(const std::string& app, ResourceVector req,
+                 cluster::Priority priority = 0, bool anti_within = false) {
+  PodSpec spec;
+  spec.app = app;
+  spec.requests = req;
+  spec.priority = priority;
+  spec.anti_affinity_within = anti_within;
+  return spec;
+}
+
+Pod MakePod(PodUid uid, PodSpec spec) {
   Pod pod;
   pod.uid = uid;
-  pod.name = app + "-" + std::to_string(uid);
-  pod.spec.app = app;
-  pod.spec.requests = req;
-  pod.spec.priority = priority;
-  pod.spec.anti_affinity_within = anti_within;
+  pod.spec = std::make_shared<const PodSpec>(std::move(spec));
   return pod;
+}
+
+Pod MakePod(PodUid uid, const std::string& app, ResourceVector req,
+            cluster::Priority priority = 0, bool anti_within = false) {
+  return MakePod(uid, MakeSpec(app, req, priority, anti_within));
 }
 
 Event PodAdded(Pod pod) {
@@ -49,6 +69,20 @@ Event NodeAdded(const std::string& name, ResourceVector capacity,
   e.type = EventType::kNodeAdded;
   e.node = Node{name, capacity, rack, zone};
   return e;
+}
+
+Event NodeRemoved(const std::string& name) {
+  Event e;
+  e.type = EventType::kNodeRemoved;
+  e.node.name = name;
+  return e;
+}
+
+// The object an event is about: its pod uid or its node name.
+std::string EventKey(const Event& e) {
+  return e.type == EventType::kPodAdded || e.type == EventType::kPodDeleted
+             ? std::to_string(e.pod.uid)
+             : e.node.name;
 }
 
 // ------------------------------------------------------------------ EHC ----
@@ -104,14 +138,107 @@ TEST(Ehc, NodeAddRemoveCancels) {
   int seen = 0;
   ehc.Subscribe([&](const Event&) { ++seen; });
   ehc.Submit(NodeAdded("n0", ResourceVector::Cores(32, 64)));
-  {
-    Event e;
-    e.type = EventType::kNodeRemoved;
-    e.node.name = "n0";
-    ehc.Submit(std::move(e));
-  }
+  ehc.Submit(NodeRemoved("n0"));
   EXPECT_EQ(ehc.DrainAndDispatch(), 0u);
   EXPECT_EQ(seen, 0);
+}
+
+// The hash-set coalescing rule the EHC implemented before it grouped
+// events by sorting, kept as the oracle: the (type, key) of every event it
+// dispatches, in order.
+std::vector<std::pair<EventType, std::string>> HashSetCoalesce(
+    const std::vector<Event>& queue) {
+  std::unordered_map<PodUid, int> pod_adds;
+  std::unordered_set<PodUid> pod_deletes;
+  std::unordered_map<std::string, int> node_adds;
+  std::unordered_set<std::string> node_removes;
+  for (const Event& e : queue) {
+    switch (e.type) {
+      case EventType::kPodAdded:
+        ++pod_adds[e.pod.uid];
+        break;
+      case EventType::kPodDeleted:
+        pod_deletes.insert(e.pod.uid);
+        break;
+      case EventType::kNodeAdded:
+        ++node_adds[e.node.name];
+        break;
+      case EventType::kNodeRemoved:
+        node_removes.insert(e.node.name);
+        break;
+    }
+  }
+  std::vector<std::pair<EventType, std::string>> out;
+  std::unordered_set<PodUid> pod_emitted;
+  std::unordered_set<std::string> node_emitted;
+  for (const Event& e : queue) {
+    bool keep = true;
+    switch (e.type) {
+      case EventType::kPodAdded:
+        keep = !pod_deletes.contains(e.pod.uid) &&
+               pod_emitted.insert(e.pod.uid).second;
+        break;
+      case EventType::kPodDeleted:
+        keep = !pod_adds.contains(e.pod.uid) &&
+               pod_emitted.insert(e.pod.uid).second;
+        break;
+      case EventType::kNodeAdded:
+        keep = !node_removes.contains(e.node.name) &&
+               node_emitted.insert(e.node.name).second;
+        break;
+      case EventType::kNodeRemoved:
+        keep = !node_adds.contains(e.node.name) &&
+               node_emitted.insert(e.node.name).second;
+        break;
+    }
+    if (keep) out.emplace_back(e.type, EventKey(e));
+  }
+  return out;
+}
+
+// Seeded random drains over a few pods and nodes, so one drain holds
+// duplicate adds, an add and a delete of one pod, deletes of uids never
+// added, and node add / remove / re-add sequences.
+TEST(Ehc, SortCoalescingMatchesHashSetOracle) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    EventsHandlingCenter ehc;
+    std::vector<std::pair<EventType, std::string>> got;
+    ehc.Subscribe([&got](const Event& e) {
+      got.emplace_back(e.type, EventKey(e));
+    });
+    std::int64_t coalesced = 0;
+    for (int drain = 0; drain < 50; ++drain) {
+      std::vector<Event> queue;
+      const std::int64_t n = rng.UniformInt(0, 24);
+      for (std::int64_t i = 0; i < n; ++i) {
+        const PodUid uid = rng.UniformInt(1, 10);
+        const std::string node = "n" + std::to_string(rng.UniformInt(0, 3));
+        switch (rng.UniformInt(0, 3)) {
+          case 0:
+            queue.push_back(
+                PodAdded(MakePod(uid, "a", ResourceVector::Cores(1, 2))));
+            break;
+          case 1:
+            queue.push_back(PodDeleted(uid + rng.UniformInt(0, 1) * 100));
+            break;
+          case 2:
+            queue.push_back(NodeAdded(node, ResourceVector::Cores(8, 16)));
+            break;
+          default:
+            queue.push_back(NodeRemoved(node));
+            break;
+        }
+      }
+      const auto want = HashSetCoalesce(queue);
+      for (const Event& e : queue) ehc.Submit(e);
+      got.clear();
+      EXPECT_EQ(ehc.DrainAndDispatch(), want.size());
+      EXPECT_EQ(got, want) << "seed " << seed << " drain " << drain;
+      coalesced += n - static_cast<std::int64_t>(want.size());
+      EXPECT_EQ(ehc.coalesced_total(), coalesced);
+    }
+  }
 }
 
 // ---------------------------------------------------------------- adaptor ----
@@ -140,9 +267,9 @@ TEST(Adaptor, BuildsWorkloadFromOwners) {
 
 TEST(Adaptor, CrossOwnerAntiAffinityResolved) {
   ModelAdaptor ma;
-  Pod web = MakePod(1, "web", ResourceVector::Cores(4, 8));
-  web.spec.anti_affinity_apps = {"db"};
-  ma.OnEvent(PodAdded(web));
+  PodSpec web = MakeSpec("web", ResourceVector::Cores(4, 8));
+  web.anti_affinity_apps = {"db"};
+  ma.OnEvent(PodAdded(MakePod(1, web)));
   ma.OnEvent(PodAdded(MakePod(2, "db", ResourceVector::Cores(8, 16))));
   const trace::Workload& wl = ma.workload();
   EXPECT_TRUE(wl.constraints().Conflicts(wl.applications()[0].id,
@@ -172,12 +299,7 @@ TEST(Adaptor, NodeRemovalUnbindsPods) {
   pod.phase = PodPhase::kBound;
   pod.node = "n0";
   ma.OnEvent(PodAdded(pod));
-  {
-    Event e;
-    e.type = EventType::kNodeRemoved;
-    e.node.name = "n0";
-    ma.OnEvent(e);
-  }
+  ma.OnEvent(NodeRemoved("n0"));
   const Pod* stored = ma.FindPod(1);
   ASSERT_NE(stored, nullptr);
   EXPECT_EQ(stored->phase, PodPhase::kPending);
@@ -225,9 +347,9 @@ TEST(Resolver, MigratesBlockerForConstrainedArrival) {
   // (anti-affine with A) arrives and only fits on big — A must migrate.
   ModelAdaptor ma;
   ma.OnEvent(NodeAdded("big", ResourceVector::Cores(32, 64)));
-  Pod a = MakePod(1, "A", ResourceVector::Cores(8, 16), 1);
-  a.spec.anti_affinity_apps = {"B"};
-  ma.OnEvent(PodAdded(a));
+  PodSpec a = MakeSpec("A", ResourceVector::Cores(8, 16), 1);
+  a.anti_affinity_apps = {"B"};
+  ma.OnEvent(PodAdded(MakePod(1, a)));
   Resolver resolver(ma);
   resolver.Resolve(1);
   ASSERT_EQ(ma.FindPod(1)->node, "big");
@@ -283,7 +405,7 @@ TEST(Simulator, EndToEndMixedWorkload) {
   EXPECT_EQ(sim.completed_tasks(), 12);
   EXPECT_EQ(sim.adaptor().pod_count(), 4u);  // only the LLA remains
   for (PodUid uid : sim.adaptor().BoundPods()) {
-    EXPECT_FALSE(sim.adaptor().FindPod(uid)->spec.short_lived());
+    EXPECT_FALSE(sim.adaptor().FindPod(uid)->spec->short_lived());
   }
 }
 
@@ -363,7 +485,7 @@ TEST(Simulator, PriorityPreemptionThroughTheStack) {
   EXPECT_GE(stats.preemptions, 1u);
   bool vip_bound = false;
   for (PodUid uid : sim.adaptor().BoundPods()) {
-    if (sim.adaptor().FindPod(uid)->spec.app == "vip") vip_bound = true;
+    if (sim.adaptor().FindPod(uid)->spec->app == "vip") vip_bound = true;
   }
   EXPECT_TRUE(vip_bound);
 }
@@ -397,6 +519,46 @@ TEST(Simulator, InterleavedBatchJobsCompleteIndependently) {
   EXPECT_EQ(sim.completed_tasks(), 16);
 }
 
+// bound_at_tick + lifetime_ticks overflows for a lifetime near INT64_MAX;
+// the expiry tick saturates instead, and such a pod never completes.
+TEST(Simulator, MaxLifetimeBatchPodStaysBound) {
+  ClusterSimulator sim;
+  sim.AddNodes(1, ResourceVector::Cores(32, 64));
+  const PodUid uid =
+      sim.SubmitBatchJob("forever", 1, ResourceVector::Cores(1, 2),
+                         std::numeric_limits<std::int64_t>::max())
+          .front();
+  for (int t = 0; t < 5; ++t) {
+    sim.Tick();
+    const Pod* pod = sim.adaptor().FindPod(uid);
+    ASSERT_NE(pod, nullptr) << "tick " << sim.now();
+    EXPECT_EQ(pod->phase, PodPhase::kBound) << "tick " << sim.now();
+  }
+  EXPECT_EQ(sim.completed_tasks(), 0);
+}
+
+// An update of a batch pod queued for its expiry tick makes the drain hold
+// an add and a delete of the pod, so neither is dispatched. The pod stays,
+// is offered again on the next tick, and its completion counts once.
+TEST(Simulator, CoalescedCompletionIsRetriedAndCountedOnce) {
+  ClusterSimulator sim;
+  sim.AddNodes(1, ResourceVector::Cores(32, 64));
+  const PodUid uid =
+      sim.SubmitBatchJob("job", 1, ResourceVector::Cores(1, 2), 1).front();
+  sim.Tick();  // binds at tick 1, expires at tick 2
+  ASSERT_EQ(sim.adaptor().FindPod(uid)->phase, PodPhase::kBound);
+  Event update;
+  update.type = EventType::kPodAdded;
+  update.pod = *sim.adaptor().FindPod(uid);
+  sim.ehc().Submit(std::move(update));
+  sim.Tick();
+  EXPECT_NE(sim.adaptor().FindPod(uid), nullptr);
+  EXPECT_EQ(sim.completed_tasks(), 0);
+  sim.Tick();
+  EXPECT_EQ(sim.adaptor().FindPod(uid), nullptr);
+  EXPECT_EQ(sim.completed_tasks(), 1);
+}
+
 TEST(Adaptor, DeletingPendingPodRemovesIt) {
   ModelAdaptor ma;
   ma.OnEvent(NodeAdded("n0", ResourceVector::Cores(32, 64)));
@@ -407,6 +569,58 @@ TEST(Adaptor, DeletingPendingPodRemovesIt) {
   EXPECT_EQ(ma.FindPod(1), nullptr);
   // Snapshot reflects the deletion.
   EXPECT_EQ(ma.workload().container_count(), 0u);
+}
+
+// The pending list stays uid-ascending and duplicate-free when pods fall
+// back to pending out of uid order, or a uid is deleted and re-added
+// before the list is next read.
+TEST(Adaptor, PendingPodsStayUidAscending) {
+  ModelAdaptor ma;
+  ma.OnEvent(NodeAdded("n0", ResourceVector::Cores(32, 64)));
+  for (PodUid uid : {PodUid{1}, PodUid{2}}) {
+    Pod pod = MakePod(uid, "a", ResourceVector::Cores(1, 2));
+    pod.phase = PodPhase::kBound;
+    pod.node = "n0";
+    ma.OnEvent(PodAdded(pod));
+  }
+  ma.OnEvent(PodAdded(MakePod(5, "b", ResourceVector::Cores(1, 2))));
+  ma.OnEvent(PodAdded(MakePod(6, "b", ResourceVector::Cores(1, 2))));
+  EXPECT_EQ(ma.PendingPods(), (std::vector<PodUid>{5, 6}));
+  EXPECT_EQ(ma.bound_count(), 2u);
+  ma.OnEvent(PodAdded(MakePod(7, "b", ResourceVector::Cores(1, 2))));
+  ma.OnEvent(PodDeleted(7));
+  ma.OnEvent(PodAdded(MakePod(7, "b", ResourceVector::Cores(1, 2))));
+  ma.OnEvent(NodeRemoved("n0"));
+  EXPECT_EQ(ma.PendingPods(), (std::vector<PodUid>{1, 2, 5, 6, 7}));
+  EXPECT_EQ(ma.bound_count(), 0u);
+  EXPECT_TRUE(ma.BoundPods().empty());
+}
+
+// The wheel offers a short-lived pod when its lifetime has elapsed since
+// it was last bound or moved, and drops entries of moved, unbound and
+// deleted pods.
+TEST(Adaptor, ExpiryWheelFollowsMovesAndDeletes) {
+  ModelAdaptor ma;
+  ma.OnEvent(NodeAdded("n0", ResourceVector::Cores(32, 64)));
+  ma.OnEvent(NodeAdded("n1", ResourceVector::Cores(32, 64)));
+  PodSpec batch = MakeSpec("job", ResourceVector::Cores(1, 2));
+  batch.lifetime_ticks = 2;
+  for (PodUid uid = 1; uid <= 4; ++uid) {
+    ma.OnEvent(PodAdded(MakePod(uid, batch)));
+    ma.BindPod(uid, "n0", 1);
+  }
+  std::vector<PodUid> expired;
+  ma.TakeExpired(2, expired);
+  EXPECT_TRUE(expired.empty());
+  ma.MovePod(1, "n1", 2);  // restarts its lifetime: expires at 4
+  ma.OnEvent(PodDeleted(2));
+  ma.UnbindPod(3);
+  ma.TakeExpired(3, expired);
+  EXPECT_EQ(expired, std::vector<PodUid>{4});
+  ma.TakeExpired(4, expired);
+  EXPECT_EQ(expired, std::vector<PodUid>{1});
+  ma.TakeExpired(10, expired);
+  EXPECT_TRUE(expired.empty());
 }
 
 TEST(Adaptor, PrototypeSpecIsCanonicalPerOwner) {
@@ -428,9 +642,9 @@ TEST(Resolver, ShortLivedPodsBypassConstraints) {
   ma.OnEvent(NodeAdded("n0", ResourceVector::Cores(8, 16)));
   Pod lla = MakePod(1, "svc", ResourceVector::Cores(4, 8), 1, true);
   ma.OnEvent(PodAdded(lla));
-  Pod batch = MakePod(2, "svc-batch", ResourceVector::Cores(4, 8));
-  batch.spec.lifetime_ticks = 2;
-  ma.OnEvent(PodAdded(batch));
+  PodSpec batch = MakeSpec("svc-batch", ResourceVector::Cores(4, 8));
+  batch.lifetime_ticks = 2;
+  ma.OnEvent(PodAdded(MakePod(2, batch)));
   Resolver resolver(ma);
   const ResolveStats stats = resolver.Resolve(1);
   EXPECT_EQ(stats.new_bindings, 2u);
@@ -442,11 +656,23 @@ TEST(Resolver, ShortLivedPodsBypassConstraints) {
 
 class ChurnFuzzTest : public ::testing::TestWithParam<int> {};
 
+// Invariants plus two oracles for the adaptor's indices: a full scan of
+// BoundPods() predicts which pods the expiry wheel completes, and a scan
+// of every submitted uid predicts PendingPods(), BoundPods() and the
+// counts.
 TEST_P(ChurnFuzzTest, RandomNodeAndPodChurnKeepsInvariants) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 77);
   ClusterSimulator sim;
   std::vector<std::string> nodes =
       sim.AddNodes(10, ResourceVector::Cores(32, 64));
+  std::vector<PodUid> submitted;  // every uid handed out, ascending
+  const auto Submitted = [&submitted](const std::vector<PodUid>& uids) {
+    submitted.insert(submitted.end(), uids.begin(), uids.end());
+  };
+  const auto RemoveNode = [&sim, &nodes](std::size_t pick) {
+    sim.RemoveNode(nodes[pick]);
+    nodes.erase(nodes.begin() + static_cast<std::ptrdiff_t>(pick));
+  };
 
   int app_counter = 0;
   for (int tick = 0; tick < 12; ++tick) {
@@ -457,32 +683,83 @@ TEST_P(ChurnFuzzTest, RandomNodeAndPodChurnKeepsInvariants) {
                                             rng.UniformInt(2, 16));
       spec.priority = static_cast<cluster::Priority>(rng.UniformInt(0, 3));
       spec.anti_affinity_within = rng.Bernoulli(0.5);
-      sim.SubmitDeployment("fuzz-" + std::to_string(app_counter++),
-                           static_cast<std::size_t>(rng.UniformInt(1, 5)),
-                           spec);
+      Submitted(sim.SubmitDeployment(
+          "fuzz-" + std::to_string(app_counter++),
+          static_cast<std::size_t>(rng.UniformInt(1, 5)), spec));
     }
     if (rng.Bernoulli(0.4)) {
-      sim.SubmitBatchJob("batch-" + std::to_string(tick),
-                         static_cast<std::size_t>(rng.UniformInt(2, 10)),
-                         ResourceVector::Cores(1, 2), rng.UniformInt(1, 3));
+      const std::int64_t lifetime =
+          rng.Bernoulli(0.25) ? std::numeric_limits<std::int64_t>::max()
+                              : rng.UniformInt(1, 3);
+      Submitted(sim.SubmitBatchJob(
+          "batch-" + std::to_string(tick),
+          static_cast<std::size_t>(rng.UniformInt(2, 10)),
+          ResourceVector::Cores(1, 2), lifetime));
     }
-    // Random infrastructure churn.
+    // Random infrastructure churn, including the loss of a node that runs
+    // batch pods.
     if (rng.Bernoulli(0.25) && nodes.size() > 4) {
-      const auto pick = static_cast<std::size_t>(rng.UniformInt(
-          0, static_cast<std::int64_t>(nodes.size()) - 1));
-      sim.RemoveNode(nodes[pick]);
-      nodes.erase(nodes.begin() + static_cast<std::ptrdiff_t>(pick));
+      RemoveNode(static_cast<std::size_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(nodes.size()) - 1)));
+    }
+    if (rng.Bernoulli(0.25) && nodes.size() > 4) {
+      for (PodUid uid : sim.adaptor().BoundPods()) {
+        const Pod* pod = sim.adaptor().FindPod(uid);
+        if (!pod->spec->short_lived()) continue;
+        const auto it = std::find(nodes.begin(), nodes.end(), pod->node);
+        if (it != nodes.end()) {
+          RemoveNode(static_cast<std::size_t>(it - nodes.begin()));
+        }
+        break;
+      }
     }
     if (rng.Bernoulli(0.25)) {
       const auto added = sim.AddNodes(2, ResourceVector::Cores(32, 64));
       nodes.insert(nodes.end(), added.begin(), added.end());
     }
 
+    // Expiry oracle: the bound short-lived pods whose lifetime has elapsed
+    // by the coming tick.
+    std::vector<PodUid> expiring;
+    for (PodUid uid : sim.adaptor().BoundPods()) {
+      const Pod* pod = sim.adaptor().FindPod(uid);
+      if (pod->spec->short_lived() && pod->bound_at_tick >= 0 &&
+          sim.now() + 1 - pod->bound_at_tick >= pod->spec->lifetime_ticks) {
+        expiring.push_back(uid);
+      }
+    }
+    const std::int64_t completed_before = sim.completed_tasks();
+
     sim.Tick();
+
+    for (PodUid uid : expiring) {
+      EXPECT_EQ(sim.adaptor().FindPod(uid), nullptr)
+          << "tick " << tick << " expired pod " << uid << " still stored";
+    }
+    EXPECT_EQ(sim.completed_tasks() - completed_before,
+              static_cast<std::int64_t>(expiring.size()))
+        << "tick " << tick;
+
+    // Store oracle.
+    std::vector<PodUid> want_pending;
+    std::vector<PodUid> want_bound;
+    for (PodUid uid : submitted) {
+      const Pod* pod = sim.adaptor().FindPod(uid);
+      if (pod == nullptr) continue;
+      (pod->phase == PodPhase::kBound ? want_bound : want_pending)
+          .push_back(uid);
+    }
+    EXPECT_EQ(sim.adaptor().PendingPods(), want_pending) << "tick " << tick;
+    const std::vector<PodUid> bound = sim.adaptor().BoundPods();
+    EXPECT_EQ(bound, want_bound) << "tick " << tick;
+    EXPECT_EQ(sim.adaptor().bound_count(), bound.size()) << "tick " << tick;
+    EXPECT_EQ(sim.adaptor().pod_count(),
+              want_pending.size() + want_bound.size())
+        << "tick " << tick;
 
     // Invariants: every bound pod references a live node, and the
     // scheduling-side snapshot stays violation-free for LLAs.
-    for (PodUid uid : sim.adaptor().BoundPods()) {
+    for (PodUid uid : bound) {
       const Pod* pod = sim.adaptor().FindPod(uid);
       ASSERT_TRUE(sim.adaptor().MachineOf(pod->node).valid())
           << "tick " << tick << " pod " << uid << " on dead node "
@@ -494,7 +771,7 @@ TEST_P(ChurnFuzzTest, RandomNodeAndPodChurnKeepsInvariants) {
     const trace::Workload& wl = sim.adaptor().workload();
     const cluster::Topology& topo = sim.adaptor().topology();
     auto state = wl.MakeState(topo);
-    for (PodUid uid : sim.adaptor().BoundPods()) {
+    for (PodUid uid : bound) {
       const Pod* pod = sim.adaptor().FindPod(uid);
       const auto c = sim.adaptor().ContainerOf(uid);
       const auto m = sim.adaptor().MachineOf(pod->node);
@@ -506,7 +783,7 @@ TEST_P(ChurnFuzzTest, RandomNodeAndPodChurnKeepsInvariants) {
     for (cluster::ContainerId offender :
          cluster::CollectColocationViolations(state)) {
       const PodUid uid = sim.adaptor().PodOfContainer(offender);
-      EXPECT_TRUE(sim.adaptor().FindPod(uid)->spec.short_lived())
+      EXPECT_TRUE(sim.adaptor().FindPod(uid)->spec->short_lived())
           << "LLA pod in violating colocation at tick " << tick;
     }
   }
