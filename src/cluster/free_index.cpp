@@ -16,9 +16,15 @@ void FreeIndex::Attach(const ClusterState& state) {
   bucket_width_ = std::max<std::int64_t>(
       1, max_capacity / static_cast<std::int64_t>(kBuckets) + 1);
 
-  // analyze:allow(A103) Attach is the rebuild arm; steady ticks take OnChanged
-  buckets_.assign(kBuckets, {});
-  indexed_free_.assign(machines.size(), 0);  // analyze:allow(A103) rebuild arm, as above
+  // Clear rather than reassign, so every bucket keeps its capacity: the
+  // resolver rebuilds the index once per task phase.
+  // analyze:allow(A103) sized once; later rebuilds reuse the capacity
+  buckets_.resize(kBuckets);
+  for (Bucket& bucket : buckets_) {
+    bucket.keys.clear();
+    bucket.head = 0;
+  }
+  indexed_free_.assign(machines.size(), 0);  // analyze:allow(A103) as above
   for (const Machine& m : machines) {
     const std::int64_t free = state.Free(m.id).cpu_millis();
     indexed_free_[static_cast<std::size_t>(m.id.value())] = free;

@@ -5,7 +5,11 @@
 // (core/network.h) with rack/sub-cluster aggregates.
 //
 // The index mirrors a ClusterState it is attached to; callers must invoke
-// OnChanged(m) after any deploy/evict that touches machine m.
+// OnChanged(m) after any deploy/evict that touches machine m. It does not
+// read the state's touch log: a caller whose state changed behind its back
+// re-attaches. The k8s resolver rebuilds it once per task phase, because
+// sorting every machine into fresh (capacity-retaining) buckets costs less
+// than re-keying a tick's worth of touched machines.
 //
 // Representation: machines live in fixed-width buckets of free-CPU range,
 // each bucket a sorted vector of (free, machine id). Global iteration order

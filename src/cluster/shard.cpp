@@ -126,34 +126,20 @@ ShardView::ShardView(const ShardPlan& plan, int shard,
       shard_(shard),
       state_(plan.shard_topology(shard), global.containers(),
              global.applications(), global.constraints()) {
-  MirrorAll(global);
-}
-
-void ShardView::MirrorMachine(const ClusterState& global,
-                              MachineId global_machine) {
-  const MachineId local = plan_->LocalOf(global_machine);
-  // Pass 1: evict residents the global machine no longer holds. Copy the
-  // list first — Evict mutates DeployedOn in place.
-  // analyze:allow(A103) pooled scratch, capacity retained across ticks
-  scratch_.assign(state_.DeployedOn(local).begin(),
-                  state_.DeployedOn(local).end());
-  for (const ContainerId c : scratch_) {
-    if (global.PlacementOf(c) != global_machine) state_.Evict(c);
-  }
-  // Pass 2: deploy what it gained. Evictions-first means the machine's
-  // residual residents are a subset of its final residents, so free space
-  // is at least the global end-state's free space and every Deploy fits.
-  for (const ContainerId c : global.DeployedOn(global_machine)) {
-    const MachineId have = state_.PlacementOf(c);
-    if (have == local) continue;
-    if (have.valid()) state_.Evict(c);
-    state_.Deploy(c, local);
+  const std::span<const MachineId> machines = plan.shard_machines(shard);
+  for (std::size_t local = 0; local < machines.size(); ++local) {
+    for (const ContainerId c : global.DeployedOn(machines[local])) {
+      state_.Deploy(c, MachineId(static_cast<std::int32_t>(local)));
+    }
   }
 }
 
-void ShardView::MirrorAll(const ClusterState& global) {
-  for (const MachineId m : plan_->shard_machines(shard_)) {
-    MirrorMachine(global, m);
+void ShardView::Replay(const Touch& touch) {
+  const MachineId local = plan_->LocalOf(touch.machine);
+  if (state_.PlacementOf(touch.container) == local) {
+    state_.Evict(touch.container);
+  } else {
+    state_.Deploy(touch.container, local);
   }
 }
 

@@ -12,9 +12,8 @@
 // global↔local machine-id translation, and a per-shard Topology whose
 // local ids are dense. ShardView wraps one shard's private ClusterState
 // (bound to the shard topology but the *shared* container/application/
-// constraint tables, so container ids never need translation) and the
-// mirror that keeps it in sync with the global state via the scoped dirty
-// log.
+// constraint tables, so container ids never need translation), kept in
+// sync with the global state by replaying the global touch log.
 #pragma once
 
 #include <cstdint>
@@ -56,11 +55,6 @@ class ShardPlan {
   [[nodiscard]] std::span<const MachineId> shard_machines(int shard) const {
     return shards_[static_cast<std::size_t>(shard)].to_global;
   }
-  // Machine -> shard, in MachineId order: the exact shape
-  // ClusterState::ConfigureDirtyScopes expects.
-  [[nodiscard]] const std::vector<std::int32_t>& scope_map() const {
-    return shard_of_;
-  }
 
  private:
   struct Shard {
@@ -79,14 +73,15 @@ class ShardPlan {
 
 // One shard's private scheduling view: a ClusterState over the shard
 // topology and the global state's container tables. The owning coordinator
-// mirrors global-side changes in (MirrorMachine, driven by the scoped dirty
-// log) and applies solver-side changes out (via the shard state's change
-// journal) — between Schedule calls the shard's machines hold exactly the
-// same containers as their global counterparts.
+// replays global touches on the shard's machines in (Replay) and applies
+// solver-side changes out (via the shard state's change journal) — between
+// Schedule calls the shard's machines hold exactly the same containers as
+// their global counterparts.
 class ShardView {
  public:
-  // Builds the view and mirrors the global state's current residents in.
-  // `plan` and `global`'s tables must outlive the view.
+  // Builds the view and deploys the global state's current residents, each
+  // machine's in DeployedOn order. `plan` and `global`'s tables must outlive
+  // the view.
   ShardView(const ShardPlan& plan, int shard, const ClusterState& global);
 
   [[nodiscard]] int shard() const { return shard_; }
@@ -96,24 +91,16 @@ class ShardView {
   [[nodiscard]] MachineId ToGlobal(MachineId local) const {
     return plan_->GlobalOf(shard_, local);
   }
-  [[nodiscard]] MachineId ToLocal(MachineId global) const {
-    return plan_->LocalOf(global);
-  }
 
-  // Re-syncs one machine: evicts residents the global machine no longer
-  // holds, then deploys the ones it gained. Idempotent; safe under any
-  // processing order of a dirty batch because evictions happen before
-  // deployments per machine and the global end-state respects capacity.
-  void MirrorMachine(const ClusterState& global, MachineId global_machine);
-
-  // Full resync of every machine in the shard (attach / overflow fallback).
-  void MirrorAll(const ClusterState& global);
+  // Replays one global touch on one of this shard's machines: an Evict if
+  // the view holds the container there, else a Deploy. Touches replayed in
+  // log order reproduce the global history, so every Deploy fits.
+  void Replay(const Touch& touch);
 
  private:
   const ShardPlan* plan_;
   int shard_;
   ClusterState state_;
-  std::vector<ContainerId> scratch_;  // resident copy during MirrorMachine
 };
 
 }  // namespace aladdin::cluster

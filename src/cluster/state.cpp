@@ -10,10 +10,9 @@
 namespace aladdin::cluster {
 
 namespace {
-// Journal cap: past this many un-consumed entries the oldest half is
-// dropped; a straggling consumer then rebuilds instead of replaying. 64k
-// entries cover several full-cluster passes at the 10k-machine scale.
-constexpr std::size_t kDirtyLogCap = 1 << 16;
+// Touch-log cap floor: a tiny cluster still keeps a few thousand entries, so
+// a consumer a few passes behind replays instead of rebuilding.
+constexpr std::size_t kTouchLogFloor = 4096;
 }  // namespace
 
 ClusterState::ClusterState(const Topology& topology,
@@ -43,11 +42,9 @@ ClusterState::ClusterState(const ClusterState& other)
       placed_count_(other.placed_count_),
       migrations_(other.migrations_),
       preemptions_(other.preemptions_),
-      dirty_log_enabled_(other.dirty_log_enabled_),
-      dirty_base_(other.dirty_base_),
-      dirty_log_(other.dirty_log_),
-      dirty_scope_of_(other.dirty_scope_of_),
-      scope_logs_(other.scope_logs_),
+      touch_log_enabled_(other.touch_log_enabled_),
+      touch_base_(other.touch_base_),
+      touch_log_(other.touch_log_),
       change_journal_enabled_(other.change_journal_enabled_),
       changed_containers_(other.changed_containers_),
       changed_flag_(other.changed_flag_) {}
@@ -100,7 +97,7 @@ void ClusterState::Deploy(ContainerId c, MachineId m) {
   }
   placement_[Idx(c)] = m;
   ++placed_count_;
-  MarkMachine(m);
+  LogTouch(c, m);
   MarkContainer(c);
 }
 
@@ -130,7 +127,7 @@ void ClusterState::Evict(ContainerId c) {
   }
   placement_[Idx(c)] = MachineId::Invalid();
   --placed_count_;
-  MarkMachine(m);
+  LogTouch(c, m);
   MarkContainer(c);
 }
 
@@ -299,70 +296,24 @@ void ClusterState::Clear() {
   std::fill(changed_flag_.begin(), changed_flag_.end(), std::uint8_t{0});
 }
 
-void ClusterState::EnableDirtyLog() {
-  if (dirty_log_enabled_) return;
-  dirty_log_enabled_ = true;
-  dirty_log_.clear();
+void ClusterState::EnableTouchLog() {
+  if (touch_log_enabled_) return;
+  touch_log_enabled_ = true;
+  touch_log_.clear();
 }
 
-std::span<const MachineId> ClusterState::DirtySince(std::uint64_t since,
-                                                    bool* overflowed) const {
+std::span<const Touch> ClusterState::TouchesSince(std::uint64_t since,
+                                                  bool* overflowed) const {
   ALADDIN_DCHECK(overflowed != nullptr);
-  if (since < dirty_base_) {
+  if (since < touch_base_) {
     *overflowed = true;
     return {};
   }
   *overflowed = false;
-  ALADDIN_DCHECK(since <= DirtyLogEnd())
-      << "DirtySince cursor " << since << " beyond log end " << DirtyLogEnd();
-  const std::size_t offset = static_cast<std::size_t>(since - dirty_base_);
-  return std::span<const MachineId>(dirty_log_).subspan(offset);
-}
-
-void ClusterState::ConfigureDirtyScopes(
-    const std::vector<std::int32_t>& scope_of_machine,
-    std::int32_t scope_count) {
-  ALADDIN_CHECK(scope_of_machine.size() == topology_->machine_count())
-      << "ConfigureDirtyScopes: map covers " << scope_of_machine.size()
-      << " machines, topology has " << topology_->machine_count();
-  ALADDIN_CHECK(scope_count > 0);
-  for (const std::int32_t scope : scope_of_machine) {
-    ALADDIN_CHECK(scope >= 0 && scope < scope_count)
-        << "ConfigureDirtyScopes: scope " << scope << " out of range";
-  }
-  EnableDirtyLog();
-  dirty_scope_of_ = scope_of_machine;
-  // Restart every scoped sequence space strictly past anything handed out
-  // before — the global end AND every previous scope's end (a scope's base
-  // starts one past the global end, so its end can lead the global end) —
-  // so stale cursors overflow instead of silently reading the new space.
-  std::uint64_t base = DirtyLogEnd() + 1;
-  for (const ScopeLog& scope : scope_logs_) {
-    base = std::max(base, scope.base + scope.log.size() + 1);
-  }
-  scope_logs_.assign(static_cast<std::size_t>(scope_count), ScopeLog{});
-  for (ScopeLog& scope : scope_logs_) scope.base = base;
-}
-
-std::uint64_t ClusterState::ScopedDirtyLogEnd(std::int32_t scope) const {
-  const auto& log = scope_logs_[static_cast<std::size_t>(scope)];
-  return log.base + log.log.size();
-}
-
-std::span<const MachineId> ClusterState::ScopedDirtySince(
-    std::int32_t scope, std::uint64_t since, bool* overflowed) const {
-  ALADDIN_DCHECK(overflowed != nullptr);
-  const auto& log = scope_logs_[static_cast<std::size_t>(scope)];
-  if (since < log.base) {
-    *overflowed = true;
-    return {};
-  }
-  *overflowed = false;
-  ALADDIN_DCHECK(since <= ScopedDirtyLogEnd(scope))
-      << "ScopedDirtySince cursor " << since << " beyond scope " << scope
-      << " end " << ScopedDirtyLogEnd(scope);
-  const std::size_t offset = static_cast<std::size_t>(since - log.base);
-  return std::span<const MachineId>(log.log).subspan(offset);
+  ALADDIN_DCHECK(since <= TouchLogEnd())
+      << "TouchesSince cursor " << since << " beyond log end " << TouchLogEnd();
+  const std::size_t offset = static_cast<std::size_t>(since - touch_base_);
+  return std::span<const Touch>(touch_log_).subspan(offset);
 }
 
 void ClusterState::EnableChangeJournal() {
@@ -386,30 +337,20 @@ void ClusterState::SyncWorkloadGrowth() {
   if (change_journal_enabled_) changed_flag_.resize(containers_->size(), 0);  // analyze:allow(A103) same growth
 }
 
-void ClusterState::MarkMachine(MachineId m) {
-  if (!dirty_log_enabled_) return;
-  if (dirty_log_.size() >= kDirtyLogCap) {
-    // Drop the oldest half; cursors that fall off the front overflow and
-    // trigger a full rebuild in their consumer.
-    const std::size_t drop = dirty_log_.size() / 2;
-    dirty_log_.erase(dirty_log_.begin(),
-                     dirty_log_.begin() + static_cast<std::ptrdiff_t>(drop));
-    dirty_base_ += drop;
+void ClusterState::LogTouch(ContainerId c, MachineId m) {
+  if (!touch_log_enabled_) return;
+  // Past 2 x the live set, drop the oldest half: a consumer overflows once
+  // it lags by more than half the cap, i.e. by more touches than there are
+  // machines and placements to rebuild from.
+  const std::size_t cap =
+      std::max(kTouchLogFloor, 2 * (free_.size() + placed_count_));
+  if (touch_log_.size() >= cap) {
+    const std::size_t drop = touch_log_.size() / 2;
+    touch_log_.erase(touch_log_.begin(),
+                     touch_log_.begin() + static_cast<std::ptrdiff_t>(drop));
+    touch_base_ += drop;
   }
-  dirty_log_.push_back(m);
-  if (!scope_logs_.empty()) {
-    // Same cap discipline per scope: a hot scope overflowing only forces
-    // *its* consumers to rebuild; the other scopes' windows are untouched.
-    ScopeLog& scope = scope_logs_[static_cast<std::size_t>(
-        dirty_scope_of_[static_cast<std::size_t>(m.value())])];
-    if (scope.log.size() >= kDirtyLogCap) {
-      const std::size_t drop = scope.log.size() / 2;
-      scope.log.erase(scope.log.begin(),
-                      scope.log.begin() + static_cast<std::ptrdiff_t>(drop));
-      scope.base += drop;
-    }
-    scope.log.push_back(m);
-  }
+  touch_log_.push_back({c, m});
 }
 
 void ClusterState::MarkContainer(ContainerId c) {
@@ -420,12 +361,8 @@ void ClusterState::MarkContainer(ContainerId c) {
 }
 
 void ClusterState::ForceFullResync() {
-  dirty_base_ = DirtyLogEnd() + 1;
-  dirty_log_.clear();
-  for (ScopeLog& scope : scope_logs_) {
-    scope.base = scope.base + scope.log.size() + 1;
-    scope.log.clear();
-  }
+  touch_base_ = TouchLogEnd() + 1;
+  touch_log_.clear();
 }
 
 }  // namespace aladdin::cluster

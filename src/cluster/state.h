@@ -21,6 +21,14 @@
 
 namespace aladdin::cluster {
 
+// One touch-log entry: `container` was deployed on or evicted from
+// `machine`. Replaying a state's touches in log order on a copy of an
+// earlier snapshot reproduces the later state.
+struct Touch {
+  ContainerId container;
+  MachineId machine;
+};
+
 struct UtilizationSummary {
   std::size_t used_machines = 0;
   double min_share = 0.0;  // lowest dominant share among used machines
@@ -138,62 +146,38 @@ class ClusterState {
     return CheckConsistency();
   }
 
-  // Evict everything; counters reset. Forces every dirty-log consumer to
+  // Evict everything; counters reset. Forces every touch-log consumer to
   // resynchronise in full.
   void Clear();
 
   // --- incremental-consumer support ------------------------------------
   //
-  // Derived indices (AggregatedNetwork, FreeIndex) historically rebuilt from
-  // scratch per scheduling pass. To reuse them across passes the state keeps
-  // an append-only journal of machine mutations; each consumer remembers an
-  // absolute sequence cursor and replays only the suffix. The journal is
-  // capped: when it overflows, the oldest half is dropped and any consumer
-  // whose cursor fell off the front performs a full re-attach instead.
+  // Derived indices (the aggregated network, the shard mirrors) are reused
+  // across scheduling passes. The state keeps an append-only touch log, one
+  // entry per Deploy and per Evict; each consumer remembers an absolute
+  // sequence cursor and replays only the suffix. The log is capped by the
+  // live set: once it holds 2 x (machines + placed containers) entries
+  // (at least 4096), the oldest half is dropped, and a consumer whose cursor
+  // fell off the front rebuilds instead. A consumer lagging by more than
+  // the live set would do more work replaying than rebuilding.
 
   // Unique per live state object (copies get fresh ids; moves keep them).
   [[nodiscard]] std::uint64_t instance_id() const { return instance_id_; }
 
-  // Turns on the machine dirty log (idempotent). Off by default so callers
-  // that never reuse indices pay nothing.
-  void EnableDirtyLog();
-  [[nodiscard]] bool dirty_log_enabled() const { return dirty_log_enabled_; }
+  // Turns on the touch log (idempotent). Off by default so callers that
+  // never reuse indices pay nothing.
+  void EnableTouchLog();
 
-  // Absolute sequence number one past the newest journal entry.
-  [[nodiscard]] std::uint64_t DirtyLogEnd() const { return dirty_base_ +
-                                                    dirty_log_.size(); }
-
-  // Machines mutated in [since, DirtyLogEnd()), possibly with duplicates.
-  // Sets *overflowed (and returns an empty span) when `since` predates the
-  // retained window — the consumer must rebuild from scratch.
-  [[nodiscard]] std::span<const MachineId> DirtySince(std::uint64_t since,
-                                                      bool* overflowed) const;
-
-  // --- scoped dirty logs (sharded consumers) ----------------------------
-  //
-  // A sharded consumer (core::ShardedScheduler) mirrors disjoint machine
-  // subsets into per-shard states. With only the single global log, one
-  // shard's runaway churn overflows the shared window and forces *every*
-  // shard to fall back to a full rebuild. Scopes give each machine subset
-  // its own bounded log with its own sequence space: an overflow invalidates
-  // exactly the scope it happened in, and the other shards' incremental
-  // warm-starts survive. The global log keeps working unchanged (FreeIndex
-  // and the aggregated network stay on it).
-  //
-  // Configuring scopes implies EnableDirtyLog(). Reconfiguring restarts the
-  // scoped sequence spaces past every previously handed-out cursor, so stale
-  // consumers see an overflow (full resync), never a silent gap.
-  void ConfigureDirtyScopes(const std::vector<std::int32_t>& scope_of_machine,
-                            std::int32_t scope_count);
-  [[nodiscard]] std::int32_t dirty_scope_count() const {
-    return static_cast<std::int32_t>(scope_logs_.size());
+  // Absolute sequence number one past the newest log entry.
+  [[nodiscard]] std::uint64_t TouchLogEnd() const {
+    return touch_base_ + touch_log_.size();
   }
-  // Absolute sequence one past the newest entry of `scope`'s log.
-  [[nodiscard]] std::uint64_t ScopedDirtyLogEnd(std::int32_t scope) const;
-  // Machines of `scope` mutated in [since, ScopedDirtyLogEnd(scope)); sets
-  // *overflowed (empty span) when `since` predates the retained window.
-  [[nodiscard]] std::span<const MachineId> ScopedDirtySince(
-      std::int32_t scope, std::uint64_t since, bool* overflowed) const;
+
+  // Touches in [since, TouchLogEnd()), in mutation order. Sets *overflowed
+  // (and returns an empty span) when `since` predates the retained window —
+  // the consumer must rebuild from scratch.
+  [[nodiscard]] std::span<const Touch> TouchesSince(std::uint64_t since,
+                                                    bool* overflowed) const;
 
   // Turns on the container change journal (idempotent): every container
   // whose placement changes is recorded once until taken.
@@ -234,27 +218,18 @@ class ClusterState {
     return ++counter;
   }
 
-  void MarkMachine(MachineId m);
+  void LogTouch(ContainerId c, MachineId m);
   void MarkContainer(ContainerId c);
-  // Invalidates every consumer cursor without logging each machine.
+  // Invalidates every consumer cursor without logging each touch.
   void ForceFullResync();
 
   std::uint64_t instance_id_ = NextInstanceId();
 
-  // Machine dirty log: entries dirty_log_[i] carry absolute sequence
-  // dirty_base_ + i. Bounded; see kDirtyLogCap in state.cpp.
-  bool dirty_log_enabled_ = false;
-  std::uint64_t dirty_base_ = 0;
-  std::vector<MachineId> dirty_log_;
-
-  // Scoped dirty logs: per-scope bounded journals over a machine partition
-  // (ConfigureDirtyScopes). Empty scope_logs_ = scoping off.
-  struct ScopeLog {
-    std::uint64_t base = 0;
-    std::vector<MachineId> log;
-  };
-  std::vector<std::int32_t> dirty_scope_of_;  // per machine
-  std::vector<ScopeLog> scope_logs_;
+  // Touch log: entry touch_log_[i] carries absolute sequence
+  // touch_base_ + i. Bounded by the live set; see LogTouch.
+  bool touch_log_enabled_ = false;
+  std::uint64_t touch_base_ = 0;
+  std::vector<Touch> touch_log_;
 
   // Container change journal (deduplicated via per-container flags).
   bool change_journal_enabled_ = false;

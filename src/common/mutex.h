@@ -34,9 +34,6 @@ class ALADDIN_CAPABILITY("mutex") Mutex {
 
   void Lock() ALADDIN_ACQUIRE() { m_.lock(); }
   void Unlock() ALADDIN_RELEASE() { m_.unlock(); }
-  [[nodiscard]] bool TryLock() ALADDIN_TRY_ACQUIRE(true) {
-    return m_.try_lock();
-  }
   // Declares (to the analysis only) that the current thread holds the lock.
   void AssertHeld() const ALADDIN_ASSERT_CAPABILITY(this) {}
 

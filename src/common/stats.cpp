@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-
-#include "common/check.h"
 
 namespace aladdin {
 
@@ -87,40 +84,6 @@ double Sample::Percentile(double p) const {
   return values_[lo] + (values_[hi] - values_[lo]) * frac;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  ALADDIN_CHECK(hi > lo);
-  ALADDIN_CHECK(bins > 0);
-}
-
-void Histogram::Add(double x) {
-  std::size_t bin;
-  if (x < lo_) {
-    bin = 0;
-  } else if (x >= hi_) {
-    bin = counts_.size() - 1;
-  } else {
-    bin = static_cast<std::size_t>((x - lo_) / width_);
-    bin = std::min(bin, counts_.size() - 1);
-  }
-  ++counts_[bin];
-  ++total_;
-}
-
-std::uint64_t Histogram::count(std::size_t bin) const {
-  ALADDIN_CHECK(bin < counts_.size());
-  return counts_[bin];
-}
-
-double Histogram::BinLow(std::size_t bin) const {
-  return lo_ + width_ * static_cast<double>(bin);
-}
-
-double Histogram::BinHigh(std::size_t bin) const {
-  return lo_ + width_ * static_cast<double>(bin + 1);
-}
-
 std::vector<CdfPoint> BuildCdf(std::vector<double> samples,
                                std::size_t max_points) {
   std::vector<CdfPoint> cdf;
@@ -136,17 +99,6 @@ std::vector<CdfPoint> BuildCdf(std::vector<double> samples,
                    static_cast<double>(idx + 1) / static_cast<double>(n)});
   }
   return cdf;
-}
-
-std::string FormatCdf(const std::vector<CdfPoint>& cdf,
-                      const std::string& value_label,
-                      const std::string& fraction_label) {
-  std::ostringstream os;
-  os << value_label << "\t" << fraction_label << "\n";
-  for (const auto& p : cdf) {
-    os << p.value << "\t" << p.fraction << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace aladdin

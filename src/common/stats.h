@@ -1,11 +1,9 @@
 // Descriptive statistics used by the metrics pipeline and the trace
 // generator's self-checks: streaming moments, exact percentiles over stored
-// samples, fixed-width histograms and empirical CDFs.
+// samples and empirical CDFs.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 namespace aladdin {
@@ -58,26 +56,6 @@ class Sample {
   void EnsureSorted() const;
 };
 
-// Fixed-bin histogram over [lo, hi); values outside are clamped into the
-// first/last bin so totals always match the number of Add calls.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void Add(double x);
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t count(std::size_t bin) const;
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  // Inclusive lower edge of a bin.
-  [[nodiscard]] double BinLow(std::size_t bin) const;
-  [[nodiscard]] double BinHigh(std::size_t bin) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
 // Point on an empirical CDF: `fraction` of samples are <= `value`.
 struct CdfPoint {
   double value = 0.0;
@@ -88,10 +66,5 @@ struct CdfPoint {
 // quantile knots — exactly what Fig. 8(a) plots (CDF of containers per app).
 std::vector<CdfPoint> BuildCdf(std::vector<double> samples,
                                std::size_t max_points = 64);
-
-// Render a CDF as an aligned two-column ASCII block for bench output.
-std::string FormatCdf(const std::vector<CdfPoint>& cdf,
-                      const std::string& value_label,
-                      const std::string& fraction_label);
 
 }  // namespace aladdin

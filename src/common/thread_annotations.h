@@ -38,8 +38,6 @@
 #define ALADDIN_SCOPED_CAPABILITY ALADDIN_THREAD_ANNOTATION(scoped_lockable)
 #define ALADDIN_ACQUIRE(...) \
   ALADDIN_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define ALADDIN_TRY_ACQUIRE(...) \
-  ALADDIN_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 #define ALADDIN_RELEASE(...) \
   ALADDIN_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 // Tells the analysis a capability is held here without acquiring it (used

@@ -26,14 +26,14 @@ void AggregatedNetwork::Attach(cluster::ClusterState* state) {
   ALADDIN_CHECK(state != nullptr);
   ALADDIN_CHECK(&state->topology() == topology_);
   state_ = state;
-  // Mutations applied to the state behind our back land in its dirty log;
+  // Mutations applied to the state behind our back land in its touch log;
   // Sync() replays them from this cursor.
-  state_->EnableDirtyLog();
-  dirty_cursor_ = state_->DirtyLogEnd();
+  state_->EnableTouchLog();
+  log_cursor_ = state_->TouchLogEnd();
 
   const std::size_t machines = topology_->machine_count();
   by_free_.clear();
-  // analyze:allow(A103) Attach is the full (re)build; per-tick Sync() replays the dirty log
+  // analyze:allow(A103) Attach is the full (re)build; per-tick Sync() replays the touch log
   indexed_free_.assign(machines, 0);
   epoch_.assign(machines, 0);  // analyze:allow(A103) rebuild arm, as above
   rack_free_.assign(topology_->rack_count(), {});  // analyze:allow(A103) rebuild arm, as above
@@ -69,13 +69,13 @@ void AggregatedNetwork::Sync() {
     il_memo_.resize(state_->applications().size());
   }
   bool overflowed = false;
-  const std::span<const cluster::MachineId> dirty =
-      state_->DirtySince(dirty_cursor_, &overflowed);
+  const std::span<const cluster::Touch> touches =
+      state_->TouchesSince(log_cursor_, &overflowed);
   if (overflowed) {
     Attach(state_);  // cursor fell off the retained window; full rebuild
     return;
   }
-  if (dirty.empty()) {
+  if (touches.empty()) {
     // Noop fast path: nothing changed behind our back since the last
     // replay, so the aggregates are already coherent — skip the phase
     // scope and the replay loop entirely. Witnessed by the counter so an
@@ -88,9 +88,9 @@ void AggregatedNetwork::Sync() {
   // disjoint for the tick-coverage sum).
   ALADDIN_PHASE_SCOPE("core/net_sync");
   ALADDIN_METRIC_ADD("core/net_syncs", 1);
-  ALADDIN_METRIC_ADD("core/net_sync_dirty", dirty.size());
-  for (cluster::MachineId m : dirty) Reindex(m);
-  dirty_cursor_ = state_->DirtyLogEnd();
+  ALADDIN_METRIC_ADD("core/net_sync_dirty", touches.size());
+  for (const cluster::Touch& touch : touches) Reindex(touch.machine);
+  log_cursor_ = state_->TouchLogEnd();
 }
 
 std::int64_t AggregatedNetwork::FreeCpu(cluster::MachineId m) const {
@@ -134,41 +134,41 @@ void AggregatedNetwork::ReindexKeys(cluster::MachineId m) {
   }
 }
 
-// The mutation wrappers reindex eagerly, then advance the dirty cursor past
+// The mutation wrappers reindex eagerly, then advance the log cursor past
 // their own journal entries — but only when no unconsumed external entries
 // precede them (replaying an already-reindexed machine in Sync() is merely
 // a redundant epoch bump, never a correctness problem).
 
 void AggregatedNetwork::Deploy(cluster::ContainerId c, cluster::MachineId m) {
-  const std::uint64_t before = state_->DirtyLogEnd();
+  const std::uint64_t before = state_->TouchLogEnd();
   state_->Deploy(c, m);
   Reindex(m);
-  if (dirty_cursor_ == before) dirty_cursor_ = state_->DirtyLogEnd();
+  if (log_cursor_ == before) log_cursor_ = state_->TouchLogEnd();
 }
 
 void AggregatedNetwork::Evict(cluster::ContainerId c) {
   const cluster::MachineId m = state_->PlacementOf(c);
-  const std::uint64_t before = state_->DirtyLogEnd();
+  const std::uint64_t before = state_->TouchLogEnd();
   state_->Evict(c);
   Reindex(m);
-  if (dirty_cursor_ == before) dirty_cursor_ = state_->DirtyLogEnd();
+  if (log_cursor_ == before) log_cursor_ = state_->TouchLogEnd();
 }
 
 void AggregatedNetwork::Migrate(cluster::ContainerId c, cluster::MachineId to) {
   const cluster::MachineId from = state_->PlacementOf(c);
-  const std::uint64_t before = state_->DirtyLogEnd();
+  const std::uint64_t before = state_->TouchLogEnd();
   state_->Migrate(c, to);
   Reindex(from);
   Reindex(to);
-  if (dirty_cursor_ == before) dirty_cursor_ = state_->DirtyLogEnd();
+  if (log_cursor_ == before) log_cursor_ = state_->TouchLogEnd();
 }
 
 void AggregatedNetwork::Preempt(cluster::ContainerId c) {
   const cluster::MachineId m = state_->PlacementOf(c);
-  const std::uint64_t before = state_->DirtyLogEnd();
+  const std::uint64_t before = state_->TouchLogEnd();
   state_->Preempt(c);
   Reindex(m);
-  if (dirty_cursor_ == before) dirty_cursor_ = state_->DirtyLogEnd();
+  if (log_cursor_ == before) log_cursor_ = state_->TouchLogEnd();
 }
 
 void AggregatedNetwork::DeployKeyDeferred(cluster::ContainerId c,
@@ -177,10 +177,10 @@ void AggregatedNetwork::DeployKeyDeferred(cluster::ContainerId c,
   // the epoch bump (IL memo invalidation) is taken eagerly so memo
   // semantics match the serial wrapper exactly, while by_free_/rack
   // aggregates stay frozen until the group flush re-keys the moved set.
-  const std::uint64_t before = state_->DirtyLogEnd();
+  const std::uint64_t before = state_->TouchLogEnd();
   state_->Deploy(c, m);
   ++epoch_[Idx(m)];
-  if (dirty_cursor_ == before) dirty_cursor_ = state_->DirtyLogEnd();
+  if (log_cursor_ == before) log_cursor_ = state_->TouchLogEnd();
 }
 
 ALADDIN_HOT std::size_t AggregatedNetwork::PlaceGroupRun(

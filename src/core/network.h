@@ -55,11 +55,11 @@ class AggregatedNetwork {
   // Deploy/Evict for that state must go through this object so aggregates
   // stay coherent — or, for mutations applied to the state directly by
   // other actors, be replayed later via Sync() (Attach enables the state's
-  // machine dirty log for exactly that purpose).
+  // touch log for exactly that purpose).
   void Attach(cluster::ClusterState* state);
 
   // Incremental re-attach (§IV.A taken across Schedule() calls): replays
-  // the state's machine dirty log from this network's cursor, reindexing
+  // the state's touch log from this network's cursor, reindexing
   // only machines whose residual capacity may have changed since the last
   // Attach()/Sync() — O(changes · log M) instead of the O(M log M) rebuild.
   // Falls back to a full Attach() when the log overflowed. Requires a prior
@@ -225,10 +225,10 @@ class AggregatedNetwork {
   // the exact-equality collision the hash map already had.
   mutable std::vector<std::vector<std::uint32_t>> il_memo_;
 
-  // Absolute cursor into state_'s machine dirty log: everything before it
-  // has been reindexed here. The network's own mutation wrappers Reindex
-  // eagerly and advance the cursor past their self-inflicted entries.
-  std::uint64_t dirty_cursor_ = 0;
+  // Absolute cursor into state_'s touch log: everything before it has been
+  // reindexed here. The network's own mutation wrappers Reindex eagerly and
+  // advance the cursor past their self-inflicted entries.
+  std::uint64_t log_cursor_ = 0;
 };
 
 }  // namespace aladdin::core

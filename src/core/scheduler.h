@@ -70,7 +70,7 @@ class AladdinScheduler : public sim::Scheduler {
 
  private:
   // Returns the network to schedule on: the cached one (synced with the
-  // state's dirty log) when it is still attached to this exact state
+  // state's touch log) when it is still attached to this exact state
   // object, else a freshly attached rebuild.
   AggregatedNetwork& PrepareNetwork(cluster::ClusterState& state);
   // Eq. 3–5 weights for one solve: derives the minimal weights when

@@ -73,19 +73,13 @@ void ShardedScheduler::AttachShards(cluster::ClusterState& state) {
   plan_ = std::make_unique<cluster::ShardPlan>(
       cluster::ShardPlan::Build(state.topology(), options_.shards));
   const int k = plan_->shard_count();
-  state.ConfigureDirtyScopes(plan_->scope_map(), k);
+  state.EnableTouchLog();
   shards_.clear();
   shards_.resize(static_cast<std::size_t>(k));
   for (int s = 0; s < k; ++s) {
     ShardRuntime& rt = shards_[static_cast<std::size_t>(s)];
-    rt.view = std::make_unique<cluster::ShardView>(*plan_, s, state);
+    BuildView(s, state);
     rt.solver = std::make_unique<AladdinScheduler>(options_.aladdin);
-    // After MirrorAll, so the journal starts empty: mirror churn is input,
-    // not scheduler output, and must never reach the merge diff.
-    rt.view->state().EnableChangeJournal();
-    rt.dirty_cursor = state.ScopedDirtyLogEnd(s);
-    rt.migrations_mark = rt.view->state().migrations();
-    rt.preemptions_mark = rt.view->state().preemptions();
     if (k > 1) {
       // Interned once per attach; the K = 1 run registers nothing so its
       // exported counter set stays identical to the unsharded scheduler's.
@@ -96,29 +90,43 @@ void ShardedScheduler::AttachShards(cluster::ClusterState& state) {
       rt.solve_phase = &registry.GetPhase(prefix + "/solve");
     }
   }
+  log_cursor_ = state.TouchLogEnd();
   attached_state_id_ = state.instance_id();
   home_shard_.clear();
 }
 
+void ShardedScheduler::BuildView(int s, const cluster::ClusterState& state) {
+  ShardRuntime& rt = shards_[static_cast<std::size_t>(s)];
+  // analyze:allow(A101) rebuild arm: attach, or a touch-log overflow
+  rt.view = std::make_unique<cluster::ShardView>(*plan_, s, state);
+  // After the constructor's deploys, so the journal starts empty: mirror
+  // churn is input, not scheduler output, and must never reach the merge
+  // diff.
+  rt.view->state().EnableChangeJournal();
+  rt.migrations_mark = 0;
+  rt.preemptions_mark = 0;
+}
+
 void ShardedScheduler::SyncShards(cluster::ClusterState& state) {
-  for (ShardRuntime& rt : shards_) rt.view->state().SyncWorkloadGrowth();
-  const int k = plan_->shard_count();
-  for (int s = 0; s < k; ++s) {
-    ShardRuntime& rt = shards_[static_cast<std::size_t>(s)];
-    bool overflowed = false;
-    const std::span<const cluster::MachineId> dirty =
-        state.ScopedDirtySince(s, rt.dirty_cursor, &overflowed);
-    if (overflowed) {
-      // Only this shard rebuilds; the other shards' warm mirrors (and their
-      // solvers' incremental networks) are untouched — the point of the
-      // per-scope logs.
-      rt.view->MirrorAll(state);
-    } else {
-      for (const cluster::MachineId m : dirty) rt.view->MirrorMachine(state, m);
+  bool overflowed = false;
+  const std::span<const cluster::Touch> touches =
+      state.TouchesSince(log_cursor_, &overflowed);
+  if (overflowed) {
+    // The global state moved by more than its live set since the last
+    // call: rebuilding every mirror is cheaper than replaying.
+    for (int s = 0; s < plan_->shard_count(); ++s) BuildView(s, state);
+  } else {
+    for (ShardRuntime& rt : shards_) rt.view->state().SyncWorkloadGrowth();
+    for (const cluster::Touch& touch : touches) {
+      shards_[static_cast<std::size_t>(plan_->ShardOf(touch.machine))]
+          .view->Replay(touch);
     }
-    rt.dirty_cursor = state.ScopedDirtyLogEnd(s);
-    (void)rt.view->state().TakeChangedContainers();  // drop mirror churn
+    // Drop the replay churn: the change journals carry solver output only.
+    for (ShardRuntime& rt : shards_) {
+      (void)rt.view->state().TakeChangedContainers();
+    }
   }
+  log_cursor_ = state.TouchLogEnd();
 }
 
 std::size_t ShardedScheduler::EligibleMachines(
@@ -431,12 +439,11 @@ void ShardedScheduler::SolveAndMerge(const sim::ScheduleRequest& request,
                   s});
     }
 
-    // This merge only dirtied scope-s machines (the solver touches shard
-    // machines exclusively), so advancing the cursor here skips replaying
-    // our own writes next tick without missing anyone else's.
-    rt.dirty_cursor = state.ScopedDirtyLogEnd(s);
     rt.round_arrivals.clear();
   }
+  // Nothing but the merges above wrote the global state since the last
+  // sync, and the mirrors already hold what they wrote: skip it.
+  log_cursor_ = state.TouchLogEnd();
 }
 
 sim::ScheduleOutcome ShardedScheduler::Schedule(

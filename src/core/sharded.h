@@ -4,9 +4,9 @@
 // the shards concurrently on a thread pool.
 //
 // Per Schedule() call:
-//   1. Sync     — replay each shard's scoped dirty log to refresh its
-//                 mirror (full re-attach only for shards whose scope
-//                 overflowed, not for the whole cluster).
+//   1. Sync     — replay the global touch log since the last call, each
+//                 touch into the mirror of its machine's shard (every
+//                 mirror is rebuilt if the cursor fell off the log).
 //   2. Route    — assign each arriving application to a shard with a
 //                 deterministic policy (hash / least-utilized). Before the
 //                 parallel solve every shard reports, for each
@@ -95,6 +95,8 @@ class ShardedScheduler : public sim::Scheduler {
   }
 
  private:
+  friend struct ShardedSchedulerTestPeer;  // tests read the shard mirrors
+
   // Everything one shard owns: its mirrored state, its solver (with the
   // solver's incremental network + flow workspace + arena), its journal
   // capture buffer and its merge bookkeeping.
@@ -104,7 +106,6 @@ class ShardedScheduler : public sim::Scheduler {
     std::vector<cluster::ContainerId> round_arrivals;
     std::vector<obs::Decision> journal;
     sim::ScheduleOutcome outcome;
-    std::uint64_t dirty_cursor = 0;
     std::int64_t migrations_mark = 0;
     std::int64_t preemptions_mark = 0;
     std::int64_t free_cpu = 0;  // routing estimate, refreshed per tick
@@ -125,6 +126,9 @@ class ShardedScheduler : public sim::Scheduler {
   };
 
   void AttachShards(cluster::ClusterState& state);
+  // (Re)builds shard `s`'s mirror from `state`; its solver re-attaches to
+  // the new view state on the next solve (instance id change).
+  void BuildView(int s, const cluster::ClusterState& state);
   void SyncShards(cluster::ClusterState& state);
   // Routes `pending` into the shards' round_arrivals. Round 0 applies the
   // configured policy with home-shard stickiness; later rounds pick the
@@ -155,6 +159,9 @@ class ShardedScheduler : public sim::Scheduler {
   std::unique_ptr<cluster::ShardPlan> plan_;
   std::vector<ShardRuntime> shards_;
   std::uint64_t attached_state_id_ = 0;
+  // Touch-log cursor on the attached state: every touch before it is in
+  // the mirrors (the merges' own writes are skipped, not replayed).
+  std::uint64_t log_cursor_ = 0;
   std::unique_ptr<ThreadPool> pool_;
   bool pool_created_ = false;
 

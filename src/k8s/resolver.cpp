@@ -137,19 +137,16 @@ void Resolver::RebuildState(std::int64_t tick) {
     state_->Deploy(c, m);
   }
 
-  // Journals start *after* pre-deployment: the change journal should only
-  // carry this-tick scheduling decisions, and index consumers attach below.
-  state_->EnableDirtyLog();
+  // The change journal starts *after* pre-deployment: it should only carry
+  // this-tick scheduling decisions.
   state_->EnableChangeJournal();
-  free_index_.Attach(*state_);
-  free_index_cursor_ = state_->DirtyLogEnd();
 }
 
 void Resolver::SyncState(std::int64_t tick) {
   state_->SyncWorkloadGrowth();
   // Deleted (or externally unbound) pods leave tombstoned containers; evict
   // their placements so the space frees up — via the state directly, so the
-  // dirty log carries the change to the network and the free index.
+  // touch log carries the change to the long-lived solve's indices.
   for (cluster::ContainerId c : adaptor_.TakeRetiredContainers()) {
     if (state_->IsPlaced(c)) state_->Evict(c);
     ledger_.OnRetired(c.value(), tick);
@@ -158,17 +155,6 @@ void Resolver::SyncState(std::int64_t tick) {
                         c.value());
     }
   }
-}
-
-void Resolver::SyncFreeIndex() {
-  bool overflowed = false;
-  const auto dirty = state_->DirtySince(free_index_cursor_, &overflowed);
-  if (overflowed) {
-    free_index_.Attach(*state_);
-  } else {
-    for (cluster::MachineId m : dirty) free_index_.OnChanged(m);
-  }
-  free_index_cursor_ = state_->DirtyLogEnd();
 }
 
 void Resolver::TrackArrivals(const std::vector<PodUid>& pending,
@@ -307,7 +293,7 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
   };
 
   // Long-lived pods: the Aladdin core. The persistent scheduler reuses its
-  // aggregated network, replaying this state's dirty log (our evictions
+  // aggregated network, replaying this state's touch log (our evictions
   // above included) instead of rebuilding it.
   if (!long_lived.empty()) {
     const int deadline = std::max(options_.batch_deadline_ticks, 1);
@@ -336,8 +322,9 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
     }
   }
 
-  // Short-lived pods: the traditional task-based scheduler (§IV.D), on the
-  // persistent free index synced from the same dirty log. Each maximal run
+  // Short-lived pods: the traditional task-based scheduler (§IV.D), on a
+  // free index rebuilt from the state: sorting every machine into fresh
+  // buckets costs less than re-keying a tick of touches. Each maximal run
   // of consecutive pods with identical requests (length 1 included) goes
   // through the run placer — per-pod best fit without the per-pod rescan.
   // Failures within a run are a suffix and do not mutate state, so the
@@ -345,7 +332,7 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
   // exactly.
   if (!short_lived.empty()) {
     ALADDIN_PHASE_SCOPE("core/task");
-    SyncFreeIndex();
+    free_index_.Attach(state);
     const auto RequestOf =
         [&state](cluster::ContainerId c) -> const cluster::ResourceVector& {
       return state.containers()[static_cast<std::size_t>(c.value())].request;

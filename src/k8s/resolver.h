@@ -12,15 +12,15 @@
 // placements and migrations) and pod-phase updates.
 //
 // There is one scheduling path. One ClusterState (plus the Aladdin
-// scheduler's aggregated network and the task scheduler's free index)
-// lives across Resolve() calls, synced from the adaptor's retired-container
-// journal and the state's own dirty log, so a tick's cost scales with the
-// churn, not the cluster. A topology change (node add/remove renumbers
-// machines) rebuilds that state from the adaptor snapshot, keyed on
-// ModelAdaptor::topology_version(). Every solved tick hands all of its
-// long-lived pods to one serial Schedule() call (sharded when
-// ResolverOptions::shards >= 2). A brand-new Resolver over a copy of the
-// adaptor is the oracle the persistent one is tested against
+// scheduler's aggregated network) lives across Resolve() calls, synced from
+// the adaptor's retired-container journal and the state's own touch log, so
+// a long-lived solve's cost scales with the churn, not the cluster. The
+// task scheduler's free index is rebuilt per task phase. A topology change
+// (node add/remove renumbers machines) rebuilds that state from the adaptor
+// snapshot, keyed on ModelAdaptor::topology_version(). Every solved tick
+// hands all of its long-lived pods to one serial Schedule() call (sharded
+// when ResolverOptions::shards >= 2). A brand-new Resolver over a copy of
+// the adaptor is the oracle the persistent one is tested against
 // (tests/test_equivalence.cpp).
 #pragma once
 
@@ -113,14 +113,13 @@ class Resolver {
   }
 
  private:
-  // Rebuilds state_ / free_index_ from the adaptor snapshot (bound pods
-  // pre-deployed) and records the topology version they were built for.
+  // Rebuilds state_ from the adaptor snapshot (bound pods pre-deployed) and
+  // records the topology version it was built for.
   // `tick` closes the lifecycle spans of containers retired by the rebuild.
   void RebuildState(std::int64_t tick);
   // Brings the persistent state in line with adaptor-side changes since the
   // last tick: workload growth and retired (deleted/unbound) containers.
   void SyncState(std::int64_t tick);
-  void SyncFreeIndex();
 
   // Opens lifecycle spans (and interns app names with the SLO engine) for
   // pending pods not already tracked. Serial section; journals kPodArrived.
@@ -145,8 +144,7 @@ class Resolver {
   std::unique_ptr<core::ShardedScheduler> sharded_;
 
   std::optional<cluster::ClusterState> state_;
-  cluster::FreeIndex free_index_;
-  std::uint64_t free_index_cursor_ = 0;
+  cluster::FreeIndex free_index_;  // rebuilt per task phase, buckets pooled
   std::int64_t built_topology_version_ = -1;
 
   // Per-tick pooling: the pending snapshot and its long/short-lived splits

@@ -36,6 +36,60 @@ void AppendF(std::string& out, const char* format, ...) {
                                       sizeof(buf) - 1));
 }
 
+// Detector thresholds. All are exact integers: percentages are *_pct
+// (100 = 1x), ratios are permille or basis points as named, and every
+// firing test below is a cross-multiplication, never a division.
+
+// (1) kSloBurnRate fires when both burn windows (WatchdogOptions) burn the
+// error budget at >= kBurnMultiple x the sustainable rate:
+//   bad * 10000 >= kBurnMultiple * budget_bp * (good + bad)
+// with budget_bp = (100 - objective.percent) in basis points.
+constexpr std::int64_t kBurnMultiple = 8;
+constexpr std::int64_t kBurnMinJudged = 16;  // min good+bad, slow window
+
+// (2) kPendingAgeDrift fires when the per-tick pending-age p99 crosses a
+// multiple of its trailing-window mean:
+//   p99 * 100 * n >= kDriftMultiplePct * sum(window)
+// requiring a full window and an absolute floor so an idle cluster
+// (baseline ~0) cannot trip on the first queued pod.
+constexpr std::int64_t kDriftWindow = 16;
+constexpr std::int64_t kDriftMultiplePct = 300;  // p99 >= 3x trailing mean
+constexpr std::int64_t kDriftMinP99 = 4;         // absolute floor, in ticks
+
+// (3) kAppFlapping fires per app when its lifecycle-epoch re-opens
+// (preemptions / stale-binding re-arrivals) within the trailing window
+// reach kFlapThreshold.
+constexpr std::int64_t kFlapWindow = 8;
+constexpr std::int64_t kFlapThreshold = 3;  // re-opens per window
+
+// (4) kShardImbalance fires when the hottest shard's utilization crosses a
+// multiple of the median (max_util * 100 >= kImbalanceMultiplePct * median)
+// or the routing spill ratio crosses kSpillPermille
+// (spilled * 1000 >= kSpillPermille * routed). Volume floors keep a
+// near-empty cluster quiet.
+constexpr std::int64_t kImbalanceMultiplePct = 200;      // max >= 2x median
+constexpr std::int64_t kImbalanceMinUtilPermille = 200;  // hot-shard floor
+constexpr std::int64_t kSpillPermille = 250;             // spilled/routed
+constexpr std::int64_t kImbalanceMinRouted = 16;         // spill volume floor
+
+// (5) kSolveRegression fires when the tick's deterministic solve effort
+// (explored paths + rounds + prunes, bit-identical across threads) crosses
+// a multiple of its trailing-window mean; wall micros are evidence only:
+//   cost * 100 * n >= kLatencyMultiplePct * sum(window)
+constexpr std::int64_t kLatencyWindow = 16;
+constexpr std::int64_t kLatencyMultiplePct = 300;
+constexpr std::int64_t kLatencyMinCost = 256;  // absolute effort floor
+
+// (6) kCauseMixShift fires when the tick's give-up cause histogram diverges
+// from the trailing window by L1 distance (over exact counts,
+// cross-multiplied so no normalization is needed):
+//   sum_c |cur[c]*base_total - base[c]*cur_total| * 1000
+//       >= kCauseMixL1Permille * cur_total * base_total
+// L1 over distributions lives in [0, 2000] permille.
+constexpr std::int64_t kCauseMixWindow = 16;
+constexpr std::int64_t kCauseMixL1Permille = 600;
+constexpr std::int64_t kCauseMixMinCount = 32;  // floor on both totals
+
 // Evidence-only ratio for display: numerator-per-`scale` of denominator,
 // 0 when the denominator is empty. Never feeds a firing decision.
 std::int64_t DisplayRatio(std::int64_t num, std::int64_t den,
@@ -63,16 +117,12 @@ Watchdog::Watchdog(WatchdogOptions options) : options_(options) {
   ALADDIN_CHECK(options_.burn_fast_window >= 1 &&
                 options_.burn_slow_window >= options_.burn_fast_window)
       << "watchdog burn windows misordered";
-  ALADDIN_CHECK(options_.drift_window >= 1) << "empty drift window";
-  ALADDIN_CHECK(options_.flap_window >= 1) << "empty flap window";
-  ALADDIN_CHECK(options_.latency_window >= 1) << "empty latency window";
-  ALADDIN_CHECK(options_.causemix_window >= 1) << "empty cause-mix window";
   burn_fast_ring_.resize(static_cast<std::size_t>(options_.burn_fast_window));
   burn_slow_ring_.resize(static_cast<std::size_t>(options_.burn_slow_window));
-  drift_ring_.resize(static_cast<std::size_t>(options_.drift_window), 0);
-  flap_ring_.resize(static_cast<std::size_t>(options_.flap_window));
-  latency_ring_.resize(static_cast<std::size_t>(options_.latency_window), 0);
-  causemix_ring_.resize(static_cast<std::size_t>(options_.causemix_window));
+  drift_ring_.resize(static_cast<std::size_t>(kDriftWindow), 0);
+  flap_ring_.resize(static_cast<std::size_t>(kFlapWindow));
+  latency_ring_.resize(static_cast<std::size_t>(kLatencyWindow), 0);
+  causemix_ring_.resize(static_cast<std::size_t>(kCauseMixWindow));
 }
 
 void Watchdog::Fold(std::uint64_t value) {
@@ -208,17 +258,17 @@ void Watchdog::CheckSloBurn(const WatchdogTickInput& input) {
   // Both windows must burn at >= multiple x budget: bad/judged >= m * bp/1e4
   // cross-multiplied to exact integers.
   const auto burns_at = [&](std::int64_t multiple) {
-    return fast_judged > 0 && slow_judged >= options_.burn_min_judged &&
+    return fast_judged > 0 && slow_judged >= kBurnMinJudged &&
            fast_bad * 10000 >= multiple * budget_bp * fast_judged &&
            slow_bad * 10000 >= multiple * budget_bp * slow_judged;
   };
   const bool warm = burn_seen_ >= options_.burn_slow_window;
-  const bool breached = warm && burns_at(options_.burn_multiple);
-  const bool critical = warm && burns_at(2 * options_.burn_multiple);
+  const bool breached = warm && burns_at(kBurnMultiple);
+  const bool critical = warm && burns_at(2 * kBurnMultiple);
 
   AlertEvidence evidence;
   evidence.observed = DisplayRatio(fast_bad, fast_judged, 10000);  // bad bp
-  evidence.threshold = options_.burn_multiple * budget_bp;
+  evidence.threshold = kBurnMultiple * budget_bp;
   evidence.baseline = DisplayRatio(slow_bad, slow_judged, 10000);
   evidence.window = options_.burn_fast_window;
   evidence.extra = slow_judged;
@@ -235,18 +285,18 @@ void Watchdog::CheckPendingDrift(const WatchdogTickInput& input) {
   const std::int64_t n = static_cast<std::int64_t>(drift_ring_.size());
   const std::int64_t p99 = input.pending_age_p99;
 
-  const bool warm = drift_seen_ >= options_.drift_window;
+  const bool warm = drift_seen_ >= kDriftWindow;
   const auto drifts_at = [&](std::int64_t pct) {
-    return p99 >= options_.drift_min_p99 && p99 * 100 * n >= pct * base_sum;
+    return p99 >= kDriftMinP99 && p99 * 100 * n >= pct * base_sum;
   };
-  const bool breached = warm && drifts_at(options_.drift_multiple_pct);
-  const bool critical = warm && drifts_at(2 * options_.drift_multiple_pct);
+  const bool breached = warm && drifts_at(kDriftMultiplePct);
+  const bool critical = warm && drifts_at(2 * kDriftMultiplePct);
 
   AlertEvidence evidence;
   evidence.observed = p99;
-  evidence.threshold = options_.drift_multiple_pct;
+  evidence.threshold = kDriftMultiplePct;
   evidence.baseline = DisplayRatio(base_sum, n, 1);  // trailing mean
-  evidence.window = options_.drift_window;
+  evidence.window = kDriftWindow;
   evidence.extra = input.pending_open;
   StepSignal(AlertKind::kPendingAgeDrift, drift_signal_, breached, critical,
              evidence, input.tick);
@@ -283,9 +333,9 @@ void Watchdog::CheckAppFlapping(const WatchdogTickInput& input) {
   const auto evidence_for = [&](std::int64_t sum, std::int64_t tick_delta) {
     AlertEvidence evidence;
     evidence.observed = sum;
-    evidence.threshold = options_.flap_threshold;
+    evidence.threshold = kFlapThreshold;
     evidence.baseline = 0;
-    evidence.window = options_.flap_window;
+    evidence.window = kFlapWindow;
     evidence.extra = tick_delta;
     return evidence;
   };
@@ -297,22 +347,22 @@ void Watchdog::CheckAppFlapping(const WatchdogTickInput& input) {
   };
   for (SignalState& signal : flap_signals_) {
     const std::int64_t sum = window_sum(signal.subject);
-    const bool breached = sum >= options_.flap_threshold;
-    const bool critical = sum >= 2 * options_.flap_threshold;
+    const bool breached = sum >= kFlapThreshold;
+    const bool critical = sum >= 2 * kFlapThreshold;
     StepSignal(AlertKind::kAppFlapping, signal, breached, critical,
                evidence_for(sum, tick_delta(signal.subject)), input.tick);
   }
   for (const auto& [app, count] : input.app_reopens) {
     if (app < 0) continue;
     const std::int64_t sum = window_sum(app);
-    if (sum < options_.flap_threshold) continue;
+    if (sum < kFlapThreshold) continue;
     const auto at = std::lower_bound(
         flap_signals_.begin(), flap_signals_.end(), app,
         [](const SignalState& s, std::int32_t key) { return s.subject < key; });
     if (at != flap_signals_.end() && at->subject == app) continue;  // stepped
     SignalState& signal = SubjectSignal(flap_signals_, app);
     StepSignal(AlertKind::kAppFlapping, signal,
-               /*breached=*/true, /*critical=*/sum >= 2 * options_.flap_threshold,
+               /*breached=*/true, /*critical=*/sum >= 2 * kFlapThreshold,
                evidence_for(sum, count), input.tick);
   }
   // Drop signals that fully settled (closed alert, no streak) so the scan
@@ -359,25 +409,25 @@ void Watchdog::CheckShardImbalance(const WatchdogTickInput& input) {
     const std::int64_t median = utils[(utils.size() - 1) / 2];
 
     const auto util_skew_at = [&](std::int64_t pct) {
-      return max_util >= options_.imbalance_min_util_permille &&
+      return max_util >= kImbalanceMinUtilPermille &&
              max_util * 100 >= pct * median;
     };
     const auto spill_at = [&](std::int64_t permille) {
-      return routed_total >= options_.imbalance_min_routed &&
+      return routed_total >= kImbalanceMinRouted &&
              spilled_total * 1000 >= permille * routed_total;
     };
-    const bool util_breach = util_skew_at(options_.imbalance_multiple_pct);
-    const bool spill_breach = spill_at(options_.spill_permille);
+    const bool util_breach = util_skew_at(kImbalanceMultiplePct);
+    const bool spill_breach = spill_at(kSpillPermille);
     breached = util_breach || spill_breach;
-    critical = util_skew_at(2 * options_.imbalance_multiple_pct) ||
-               spill_at(2 * options_.spill_permille);
+    critical = util_skew_at(2 * kImbalanceMultiplePct) ||
+               spill_at(2 * kSpillPermille);
     subject = util_breach ? max_util_shard : max_spill_shard;
 
     evidence.observed = util_breach
                             ? max_util
                             : DisplayRatio(spilled_total, routed_total, 1000);
-    evidence.threshold = util_breach ? options_.imbalance_multiple_pct
-                                     : options_.spill_permille;
+    evidence.threshold = util_breach ? kImbalanceMultiplePct
+                                     : kSpillPermille;
     evidence.baseline = median;
     evidence.window = 1;
     evidence.extra = DisplayRatio(spilled_total, routed_total, 1000);
@@ -396,20 +446,20 @@ void Watchdog::CheckSolveRegression(const WatchdogTickInput& input) {
   const std::int64_t n = static_cast<std::int64_t>(latency_ring_.size());
   const std::int64_t cost = input.solve_cost;
 
-  const bool warm = latency_seen_ >= options_.latency_window;
+  const bool warm = latency_seen_ >= kLatencyWindow;
   const auto regressed_at = [&](std::int64_t pct) {
-    return cost >= options_.latency_min_cost &&
+    return cost >= kLatencyMinCost &&
            cost * 100 * n >= pct * base_sum;
   };
-  const bool breached = warm && regressed_at(options_.latency_multiple_pct);
+  const bool breached = warm && regressed_at(kLatencyMultiplePct);
   const bool critical =
-      warm && regressed_at(2 * options_.latency_multiple_pct);
+      warm && regressed_at(2 * kLatencyMultiplePct);
 
   AlertEvidence evidence;
   evidence.observed = cost;
-  evidence.threshold = options_.latency_multiple_pct;
+  evidence.threshold = kLatencyMultiplePct;
   evidence.baseline = DisplayRatio(base_sum, n, 1);  // trailing mean
-  evidence.window = options_.latency_window;
+  evidence.window = kLatencyWindow;
   evidence.extra = input.solve_wall_micros;  // wall clock: evidence only
   StepSignal(AlertKind::kSolveRegression, latency_signal_, breached, critical,
              evidence, input.tick);
@@ -437,21 +487,21 @@ void Watchdog::CheckCauseMix(const WatchdogTickInput& input) {
         current[c] * base_total - causemix_base_[c] * cur_total;
     l1_cross += diff < 0 ? -diff : diff;
   }
-  const bool warm = causemix_seen_ >= options_.causemix_window;
+  const bool warm = causemix_seen_ >= kCauseMixWindow;
   const auto shifted_at = [&](std::int64_t permille) {
-    return cur_total >= options_.causemix_min_count &&
-           base_total >= options_.causemix_min_count &&
+    return cur_total >= kCauseMixMinCount &&
+           base_total >= kCauseMixMinCount &&
            l1_cross * 1000 >= permille * cur_total * base_total;
   };
-  const bool breached = warm && shifted_at(options_.causemix_l1_permille);
-  const bool critical = warm && shifted_at(2 * options_.causemix_l1_permille);
+  const bool breached = warm && shifted_at(kCauseMixL1Permille);
+  const bool critical = warm && shifted_at(2 * kCauseMixL1Permille);
 
   AlertEvidence evidence;
   evidence.observed =
       DisplayRatio(l1_cross * 1000, cur_total * base_total, 1);
-  evidence.threshold = options_.causemix_l1_permille;
+  evidence.threshold = kCauseMixL1Permille;
   evidence.baseline = base_total;
-  evidence.window = options_.causemix_window;
+  evidence.window = kCauseMixWindow;
   evidence.extra = cur_total;
   StepSignal(AlertKind::kCauseMixShift, causemix_signal_, breached, critical,
              evidence, input.tick);

@@ -66,10 +66,10 @@ enum class AlertState : std::uint8_t {  // analyze:closed_enum
 
 // Exact-integer evidence snapshot, refreshed on every breaching tick while
 // the alert is open. `observed` / `threshold` / `baseline` share one
-// detector-specific fixed-point scale (documented per detector in
-// WatchdogOptions); `window` is the tick span the math ran over; `extra`
-// is detector-specific context (wall micros for kSolveRegression, spill
-// permille for kShardImbalance) that never feeds a firing decision.
+// detector-specific fixed-point scale (documented per detector with its
+// thresholds in watchdog.cpp); `window` is the tick span the math ran over;
+// `extra` is detector-specific context (wall micros for kSolveRegression,
+// spill permille for kShardImbalance) that never feeds a firing decision.
 struct AlertEvidence {
   std::int64_t observed = 0;
   std::int64_t threshold = 0;
@@ -93,75 +93,26 @@ struct Alert {
   AlertState state = AlertState::kOpen;
 };
 
-// All thresholds are exact integers; percentages are *_pct (100 = 1x),
-// ratios are permille or basis points as named. Detectors fire only after
-// `open_after` consecutive breaching ticks and resolve only after
-// `resolve_after` consecutive clear ticks (hysteresis), so a signal riding
-// the boundary cannot flap the alert stream.
+// Detectors fire only after `open_after` consecutive breaching ticks and
+// resolve only after `resolve_after` consecutive clear ticks (hysteresis),
+// so a signal riding the boundary cannot flap the alert stream. Every
+// detector threshold is an exact-integer constant in watchdog.cpp,
+// documented there with the detector's firing inequality.
 struct WatchdogOptions {
   std::int64_t open_after = 2;
   std::int64_t resolve_after = 2;
 
-  // (1) kSloBurnRate: fire when BOTH the fast and the slow trailing window
-  // burn the error budget at >= burn_multiple x the sustainable rate:
-  //   bad * 10000 >= burn_multiple * budget_bp * (good + bad)
-  // with budget_bp = (100 - objective.percent) in basis points. The dual
-  // window is the standard SRE pattern: the slow window proves the spike
-  // is sustained, the fast window makes detection and resolution prompt.
+  // One switch per detector, in AlertKind order. kSloBurnRate also takes
+  // its two window lengths, in ticks: the slow window proves a burn is
+  // sustained, the fast one makes detection and resolution prompt.
   bool slo_burn = true;
   std::int64_t burn_fast_window = 4;
   std::int64_t burn_slow_window = 16;
-  std::int64_t burn_multiple = 8;
-  std::int64_t burn_min_judged = 16;  // min good+bad in the slow window
-
-  // (2) kPendingAgeDrift: fire when the per-tick pending-age p99 crosses a
-  // multiple of its trailing-window mean:
-  //   p99 * 100 * n >= drift_multiple_pct * sum(window)
-  // requiring a full window and an absolute floor so an idle cluster
-  // (baseline ~0) cannot trip on the first queued pod.
   bool pending_drift = true;
-  std::int64_t drift_window = 16;
-  std::int64_t drift_multiple_pct = 300;  // p99 >= 3x trailing mean
-  std::int64_t drift_min_p99 = 4;         // absolute floor, in ticks
-
-  // (3) kAppFlapping: fire per app when lifecycle-epoch re-opens
-  // (preemptions / stale-binding re-arrivals) within the trailing window
-  // reach the threshold. Subject = app id.
   bool app_flapping = true;
-  std::int64_t flap_window = 8;
-  std::int64_t flap_threshold = 3;  // re-opens per window
-
-  // (4) kShardImbalance: fire when the hottest shard's utilization crosses
-  // a multiple of the median (max_util * 100 >= multiple_pct * median) or
-  // the routing spill ratio crosses spill_permille
-  // (spilled * 1000 >= spill_permille * routed). Volume floors keep a
-  // near-empty cluster quiet. Subject = the hottest / spill-heaviest shard.
   bool shard_imbalance = true;
-  std::int64_t imbalance_multiple_pct = 200;      // max >= 2x median
-  std::int64_t imbalance_min_util_permille = 200; // hot-shard floor
-  std::int64_t spill_permille = 250;              // spilled/routed ratio
-  std::int64_t imbalance_min_routed = 16;         // spill volume floor
-
-  // (5) kSolveRegression: fire when the tick's deterministic solve effort
-  // (explored paths + rounds + prunes, bit-identical across threads)
-  // crosses a multiple of its trailing-window mean:
-  //   cost * 100 * n >= latency_multiple_pct * sum(window)
-  // Wall micros ride along as evidence only.
   bool solve_regression = true;
-  std::int64_t latency_window = 16;
-  std::int64_t latency_multiple_pct = 300;
-  std::int64_t latency_min_cost = 256;  // absolute effort floor
-
-  // (6) kCauseMixShift: fire when the tick's give-up cause histogram
-  // diverges from the trailing window by L1 distance (over exact counts,
-  // cross-multiplied so no normalization is needed):
-  //   sum_c |cur[c]*base_total - base[c]*cur_total| * 1000
-  //       >= causemix_l1_permille * cur_total * base_total
-  // L1 over distributions lives in [0, 2000] permille.
   bool cause_mix = true;
-  std::int64_t causemix_window = 16;
-  std::int64_t causemix_l1_permille = 600;
-  std::int64_t causemix_min_count = 32;  // floor on both totals
 };
 
 // One shard's load over the most recent solve: reported by

@@ -128,17 +128,6 @@ void SaveTopology(const cluster::Topology& topology, std::ostream& os) {
   }
 }
 
-bool SaveTopologyToFile(const cluster::Topology& topology,
-                        const std::string& path) {
-  std::ofstream os(path);
-  if (!os) {
-    LOG_ERROR << "cannot open " << path << " for writing";
-    return false;
-  }
-  SaveTopology(topology, os);
-  return static_cast<bool>(os);
-}
-
 bool LoadTopology(std::istream& is, cluster::Topology& out) {
   out = cluster::Topology();
   CsvReader csv(is);

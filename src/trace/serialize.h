@@ -30,8 +30,6 @@ bool LoadWorkloadFromFile(const std::string& path, Workload& out);
 // and non-decreasing (machines are listed in topology order), which is what
 // SaveTopology emits. Supports heterogeneous capacities.
 void SaveTopology(const cluster::Topology& topology, std::ostream& os);
-bool SaveTopologyToFile(const cluster::Topology& topology,
-                        const std::string& path);
 bool LoadTopology(std::istream& is, cluster::Topology& out);
 bool LoadTopologyFromFile(const std::string& path, cluster::Topology& out);
 

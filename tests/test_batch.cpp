@@ -1,6 +1,6 @@
 // Warm-solve and group-placement contract:
 //
-//   * Network::Sync() exits early on an empty dirty log
+//   * Network::Sync() exits early on an empty touch log
 //     (core/net_sync_noop);
 //   * the group-decomposed waterfall (AggregatedNetwork::PlaceGroupRun)
 //     replays per-container FindMachine + Deploy walks exactly — machines,
@@ -39,16 +39,9 @@ using cluster::ResourceVector;
 using cluster::Topology;
 using trace::Workload;
 
-std::int64_t CounterValue(const char* name) {
-  for (const auto& c : obs::Registry::Get().Snapshot().counters) {
-    if (c.name == name) return c.value;
-  }
-  return 0;
-}
-
 // -------------------------------------------------------- warm solve ----
 
-// A no-arrival follow-up solve hits the Sync() fast path: the dirty log is
+// A no-arrival follow-up solve hits the Sync() fast path: the touch log is
 // empty after the previous solve's own mutations were folded in, so the
 // network skips the walk and says so in core/net_sync_noop.
 TEST(WarmSolve, EmptyDirtyLogSyncIsCountedNoop) {

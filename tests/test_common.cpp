@@ -249,19 +249,6 @@ TEST(Sample, EmptyReturnsZero) {
   EXPECT_EQ(s.mean(), 0.0);
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(0.5);   // bin 0
-  h.Add(9.99);  // bin 9
-  h.Add(-5.0);  // clamped to bin 0
-  h.Add(42.0);  // clamped to bin 9
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.BinLow(3), 3.0);
-  EXPECT_DOUBLE_EQ(h.BinHigh(3), 4.0);
-}
-
 TEST(BuildCdf, MonotoneAndComplete) {
   std::vector<double> samples;
   Rng rng(47);

@@ -5,7 +5,7 @@
 //     placements bit-identical to a rebuild from scratch — the reuse is a
 //     pure optimisation; a brand-new Resolver over a copy of the adaptor is
 //     the per-tick oracle for the resolver;
-//   * the supporting machinery (dirty log, change journal, instance ids)
+//   * the supporting machinery (touch log, change journal, instance ids)
 //     must agree with its from-scratch oracle.
 //
 // These tests run under the asan/tsan presets too.
@@ -50,38 +50,44 @@ TEST(DirtyLog, RecordsMutationsSinceCursor) {
   const Workload wl = TinyWorkload();
   const Topology topo = Topology::Uniform(4, ResourceVector::Cores(32, 64));
   cluster::ClusterState state = wl.MakeState(topo);
-  state.EnableDirtyLog();
-  const std::uint64_t start = state.DirtyLogEnd();
+  state.EnableTouchLog();
+  const std::uint64_t start = state.TouchLogEnd();
 
   state.Deploy(ContainerId(0), MachineId(1));
   state.Deploy(ContainerId(1), MachineId(2));
   state.Evict(ContainerId(0));
 
   bool overflowed = true;
-  const auto dirty = state.DirtySince(start, &overflowed);
+  const auto touches = state.TouchesSince(start, &overflowed);
   EXPECT_FALSE(overflowed);
-  ASSERT_EQ(dirty.size(), 3u);
-  EXPECT_EQ(dirty[0], MachineId(1));
-  EXPECT_EQ(dirty[1], MachineId(2));
-  EXPECT_EQ(dirty[2], MachineId(1));
+  ASSERT_EQ(touches.size(), 3u);
+  EXPECT_EQ(touches[0].machine, MachineId(1));
+  EXPECT_EQ(touches[0].container, ContainerId(0));
+  EXPECT_EQ(touches[1].machine, MachineId(2));
+  EXPECT_EQ(touches[1].container, ContainerId(1));
+  EXPECT_EQ(touches[2].machine, MachineId(1));
+  EXPECT_EQ(touches[2].container, ContainerId(0));
 
   // A cursor at the end sees nothing; an entry later it sees just that one.
-  const std::uint64_t end = state.DirtyLogEnd();
-  EXPECT_TRUE(state.DirtySince(end, &overflowed).empty());
-  state.Migrate(ContainerId(1), MachineId(3));  // marks machines 2 and 3
-  EXPECT_EQ(state.DirtySince(end, &overflowed).size(), 2u);
+  const std::uint64_t end = state.TouchLogEnd();
+  EXPECT_TRUE(state.TouchesSince(end, &overflowed).empty());
+  state.Migrate(ContainerId(1), MachineId(3));  // touches machines 2 and 3
+  const auto moved = state.TouchesSince(end, &overflowed);
+  ASSERT_EQ(moved.size(), 2u);
+  EXPECT_EQ(moved[0].machine, MachineId(2));
+  EXPECT_EQ(moved[1].machine, MachineId(3));
 }
 
 TEST(DirtyLog, ClearForcesFullResync) {
   const Workload wl = TinyWorkload();
   const Topology topo = Topology::Uniform(4, ResourceVector::Cores(32, 64));
   cluster::ClusterState state = wl.MakeState(topo);
-  state.EnableDirtyLog();
-  const std::uint64_t cursor = state.DirtyLogEnd();
+  state.EnableTouchLog();
+  const std::uint64_t cursor = state.TouchLogEnd();
   state.Deploy(ContainerId(0), MachineId(0));
   state.Clear();
   bool overflowed = false;
-  EXPECT_TRUE(state.DirtySince(cursor, &overflowed).empty());
+  EXPECT_TRUE(state.TouchesSince(cursor, &overflowed).empty());
   EXPECT_TRUE(overflowed) << "pre-Clear cursors must be told to rebuild";
 }
 
@@ -89,23 +95,68 @@ TEST(DirtyLog, OverflowDropsOldestAndFlagsStragglers) {
   const Workload wl = TinyWorkload();
   const Topology topo = Topology::Uniform(4, ResourceVector::Cores(32, 64));
   cluster::ClusterState state = wl.MakeState(topo);
-  state.EnableDirtyLog();
-  const std::uint64_t stale = state.DirtyLogEnd();
+  state.EnableTouchLog();
+  const std::uint64_t stale = state.TouchLogEnd();
   // Each Deploy+Evict pair appends two entries; push well past the cap.
   for (int i = 0; i < (1 << 16); ++i) {
     state.Deploy(ContainerId(0), MachineId(0));
     state.Evict(ContainerId(0));
   }
   bool overflowed = false;
-  (void)state.DirtySince(stale, &overflowed);
+  (void)state.TouchesSince(stale, &overflowed);
   EXPECT_TRUE(overflowed);
   // A fresh cursor still works incrementally.
-  const std::uint64_t now = state.DirtyLogEnd();
+  const std::uint64_t now = state.TouchLogEnd();
   state.Deploy(ContainerId(0), MachineId(3));
-  const auto dirty = state.DirtySince(now, &overflowed);
+  const auto touches = state.TouchesSince(now, &overflowed);
   EXPECT_FALSE(overflowed);
-  ASSERT_EQ(dirty.size(), 1u);
-  EXPECT_EQ(dirty[0], MachineId(3));
+  ASSERT_EQ(touches.size(), 1u);
+  EXPECT_EQ(touches[0].machine, MachineId(3));
+}
+
+TEST(DirtyLog, CapFollowsTheLiveSet) {
+  // 5,000 machines put 2 x (machines + placed) above the 4,096 floor, so
+  // the live set, not the floor, sets the cap.
+  Workload wl;
+  wl.AddApplication("a", 3, ResourceVector::Cores(1, 2));
+  const Topology topo = Topology::Uniform(5000, ResourceVector::Cores(32, 64));
+  cluster::ClusterState state = wl.MakeState(topo);
+  state.EnableTouchLog();
+  state.Deploy(ContainerId(0), MachineId(0));
+  state.Deploy(ContainerId(1), MachineId(1));
+  const std::uint64_t live = topo.machine_count() + state.placed_count();
+  ASSERT_GT(2 * live, 4096u);
+  const std::uint64_t cursor = state.TouchLogEnd();
+  // Churn one more container: each pair appends two touches and leaves the
+  // live set where it was.
+  const auto churn_until = [&](std::uint64_t lag) {
+    while (state.TouchLogEnd() - cursor < lag) {
+      state.Deploy(ContainerId(2), MachineId(2));
+      state.Evict(ContainerId(2));
+    }
+  };
+  bool overflowed = true;
+  churn_until(live);
+  (void)state.TouchesSince(cursor, &overflowed);
+  EXPECT_FALSE(overflowed)
+      << "a consumer lagging by the live set must still replay";
+  churn_until(2 * live + 2);
+  (void)state.TouchesSince(cursor, &overflowed);
+  EXPECT_TRUE(overflowed)
+      << "a consumer lagging past twice the live set must rebuild";
+
+  // The 4,096-touch floor: on 4 machines a cursor 2,000 touches behind
+  // still replays.
+  const Topology small = Topology::Uniform(4, ResourceVector::Cores(32, 64));
+  cluster::ClusterState tiny = wl.MakeState(small);
+  tiny.EnableTouchLog();
+  const std::uint64_t tiny_cursor = tiny.TouchLogEnd();
+  for (int i = 0; i < 1000; ++i) {
+    tiny.Deploy(ContainerId(0), MachineId(0));
+    tiny.Evict(ContainerId(0));
+  }
+  (void)tiny.TouchesSince(tiny_cursor, &overflowed);
+  EXPECT_FALSE(overflowed) << "a small cluster keeps the floor's window";
 }
 
 TEST(ChangeJournal, DeduplicatesPerContainer) {
@@ -152,12 +203,12 @@ TEST(WorkloadGrowth, AppendedContainersEnterState) {
 // ------------------------------------------------ scheduler equivalence ----
 
 // Pooled scratch identity: one persistent scheduler reuses its aggregated
-// network (synced from the state's dirty log), arena, repair scratch,
+// network (synced from the state's touch log), arena, repair scratch,
 // workspaces, and CSR across waves; a throwaway engine built fresh per wave
 // starts cold each time. The reuse is a pure optimisation — identical
 // placements and outcomes, wave after wave, or state is leaking across
 // ticks. External evictions reach the persistent network only through the
-// dirty log. Each wave grows `apps_per_wave` apps and evicts every
+// touch log. Each wave grows `apps_per_wave` apps and evicts every
 // `evict_stride`-th placed container before scheduling.
 void ExpectPersistentEngineMatchesFreshPerWave(std::uint64_t seed,
                                                int apps_per_wave,
@@ -215,7 +266,7 @@ TEST(PooledScratch, PersistentEngineMatchesFreshEnginePerWave) {
 }
 
 // The persistent engine's network learns of external churn only through
-// the state's dirty log; a lighter-churn scenario than the one above.
+// the state's touch log; a lighter-churn scenario than the one above.
 TEST(IncrementalNetwork, PlacementsMatchFreshRebuildAcrossWaves) {
   ExpectPersistentEngineMatchesFreshPerWave(2024, 4, 5);
 }
@@ -307,13 +358,6 @@ flow::Graph LayeredGraph(std::int64_t width, VertexId& s, VertexId& t,
 }
 
 // ------------------------------------------------ zero-alloc witness ----
-
-std::int64_t CounterValue(const char* name) {
-  for (const auto& c : obs::Registry::Get().Snapshot().counters) {
-    if (c.name == name) return c.value;
-  }
-  return 0;
-}
 
 // The tentpole's acceptance witness: after warmup ticks have grown every
 // solver buffer to its high-water mark, further steady-state ticks must

@@ -1,7 +1,7 @@
 // Scenario builders shared by the equivalence suites (test_equivalence,
 // test_batch, test_sharding): a random mixed workload grown wave by wave,
-// a scripted k8s cluster run, and the placement / binding snapshots the
-// suites compare.
+// a scripted k8s cluster run, the placement / binding snapshots the suites
+// compare, and a metrics-registry counter read.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +13,7 @@
 #include "cluster/state.h"
 #include "common/rng.h"
 #include "k8s/simulator.h"
+#include "obs/metrics.h"
 #include "trace/workload.h"
 
 namespace aladdin {
@@ -51,6 +52,14 @@ inline std::vector<cluster::MachineId> Placements(
         state.PlacementOf(cluster::ContainerId(static_cast<std::int32_t>(i))));
   }
   return out;
+}
+
+// A counter's current value in the metrics registry (0 if never bumped).
+inline std::int64_t CounterValue(const char* name) {
+  for (const auto& c : obs::Registry::Get().Snapshot().counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
 }
 
 // Called after every scripted tick with the tick's stats and bindings.

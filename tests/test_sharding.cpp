@@ -13,13 +13,15 @@
 //     violations or dead-on-arrival solves;
 //   * spill rounds recover from a home shard that cannot hold an
 //     application's whole wave;
-//   * the supporting machinery (ShardPlan partitioning, scoped dirty logs)
-//     agrees with its contracts in isolation.
+//   * the supporting machinery (ShardPlan partitioning, touch replay into
+//     the shard mirrors, the rebuild when the coordinator falls off the
+//     touch log) agrees with its contracts in isolation.
 //
 // These tests run under the asan/tsan presets too; the threads>1 grid cases
 // are the TSan workhorse for the parallel shard solves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,6 +37,18 @@
 #include "obs/journal.h"
 #include "test_scenarios.h"
 #include "trace/workload.h"
+
+namespace aladdin::core {
+
+// Friend of ShardedScheduler: reads a shard's mirror.
+struct ShardedSchedulerTestPeer {
+  static const cluster::ShardView& View(const ShardedScheduler& scheduler,
+                                        int shard) {
+    return *scheduler.shards_[static_cast<std::size_t>(shard)].view;
+  }
+};
+
+}  // namespace aladdin::core
 
 namespace aladdin {
 namespace {
@@ -130,47 +144,142 @@ TEST(ShardPlan, ShardCountClampsToMachineCount) {
   }
 }
 
-// ---------------------------------------------------- scoped dirty logs ----
+// -------------------------------------------------------- touch replay ----
 
-TEST(ScopedDirtyLog, OverflowOfOneScopeLeavesOthersIncremental) {
-  Workload wl;
-  wl.AddApplication("a", 4, ResourceVector::Cores(1, 2));
-  const Topology topo = Topology::Uniform(4, ResourceVector::Cores(32, 64));
-  cluster::ClusterState state = wl.MakeState(topo);
-  // Machines 0,1 -> scope 0; machines 2,3 -> scope 1.
-  state.ConfigureDirtyScopes({0, 0, 1, 1}, 2);
-  const std::uint64_t cursor0 = state.ScopedDirtyLogEnd(0);
-  const std::uint64_t cursor1 = state.ScopedDirtyLogEnd(1);
-
-  state.Deploy(ContainerId(0), MachineId(3));  // one entry in scope 1
-  // Overflow scope 0 only.
-  for (int i = 0; i < (1 << 17); ++i) {
-    state.Deploy(ContainerId(1), MachineId(0));
-    state.Evict(ContainerId(1));
-  }
-
-  bool overflowed = false;
-  (void)state.ScopedDirtySince(0, cursor0, &overflowed);
-  EXPECT_TRUE(overflowed) << "scope 0 must report its own overflow";
-  overflowed = true;
-  const auto dirty1 = state.ScopedDirtySince(1, cursor1, &overflowed);
-  EXPECT_FALSE(overflowed) << "scope 1 must be untouched by scope 0's churn";
-  ASSERT_EQ(dirty1.size(), 1u);
-  EXPECT_EQ(dirty1[0], MachineId(3));
+std::vector<ContainerId> Residents(const cluster::ClusterState& state,
+                                   MachineId m) {
+  const auto list = state.DeployedOn(m);
+  return {list.begin(), list.end()};
 }
 
-TEST(ScopedDirtyLog, ReconfigureInvalidatesPriorCursors) {
+// The oracle for ShardView::Replay: random Deploy / Evict / Migrate /
+// Preempt calls on a state, replayed touch by touch into a K=1 mirror built
+// at the start, leave the mirror identical to the state after every step —
+// placements, each machine's resident order, and a clean consistency audit.
+TEST(ShardView, ReplayedTouchesReproduceEveryStep) {
+  const Topology topo = Topology::Uniform(6, ResourceVector::Cores(8, 16),
+                                          3, 2);
   Workload wl;
-  wl.AddApplication("a", 2, ResourceVector::Cores(1, 2));
-  const Topology topo = Topology::Uniform(4, ResourceVector::Cores(32, 64));
+  wl.AddApplication("small", 16, ResourceVector::Cores(1, 2));
+  wl.AddApplication("large", 8, ResourceVector::Cores(3, 6));
+  cluster::ClusterState global = wl.MakeState(topo);
+  global.EnableTouchLog();
+  // Two residents per machine, so the mirror's initial order is checked.
+  for (std::int32_t c = 0; c < 12; ++c) {
+    global.Deploy(ContainerId(c), MachineId(c % 6));
+  }
+
+  const ShardPlan plan = ShardPlan::Build(topo, 1);
+  cluster::ShardView view(plan, 0, global);
+  std::uint64_t cursor = global.TouchLogEnd();
+  const auto containers = static_cast<std::int64_t>(wl.container_count());
+  const auto machines = static_cast<std::int64_t>(topo.machine_count());
+  Rng rng(2026);
+  for (int step = 0; step < 600; ++step) {
+    const ContainerId c(
+        static_cast<std::int32_t>(rng.UniformInt(0, containers - 1)));
+    const MachineId m(
+        static_cast<std::int32_t>(rng.UniformInt(0, machines - 1)));
+    if (!global.IsPlaced(c)) {
+      if (global.Fits(c, m)) global.Deploy(c, m);
+    } else {
+      switch (rng.UniformInt(0, 2)) {
+        case 0:
+          global.Evict(c);
+          break;
+        case 1:
+          global.Preempt(c);
+          break;
+        default:
+          if (global.PlacementOf(c) != m && global.Fits(c, m)) {
+            global.Migrate(c, m);
+          }
+          break;
+      }
+    }
+    bool overflowed = true;
+    for (const cluster::Touch& touch :
+         global.TouchesSince(cursor, &overflowed)) {
+      view.Replay(touch);
+    }
+    ASSERT_FALSE(overflowed);
+    cursor = global.TouchLogEnd();
+
+    EXPECT_EQ(Placements(view.state(), wl.container_count()),
+              Placements(global, wl.container_count()))
+        << "step " << step;
+    for (std::int64_t mi = 0; mi < machines; ++mi) {
+      const MachineId machine(static_cast<std::int32_t>(mi));
+      EXPECT_EQ(Residents(view.state(), machine), Residents(global, machine))
+          << "step " << step << " machine " << mi;
+    }
+    std::string error;
+    ASSERT_TRUE(view.state().CheckConsistency(&error))
+        << "step " << step << ": " << error;
+  }
+}
+
+// Churn past the touch-log cap between two Schedule() calls leaves the
+// coordinator's cursor off the log: it rebuilds every mirror (so each
+// shard's solver rebuilds its network too), and afterwards every mirror
+// machine holds exactly its global residents.
+TEST(ShardedSync, CursorOverflowRebuildsEveryMirror) {
+  const Topology topo =
+      Topology::Uniform(48, ResourceVector::Cores(32, 64), 8, 3);
+  Workload wl;
   cluster::ClusterState state = wl.MakeState(topo);
-  state.ConfigureDirtyScopes({0, 0, 1, 1}, 2);
-  const std::uint64_t stale = state.ScopedDirtyLogEnd(0);
-  state.ConfigureDirtyScopes({0, 1, 0, 1}, 2);  // re-partition
-  bool overflowed = false;
-  (void)state.ScopedDirtySince(0, stale, &overflowed);
-  EXPECT_TRUE(overflowed)
-      << "cursors from before a reconfigure must be told to rebuild";
+  core::ShardedOptions options;
+  options.shards = 4;
+  core::ShardedScheduler scheduler(options);
+  Rng rng(31);
+  const auto schedule_wave = [&] {
+    std::vector<ContainerId> pending = GrowWave(wl, rng, 8);
+    state.SyncWorkloadGrowth();
+    const sim::ScheduleRequest request{&wl, &pending};
+    (void)scheduler.Schedule(request, state);
+  };
+  schedule_wave();
+
+  // Net change the mirrors must pick up (every third placement evicted),
+  // then churn that returns one container to its machine: several times the
+  // 4,096-touch cap floor this small cluster is held to.
+  std::vector<ContainerId> placed;
+  for (const auto& c : wl.containers()) {
+    if (state.IsPlaced(c.id)) placed.push_back(c.id);
+  }
+  ASSERT_GE(placed.size(), 4u);
+  for (std::size_t i = 0; i < placed.size(); i += 3) state.Evict(placed[i]);
+  const ContainerId churner = placed[1];
+  const MachineId home = state.PlacementOf(churner);
+  for (int i = 0; i < 3 * 4096; ++i) {
+    state.Evict(churner);
+    state.Deploy(churner, home);
+  }
+
+  obs::SetMetricsEnabled(true);
+  const std::int64_t builds_before = CounterValue("core/net_builds");
+  schedule_wave();
+  const std::int64_t builds_after = CounterValue("core/net_builds");
+  obs::SetMetricsEnabled(false);
+  EXPECT_GT(builds_after, builds_before)
+      << "rebuilt mirrors are new states: their solvers must re-attach";
+
+  EXPECT_TRUE(state.CheckConsistency());
+  const ShardPlan& plan = *scheduler.plan();
+  for (int s = 0; s < plan.shard_count(); ++s) {
+    const cluster::ClusterState& mirror =
+        core::ShardedSchedulerTestPeer::View(scheduler, s).state();
+    EXPECT_TRUE(mirror.CheckConsistency()) << "shard " << s;
+    const auto shard_machines = plan.shard_machines(s);
+    for (std::size_t local = 0; local < shard_machines.size(); ++local) {
+      std::vector<ContainerId> have =
+          Residents(mirror, MachineId(static_cast<std::int32_t>(local)));
+      std::vector<ContainerId> want = Residents(state, shard_machines[local]);
+      std::sort(have.begin(), have.end());
+      std::sort(want.begin(), want.end());
+      EXPECT_EQ(have, want) << "shard " << s << " local machine " << local;
+    }
+  }
 }
 
 // ------------------------------------------------- sharded equivalence ----
@@ -200,7 +309,7 @@ std::vector<std::string> DriveWaves(sim::Scheduler& scheduler,
     obs::SetJournalTick(wave);
     (void)GrowWave(wl, rng, 4);
     state.SyncWorkloadGrowth();
-    // External churn the coordinator only learns about via the dirty logs.
+    // External churn the coordinator only learns about via the touch log.
     std::vector<ContainerId> placed;
     for (const auto& c : wl.containers()) {
       if (state.IsPlaced(c.id)) placed.push_back(c.id);

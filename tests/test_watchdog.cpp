@@ -209,7 +209,8 @@ TEST(Watchdog, SolveRegressionFiresOnEffortSpikeNotWallClock) {
 
 TEST(Watchdog, SolveRegressionRespectsAbsoluteEffortFloor) {
   obs::Watchdog watchdog;
-  // Tiny baseline: a 10x spike that stays under latency_min_cost is noise.
+  // Tiny baseline: a 10x spike that stays under the absolute effort floor
+  // (kLatencyMinCost, 256) is noise.
   for (std::int64_t t = 0; t < 16; ++t) {
     obs::WatchdogTickInput input = HealthyInput(t);
     input.solve_cost = 10;

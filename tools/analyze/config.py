@@ -69,9 +69,6 @@ A1_COLD_FUNCTIONS = {
     "src/cluster/state.cpp:ClusterState":
         "constructors run on a resolver rebuild (topology change, via "
         "Workload::MakeState) or a shard attach (ShardView), never per tick",
-    "src/cluster/state.cpp:ConfigureDirtyScopes":
-        "re-scopes the dirty log for a new shard plan; only AttachShards "
-        "calls it",
     "src/core/sharded.cpp:AttachShards":
         "runs only when Schedule() meets a new state (instance id change); "
         "every later tick takes SyncShards",
