@@ -36,15 +36,21 @@ namespace {
 
 // Post-hoc placement audit: rebuild a ClusterState from the adaptor's final
 // snapshot (bound pods deployed) and recount violations from scratch, so
-// the number is independent of any resolver-internal state.
+// the number is independent of any resolver-internal state. Containers
+// whose pods are gone (completed batch tasks, deleted pods) are retired,
+// not unplaced.
 cluster::AuditReport AuditFinalState(k8s::ModelAdaptor& adaptor) {
-  cluster::ClusterState state =
-      adaptor.workload().MakeState(adaptor.topology());
+  const trace::Workload& workload = adaptor.workload();
+  cluster::ClusterState state = workload.MakeState(adaptor.topology());
   for (k8s::PodUid uid : adaptor.BoundPods()) {
     const k8s::Pod* pod = adaptor.FindPod(uid);
     state.Deploy(adaptor.ContainerOf(uid), adaptor.MachineOf(pod->node));
   }
-  return cluster::Audit(state);
+  std::vector<cluster::ContainerId> retired;
+  for (const cluster::Container& c : workload.containers()) {
+    if (adaptor.PodOfContainer(c.id) < 0) retired.push_back(c.id);
+  }
+  return cluster::Audit(state, retired);
 }
 
 // Cluster occupancy recomputed from the adaptor snapshot for --timeseries:
@@ -362,11 +368,11 @@ int main(int argc, char** argv) {
   const cluster::AuditReport audit = AuditFinalState(sim.adaptor());
   std::printf("audit: %zu containers, %zu placed, %zu unplaced "
               "(%zu resources, %zu anti-affinity, %zu scheduler), "
-              "%zu colocation violations, violation%%=%.3f\n",
+              "%zu retired, %zu colocation violations, violation%%=%.3f\n",
               audit.total_containers, audit.placed, audit.unplaced,
               audit.unplaced_resources, audit.unplaced_anti_affinity,
-              audit.unplaced_scheduler, audit.colocation_violations,
-              audit.ViolationPercent());
+              audit.unplaced_scheduler, audit.retired,
+              audit.colocation_violations, audit.ViolationPercent());
 
   BenchJson out("online");
   {
@@ -395,6 +401,7 @@ int main(int argc, char** argv) {
                "count");
     out.Metric("audit_placed", static_cast<double>(audit.placed), "count");
     out.Metric("audit_unplaced", static_cast<double>(audit.unplaced), "count");
+    out.Metric("audit_retired", static_cast<double>(audit.retired), "count");
     out.Metric("audit_colocation_violations",
                static_cast<double>(audit.colocation_violations), "count");
     if (obs::IntrospectionPublished()) {

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   options.seed = static_cast<std::uint64_t>(seed);
   const trace::Workload workload = trace::GenerateAlibabaLike(options);
   const auto heavy_threshold = static_cast<std::int64_t>(
-      static_cast<double>(options.heavy_conflict_containers) * scale);
+      static_cast<double>(trace::kHeavyConflictContainers) * scale);
   const trace::WorkloadStats stats =
       trace::ComputeWorkloadStats(workload, heavy_threshold);
 

@@ -16,6 +16,14 @@ template <typename T>
 std::size_t Idx(T id) {
   return static_cast<std::size_t>(id.value());
 }
+
+// A container evicted this many times is dropped (stays unscheduled).
+constexpr int kMaxEvictionsPerContainer = 6;
+// Candidate arcs per task in the scheduling graph, and machines scanned per
+// relocation attempt.
+constexpr int kCandidateMachines = 24;
+// Salt of the synthetic Quincy locality table (PlacementArcCost).
+constexpr std::uint64_t kLocalitySeed = 7;
 }  // namespace
 
 FirmamentScheduler::FirmamentScheduler(FirmamentOptions options)
@@ -30,7 +38,7 @@ void FirmamentScheduler::ForEachCandidate(
     const cluster::ClusterState& state, cluster::ContainerId c,
     const std::function<bool(cluster::MachineId)>& fn) {
   const std::int64_t need = state.containers()[Idx(c)].request.cpu_millis();
-  int budget = options_.candidate_machines;
+  int budget = kCandidateMachines;
   switch (options_.cost_model) {
     case FirmamentCostModel::kTrivial:
       // Most packed first: ascending free CPU from the tightest fit.
@@ -78,8 +86,8 @@ FirmamentScheduler::RoundStats FirmamentScheduler::SolveRoundGreedy(
     ForEachCandidate(state, c, [&](cluster::MachineId m) {
       ++stats.arcs;
       if (!state.Fits(c, m)) return false;
-      const flow::Cost cost = PlacementArcCost(
-          options_.cost_model, state, c, m, options_.locality_seed);
+      const flow::Cost cost = PlacementArcCost(options_.cost_model, state, c,
+                                               m, kLocalitySeed);
       if (cost < best_cost) {
         best_cost = cost;
         best = m;
@@ -143,8 +151,7 @@ FirmamentScheduler::RoundStats FirmamentScheduler::SolveRoundMcmf(
       if (!state.Fits(c, m)) return false;
       const ArcId a = graph.AddArc(
           t.vertex, machine_vx(m), 1,
-          PlacementArcCost(options_.cost_model, state, c, m,
-                           options_.locality_seed));
+          PlacementArcCost(options_.cost_model, state, c, m, kLocalitySeed));
       t.arcs.emplace_back(a, m);
       return false;
     });
@@ -241,7 +248,7 @@ std::size_t FirmamentScheduler::RepairConflicts(
           state.Preempt(v);
           index_.OnChanged(m);
           ++touched;
-          if (++evictions[Idx(v)] >= options_.max_evictions_per_container) {
+          if (++evictions[Idx(v)] >= kMaxEvictionsPerContainer) {
             dropped.push_back(v);
           } else {
             requeue.push_back(v);
@@ -255,7 +262,7 @@ std::size_t FirmamentScheduler::RepairConflicts(
       // not the flow solve).
       const std::int64_t need = state.containers()[Idx(v)].request.cpu_millis();
       cluster::MachineId target = cluster::MachineId::Invalid();
-      int scan = options_.candidate_machines;
+      int scan = kCandidateMachines;
       index_.ScanAscending(need, [&](cluster::MachineId cand) {
         if (scan-- <= 0) return true;
         if (cand == m) return false;
@@ -272,7 +279,7 @@ std::size_t FirmamentScheduler::RepairConflicts(
         state.Preempt(v);
         index_.OnChanged(m);
         ++touched;
-        if (++evictions[Idx(v)] >= options_.max_evictions_per_container) {
+        if (++evictions[Idx(v)] >= kMaxEvictionsPerContainer) {
           dropped.push_back(v);
         } else {
           requeue.push_back(v);

@@ -39,13 +39,8 @@ struct FirmamentOptions {
   // rescheduled per round, so crowded machines cannot drain before the
   // timeout and their conflicts end up unscheduled.
   int max_rounds = 6;
-  // A container evicted this many times is dropped (stays unscheduled).
-  int max_evictions_per_container = 6;
-  // Candidate arcs per task in the scheduling graph.
-  int candidate_machines = 24;
   // Task-count ceiling for running the exact MCMF solver per round.
   int mcmf_task_threshold = 400;
-  std::uint64_t locality_seed = 7;
 };
 
 class FirmamentScheduler : public sim::Scheduler {

@@ -14,6 +14,14 @@ template <typename T>
 std::size_t Idx(T id) {
   return static_cast<std::size_t>(id.value());
 }
+
+// Nodes scored per container (the k8s sampling knob,
+// percentageOfNodesToScore).
+constexpr int kNodesToScore = 256;
+// Machines examined when looking for a preemption target.
+constexpr int kPreemptionCandidates = 64;
+// A preempted victim is re-queued this many times before being dropped.
+constexpr int kVictimRequeues = 1;
 }  // namespace
 
 GoKubeScheduler::GoKubeScheduler(GoKubeOptions options) : options_(options) {}
@@ -24,7 +32,7 @@ cluster::MachineId GoKubeScheduler::PickNode(
   const auto& request = state.containers()[Idx(c)].request;
   cluster::MachineId best = cluster::MachineId::Invalid();
   double best_score = 0.0;
-  int budget = options_.nodes_to_score;
+  int budget = kNodesToScore;
   // Sample from the emptiest nodes down — LeastRequested would rank those
   // highest anyway, so the bounded sample sees the max-score region first.
   index_.ScanDescending([&](cluster::MachineId m) {
@@ -56,7 +64,7 @@ bool GoKubeScheduler::TryPreempt(cluster::ClusterState& state,
   // tenant to clear a blacklist. A container blocked by anti-affinity on
   // every machine therefore stays pending, which is exactly the
   // no-global-optimisation failure mode the paper attributes to Go-Kube.
-  int budget = options_.preemption_candidates;
+  int budget = kPreemptionCandidates;
   cluster::MachineId target = cluster::MachineId::Invalid();
   std::vector<cluster::ContainerId> plan;
   index_.ScanDescending([&](cluster::MachineId m) {
@@ -132,10 +140,9 @@ sim::ScheduleOutcome GoKubeScheduler::Schedule(
       continue;
     }
     std::vector<cluster::ContainerId> victims;
-    if (options_.enable_preemption &&
-        TryPreempt(state, c, victims, &outcome.explored_paths)) {
+    if (TryPreempt(state, c, victims, &outcome.explored_paths)) {
       for (cluster::ContainerId v : victims) {
-        if (requeues[v.value()]++ < options_.victim_requeues) {
+        if (requeues[v.value()]++ < kVictimRequeues) {
           queue.push_back(v);
         } else {
           unplaced.push_back(v);

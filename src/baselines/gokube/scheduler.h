@@ -23,13 +23,6 @@
 namespace aladdin::baselines {
 
 struct GoKubeOptions {
-  // Nodes scored per container (the k8s sampling knob).
-  int nodes_to_score = 256;
-  bool enable_preemption = true;
-  // A preempted victim is re-queued this many times before being dropped.
-  int victim_requeues = 1;
-  // Machines examined when looking for a preemption target.
-  int preemption_candidates = 64;
   // Kubernetes-1.11 equivalence cache: predicate results are cached per
   // owning controller, so once one replica of an application fails to
   // schedule, its remaining replicas reuse the cached "unschedulable"

@@ -33,15 +33,21 @@ double CurrentCost(const cluster::ClusterState& state, cluster::ContainerId c,
   return cost;
 }
 
+// Candidate machines examined per move.
+constexpr int kCandidateScan = 48;
+// Seed of the move sampler.
+constexpr std::uint64_t kSeed = 11;
+
 // Best candidate machine for c by incremental cost, scanning the tightest
 // fits first. Returns Invalid if nothing fits within the scan budget.
 cluster::MachineId BestCandidate(const cluster::ClusterState& state,
                                  const cluster::FreeIndex& index,
                                  cluster::ContainerId c,
-                                 const MedeaWeights& weights, int budget,
+                                 const MedeaWeights& weights,
                                  cluster::MachineId exclude,
                                  double& best_cost_out) {
   const auto& request = state.containers()[Idx(c)].request;
+  int budget = kCandidateScan;
   cluster::MachineId best = cluster::MachineId::Invalid();
   double best_cost = 0.0;
   index.ScanAscending(request.cpu_millis(), [&](cluster::MachineId m) {
@@ -68,7 +74,7 @@ LocalSearchStats ImprovePlacements(cluster::ClusterState& state,
                                    const MedeaWeights& weights,
                                    const LocalSearchOptions& options) {
   LocalSearchStats stats;
-  Rng rng(options.seed);
+  Rng rng(kSeed);
   WallTimer timer;
 
   std::vector<cluster::ContainerId> placed;
@@ -88,9 +94,8 @@ LocalSearchStats ImprovePlacements(cluster::ClusterState& state,
           0, static_cast<std::int64_t>(unplaced.size()) - 1));
       const cluster::ContainerId c = unplaced[pick];
       double cost = 0.0;
-      const cluster::MachineId m =
-          BestCandidate(state, index, c, weights, options.candidate_scan,
-                        cluster::MachineId::Invalid(), cost);
+      const cluster::MachineId m = BestCandidate(
+          state, index, c, weights, cluster::MachineId::Invalid(), cost);
       if (m.valid() && cost < UnplacedCost(weights)) {
         state.Deploy(c, m);
         index.OnChanged(m);
@@ -107,8 +112,8 @@ LocalSearchStats ImprovePlacements(cluster::ClusterState& state,
       if (current == 0.0) continue;  // already free of cost
       const cluster::MachineId from = state.PlacementOf(c);
       double cost = 0.0;
-      const cluster::MachineId to = BestCandidate(
-          state, index, c, weights, options.candidate_scan, from, cost);
+      const cluster::MachineId to =
+          BestCandidate(state, index, c, weights, from, cost);
       if (to.valid() && cost < current) {
         state.Migrate(c, to);
         index.OnChanged(from);

@@ -4,7 +4,8 @@
 //              cost beats the unplaced weight a;
 //  * relocate — move a placed container to a machine with lower incremental
 //              cost (fixing violations, consolidating machines).
-// Deterministic per seed; stops on iteration or wall-clock budget.
+// Moves come from a fixed-seed sampler; stops on iteration or wall-clock
+// budget.
 #pragma once
 
 #include <cstdint>
@@ -18,9 +19,6 @@ namespace aladdin::baselines {
 struct LocalSearchOptions {
   std::int64_t max_iterations = 20000;
   double time_budget_seconds = 2.0;
-  // Candidate machines examined per move.
-  int candidate_scan = 48;
-  std::uint64_t seed = 11;
 };
 
 struct LocalSearchStats {

@@ -12,6 +12,9 @@ template <typename T>
 std::size_t Idx(T id) {
   return static_cast<std::size_t>(id.value());
 }
+
+// Machines examined per container during construction.
+constexpr int kCandidateScan = 64;
 }  // namespace
 
 MedeaScheduler::MedeaScheduler(MedeaOptions options)
@@ -52,7 +55,7 @@ sim::ScheduleOutcome MedeaScheduler::Schedule(
     const auto& request_vec = state.containers()[Idx(c)].request;
     cluster::MachineId best = cluster::MachineId::Invalid();
     double best_cost = 0.0;
-    int budget = options_.candidate_scan;
+    int budget = kCandidateScan;
     index.ScanAscending(request_vec.cpu_millis(), [&](cluster::MachineId m) {
       if (budget-- <= 0) return true;
       ++outcome.explored_paths;

@@ -14,8 +14,6 @@ namespace aladdin::baselines {
 
 struct MedeaOptions {
   MedeaWeights weights{1.0, 1.0, 0.0};
-  // Machines examined per container during construction.
-  int candidate_scan = 64;
   bool run_local_search = true;
   LocalSearchOptions local_search;
 };

@@ -5,9 +5,10 @@
 namespace aladdin::cluster {
 
 double AuditReport::ViolationPercent() const {
-  if (total_containers == 0) return 0.0;
+  const std::size_t live = total_containers - retired;
+  if (live == 0) return 0.0;
   return 100.0 * static_cast<double>(TotalViolations()) /
-         static_cast<double>(total_containers);
+         static_cast<double>(live);
 }
 
 double AuditReport::AntiAffinityShare() const {
@@ -50,10 +51,15 @@ std::vector<ContainerId> CollectColocationViolations(
   return offenders;
 }
 
-AuditReport Audit(const ClusterState& state) {
+AuditReport Audit(const ClusterState& state,
+                  std::span<const ContainerId> retired) {
   AuditReport report;
   const auto& containers = state.containers();
   report.total_containers = containers.size();
+  std::vector<bool> is_retired(containers.size(), false);
+  for (const ContainerId c : retired) {
+    is_retired[static_cast<std::size_t>(c.value())] = true;
+  }
 
   report.colocation_violations = CollectColocationViolations(state).size();
 
@@ -71,6 +77,10 @@ AuditReport Audit(const ClusterState& state) {
   for (const Container& c : containers) {
     if (state.IsPlaced(c.id)) {
       ++report.placed;
+      continue;
+    }
+    if (is_retired[static_cast<std::size_t>(c.id.value())]) {
+      ++report.retired;
       continue;
     }
     ++report.unplaced;

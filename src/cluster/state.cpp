@@ -282,20 +282,6 @@ bool ClusterState::CheckConsistency(std::string* error) const {
   return true;
 }
 
-void ClusterState::Clear() {
-  free_.clear();
-  for (const Machine& m : topology_->machines()) free_.push_back(m.capacity);
-  for (auto& list : deployed_) list.clear();
-  for (auto& apps : apps_on_) apps.clear();
-  std::fill(placement_.begin(), placement_.end(), MachineId::Invalid());
-  placed_count_ = 0;
-  migrations_ = 0;
-  preemptions_ = 0;
-  ForceFullResync();
-  changed_containers_.clear();
-  std::fill(changed_flag_.begin(), changed_flag_.end(), std::uint8_t{0});
-}
-
 void ClusterState::EnableTouchLog() {
   if (touch_log_enabled_) return;
   touch_log_enabled_ = true;
@@ -358,11 +344,6 @@ void ClusterState::MarkContainer(ContainerId c) {
   if (changed_flag_[Idx(c)]) return;
   changed_flag_[Idx(c)] = 1;
   changed_containers_.push_back(c);
-}
-
-void ClusterState::ForceFullResync() {
-  touch_base_ = TouchLogEnd() + 1;
-  touch_log_.clear();
 }
 
 }  // namespace aladdin::cluster

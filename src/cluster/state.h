@@ -146,10 +146,6 @@ class ClusterState {
     return CheckConsistency();
   }
 
-  // Evict everything; counters reset. Forces every touch-log consumer to
-  // resynchronise in full.
-  void Clear();
-
   // --- incremental-consumer support ------------------------------------
   //
   // Derived indices (the aggregated network, the shard mirrors) are reused
@@ -220,8 +216,6 @@ class ClusterState {
 
   void LogTouch(ContainerId c, MachineId m);
   void MarkContainer(ContainerId c);
-  // Invalidates every consumer cursor without logging each touch.
-  void ForceFullResync();
 
   std::uint64_t instance_id_ = NextInstanceId();
 

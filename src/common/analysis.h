@@ -3,8 +3,8 @@
 //
 // ALADDIN_HOT marks a steady-state hot-path entry point: the function and
 // everything it transitively calls (rule A1) must not heap-allocate outside
-// the sanctioned scratch owners (common/arena.h Arena, flow::Workspace and
-// its StampedArray/RingQueue members). Under clang it also leaves a real
+// the sanctioned scratch owners (flow::Workspace and its
+// StampedArray/RingQueue members). Under clang it also leaves a real
 // [[clang::annotate]] node in the AST for the libclang backend; under other
 // compilers it is a pure source-level marker for the built-in backend.
 //

@@ -1,37 +1,12 @@
 // Descriptive statistics used by the metrics pipeline and the trace
-// generator's self-checks: streaming moments, exact percentiles over stored
-// samples and empirical CDFs.
+// generator's self-checks: exact percentiles over stored samples and
+// empirical CDFs.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 namespace aladdin {
-
-// Streaming mean / variance / extrema (Welford). O(1) memory; suitable for
-// metrics that never need percentiles.
-class OnlineStats {
- public:
-  void Add(double x);
-  void Merge(const OnlineStats& other);
-
-  [[nodiscard]] std::size_t count() const { return count_; }
-  [[nodiscard]] double mean() const { return count_ ? mean_ : 0.0; }
-  // Population variance; 0 for fewer than two samples.
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return count_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return count_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const { return sum_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 // Stores every sample; supports exact order statistics. Used for latency
 // distributions where p99 matters and sample counts are modest.
@@ -49,8 +24,8 @@ class Sample {
   [[nodiscard]] const std::vector<double>& values() const { return values_; }
 
  private:
-  // Kept sorted lazily: sorted_upto_ tracks how much of the prefix is known
-  // sorted so repeated Percentile calls don't re-sort.
+  // Kept sorted lazily: dirty_ marks an Add since the last sort, so repeated
+  // Percentile calls don't re-sort.
   mutable std::vector<double> values_;
   mutable bool dirty_ = false;
   void EnsureSorted() const;

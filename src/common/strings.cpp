@@ -5,18 +5,6 @@
 
 namespace aladdin {
 
-std::vector<std::string> Split(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
 std::string_view Trim(std::string_view s) {
   auto is_space = [](char c) {
     return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\f' ||

@@ -3,12 +3,8 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace aladdin {
-
-// Split on a single character; keeps empty fields ("a,,b" -> {"a","","b"}).
-std::vector<std::string> Split(std::string_view s, char sep);
 
 // Strip ASCII whitespace from both ends.
 std::string_view Trim(std::string_view s);

@@ -19,8 +19,9 @@
 namespace aladdin::core {
 
 // Outcome of evaluating the capacity function for a (container, machine)
-// pair; split so the search can attribute failures (IL keys off resource
-// failures, the repair engine off blacklist failures).
+// pair; split so the search can attribute failures (the full enumeration
+// memoises only blacklist failures for IL, and DiagnoseFailure tells
+// resource failures from blacklist ones).
 struct CapacityCheck {
   bool fits = false;         // Eq. 6
   bool blacklisted = false;  // Eq. 7–8

@@ -132,17 +132,6 @@ class AggregatedNetwork {
     }
   }
 
-  // Ascending-free (best-fit) scan from the first machine with free CPU >=
-  // `min_free_cpu`.
-  template <typename Fn>
-  void ScanAscending(std::int64_t min_free_cpu, int limit, Fn&& fn) const {
-    int seen = 0;
-    for (auto it = by_free_.lower_bound({min_free_cpu, -1});
-         it != by_free_.end() && seen < limit; ++it, ++seen) {
-      if (fn(cluster::MachineId(it->second))) return;
-    }
-  }
-
   [[nodiscard]] cluster::ClusterState* state() { return state_; }
   [[nodiscard]] std::uint32_t MachineEpoch(cluster::MachineId m) const {
     return epoch_[static_cast<std::size_t>(m.value())];
@@ -195,11 +184,13 @@ class AggregatedNetwork {
   std::vector<std::uint8_t> group_chunk_fits_;
 
   // IL memo: (app, machine) -> machine epoch at failure. A probe is skipped
-  // while the machine has not changed since the recorded failure. Only
-  // *blacklist* failures are memoised: a resource-fit failure is two integer
-  // compares — cheaper than any lookup — while a blacklist probe walks the
-  // machine's tenant list, which is exactly the cost isomorphic siblings
-  // should not pay twice.
+  // while the machine has not changed since the recorded failure. The
+  // best-fit walk (FindByBestFitWalk) and the group waterfall
+  // (PlaceGroupRun) memoise every failed probe, fit and blacklist alike.
+  // The full enumeration (FindByEnumeration) memoises only blacklist
+  // failures: there a resource-fit failure is two integer compares, cheaper
+  // than a lookup, while a blacklist probe walks the machine's tenant list,
+  // which is exactly the cost isomorphic siblings should not pay twice.
   [[nodiscard]] bool IlPruned(cluster::ApplicationId app,
                               cluster::MachineId m) const;
   void RecordIlFailure(cluster::ApplicationId app, cluster::MachineId m);

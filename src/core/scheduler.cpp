@@ -138,7 +138,6 @@ ALADDIN_HOT sim::ScheduleOutcome AladdinScheduler::Schedule(
   // placements-per-machine-count but different migration/overhead costs
   // (Fig. 13): adversarial tie orders (CSA) leave more repair work.
   ALADDIN_TRACE_COUNTER("core/containers", request.arrival->size());
-  arena_.Reset();  // per-tick arena: no arena-backed object is alive here
   std::vector<cluster::ContainerId>& pending = pending_;
   pending.clear();
   {
@@ -147,14 +146,10 @@ ALADDIN_HOT sim::ScheduleOutcome AladdinScheduler::Schedule(
     // the id list: std::sort on the explicit tie-break reproduces the
     // stable order exactly, computes each container's weighted flow once
     // instead of O(n log n) times in a comparator, and — unlike
-    // std::stable_sort — needs no temporary merge buffer. The key list
-    // itself is a single bump allocation out of the per-tick arena.
-    struct SortKey {
-      std::int64_t weighted_flow;
-      std::int32_t arrival_pos;
-    };
-    ArenaVector<SortKey> keyed{ArenaAllocator<SortKey>(&arena_)};
-    keyed.reserve(request.arrival->size());
+    // std::stable_sort — needs no temporary merge buffer. The key list is a
+    // member buffer whose capacity persists across ticks.
+    std::vector<SortKey>& keyed = sort_keys_;
+    keyed.clear();
     for (std::size_t i = 0; i < request.arrival->size(); ++i) {
       const cluster::ContainerId c = (*request.arrival)[i];
       const auto& cont =
@@ -323,9 +318,6 @@ ALADDIN_HOT sim::ScheduleOutcome AladdinScheduler::Schedule(
     ALADDIN_METRIC_ADD("core/search_il_prunes", counters.il_prunes);
     ALADDIN_METRIC_ADD("core/search_dl_stops", counters.dl_stops);
     ALADDIN_METRIC_ADD("core/unplaced", outcome.unplaced.size());
-    // Bytes bumped out of the per-tick arena. Arena use is confined to
-    // serial sections, so this is deterministic across --threads.
-    ALADDIN_METRIC_ADD("core/arena_bytes", arena_.bytes_used());
   }
 #if ALADDIN_DCHECK_IS_ON()
   {

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "core/migration.h"
 #include "core/network.h"
 #include "core/weights.h"
@@ -87,12 +86,16 @@ class AladdinScheduler : public sim::Scheduler {
   std::unique_ptr<AggregatedNetwork> network_;
   std::uint64_t attached_state_id_ = 0;
 
-  // Per-tick pooling: the arena backs Schedule()'s transient containers
-  // (reset at tick start, chunks retained), the repair scratch persists the
-  // RepairEngine's working buffers across ticks, and pending_ recycles the
-  // augmentation backlog buffer. After a warmup tick the steady-state
-  // Schedule() leaves only the escaping outcome allocations.
-  Arena arena_;
+  // Per-tick pooling: member buffers cleared per call, capacity retained.
+  // The repair scratch persists the RepairEngine's working buffers across
+  // ticks, sort_keys_ the augmentation order and pending_ its backlog. After
+  // a warmup tick the steady-state Schedule() leaves only the escaping
+  // outcome allocations.
+  struct SortKey {
+    std::int64_t weighted_flow;
+    std::int32_t arrival_pos;
+  };
+  std::vector<SortKey> sort_keys_;
   RepairEngine::Scratch repair_scratch_;
   std::vector<cluster::ContainerId> pending_;
   // Group-waterfall staging: the current sibling run and its per-container

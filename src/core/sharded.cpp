@@ -92,7 +92,8 @@ void ShardedScheduler::AttachShards(cluster::ClusterState& state) {
   }
   log_cursor_ = state.TouchLogEnd();
   attached_state_id_ = state.instance_id();
-  home_shard_.clear();
+  // The new plan may partition differently: route every application afresh.
+  for (AppRoute& route : app_route_) route.home = -1;
 }
 
 void ShardedScheduler::BuildView(int s, const cluster::ClusterState& state) {
@@ -166,23 +167,19 @@ void ShardedScheduler::RouteRound(const cluster::ClusterState& state,
   const std::vector<cluster::Application>& applications = state.applications();
   const cluster::ConstraintSet& constraints = state.constraints();
 
-  if (app_slot_.size() < applications.size()) {
-    // Per-application tables follow the append-only application list.
-    const std::size_t apps = applications.size();
-    app_slot_.resize(apps, -1);    // analyze:allow(A103) high-water growth
-    app_failed_.resize(apps, 0);   // analyze:allow(A103) high-water growth
-    app_tried_.resize(apps, 0);    // analyze:allow(A103) high-water growth
-    home_shard_.resize(apps, -1);  // analyze:allow(A103) high-water growth
+  if (app_route_.size() < applications.size()) {
+    // analyze:allow(A103) high-water growth with the application list
+    app_route_.resize(applications.size());
   }
 
   // Group by application, preserving first-arrival order of the apps.
   round_apps_.clear();
   for (const Pending& p : pending) {
     const cluster::ApplicationId app = containers[Idx(p.container)].app;
-    std::int32_t slot = app_slot_[Idx(app)];
+    std::int32_t slot = app_route_[Idx(app)].slot;
     if (slot < 0) {
       slot = static_cast<std::int32_t>(round_apps_.size());
-      app_slot_[Idx(app)] = slot;
+      app_route_[Idx(app)].slot = slot;
       RoundApp ra;
       ra.app = app;
       ra.probe = p.container;
@@ -236,10 +233,11 @@ void ShardedScheduler::RouteRound(const cluster::ClusterState& state,
 
   for (RoundApp& ra : round_apps_) {
     tick_touched_.push_back(ra.app);
-    const std::uint64_t tried = app_tried_[Idx(ra.app)];
+    AppRoute& route = app_route_[Idx(ra.app)];
+    const std::uint64_t tried = route.tried;
     int target = -1;
     if (round == 0) {
-      const std::int32_t home = home_shard_[Idx(ra.app)];
+      const std::int32_t home = route.home;
       if (home >= 0 && home < k) {
         target = home;
       } else {
@@ -273,9 +271,9 @@ void ShardedScheduler::RouteRound(const cluster::ClusterState& state,
     }
     ra.target = target;
     if (target < 0) continue;  // no shard left to try
-    if (target < 64) app_tried_[Idx(ra.app)] |= (1ULL << target);
-    if (round == 0 && home_shard_[Idx(ra.app)] < 0) {
-      home_shard_[Idx(ra.app)] = static_cast<std::int32_t>(target);
+    if (target < 64) route.tried |= (1ULL << target);
+    if (round == 0 && route.home < 0) {
+      route.home = static_cast<std::int32_t>(target);
     }
     ShardRuntime& rt = shards_[static_cast<std::size_t>(target)];
     rt.free_cpu -= applications[Idx(ra.app)].request.cpu_millis() *
@@ -297,7 +295,7 @@ void ShardedScheduler::RouteRound(const cluster::ClusterState& state,
   for (const Pending& p : pending) {
     const cluster::ApplicationId app = containers[Idx(p.container)].app;
     const RoundApp& ra =
-        round_apps_[static_cast<std::size_t>(app_slot_[Idx(app)])];
+        round_apps_[static_cast<std::size_t>(app_route_[Idx(app)].slot)];
     if (ra.target < 0) {
       given_up.push_back(p);
     } else {
@@ -312,7 +310,7 @@ void ShardedScheduler::RouteRound(const cluster::ClusterState& state,
       }
     }
   }
-  for (const RoundApp& ra : round_apps_) app_slot_[Idx(ra.app)] = -1;
+  for (const RoundApp& ra : round_apps_) app_route_[Idx(ra.app)].slot = -1;
 }
 
 ThreadPool* ShardedScheduler::SolvePool() {
@@ -488,13 +486,15 @@ sim::ScheduleOutcome ShardedScheduler::Schedule(
       // container was routed this round, so its app is in round_apps_,
       // which also clears the flags.
       for (const Pending& p : pending_) {
-        app_failed_[Idx(state.containers()[Idx(p.container)].app)] = 1;
+        app_route_[Idx(state.containers()[Idx(p.container)].app)].failed =
+            true;
       }
       for (const RoundApp& ra : round_apps_) {
-        if (ra.target >= 0 && app_failed_[Idx(ra.app)] == 0) {
-          home_shard_[Idx(ra.app)] = static_cast<std::int32_t>(ra.target);
+        AppRoute& route = app_route_[Idx(ra.app)];
+        if (ra.target >= 0 && !route.failed) {
+          route.home = static_cast<std::int32_t>(ra.target);
         }
-        app_failed_[Idx(ra.app)] = 0;
+        route.failed = false;
       }
     }
   }
@@ -515,7 +515,7 @@ sim::ScheduleOutcome ShardedScheduler::Schedule(
   }
 
   for (const cluster::ApplicationId app : tick_touched_) {
-    app_tried_[Idx(app)] = 0;
+    app_route_[Idx(app)].tried = 0;
   }
   tick_touched_.clear();
 

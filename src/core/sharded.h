@@ -98,7 +98,7 @@ class ShardedScheduler : public sim::Scheduler {
   friend struct ShardedSchedulerTestPeer;  // tests read the shard mirrors
 
   // Everything one shard owns: its mirrored state, its solver (with the
-  // solver's incremental network + flow workspace + arena), its journal
+  // solver's incremental network and pooled scratch), its journal
   // capture buffer and its merge bookkeeping.
   struct ShardRuntime {
     std::unique_ptr<cluster::ShardView> view;
@@ -165,14 +165,23 @@ class ShardedScheduler : public sim::Scheduler {
   std::unique_ptr<ThreadPool> pool_;
   bool pool_created_ = false;
 
-  // Routing state. home_shard_ persists across ticks (an application's
-  // later waves land with its earlier containers); app_slot_, app_failed_
-  // and the round-app scratch are per-call and reset after use.
-  std::vector<std::int32_t> home_shard_;  // per application, -1 = unrouted
-  std::vector<std::int32_t> app_slot_;    // per application, -1 = not seen
-  // Per application: 1 while a spill round left one of its containers
-  // pending (blocks re-homing).
-  std::vector<std::uint8_t> app_failed_;
+  // Routing state of one application. `home` persists across ticks (an
+  // application's later waves land with its earlier containers) until a
+  // re-attach; `slot` and `failed` are per-call and reset after use;
+  // `tried` is cleared per tick for the applications in tick_touched_.
+  struct AppRoute {
+    std::int32_t slot = -1;  // index into round_apps_, -1 = not seen
+    std::int32_t home = -1;  // home shard, -1 = unrouted
+    // Shards tried this tick, as a bitmask consulted by spill rounds.
+    // Shards >= 64 stay re-tryable (mild spill bias at K > 64, still
+    // deterministic).
+    std::uint64_t tried = 0;
+    // Set while a spill round left one of its containers pending (blocks
+    // re-homing).
+    bool failed = false;
+  };
+  // Per application; grows with the append-only application list.
+  std::vector<AppRoute> app_route_;
   struct RoundApp {
     cluster::ApplicationId app;
     int target = -1;
@@ -181,13 +190,8 @@ class ShardedScheduler : public sim::Scheduler {
     bool constrained = false;
   };
   std::vector<RoundApp> round_apps_;
-  // Shards an application already tried this tick, as a bitmask consulted
-  // by spill rounds. Shards >= 64 stay re-tryable (mild spill bias at
-  // K > 64, still deterministic). Cleared per tick for touched apps.
-  std::vector<std::uint64_t> app_tried_;
   std::vector<cluster::ApplicationId> tick_touched_;
   std::vector<Pending> pending_;
-  std::vector<Pending> next_pending_;
   std::vector<Pending> given_up_;
   std::vector<cluster::ContainerId> merge_scratch_;  // per-merge diff list
   std::vector<obs::ShardLoad> last_shard_stats_;

@@ -246,9 +246,7 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
     return it != unplaced_cause.end() ? it->second
                                       : obs::Cause::kNoAdmissiblePath;
   };
-  // Per-tick scratch: member buffers keep their capacity across resolves,
-  // the arena rewinds to its retained chunks.
-  arena_.Reset();
+  // Per-tick scratch: member buffers keep their capacity across resolves.
   std::vector<cluster::ContainerId>& long_lived = long_lived_;
   long_lived.clear();
   std::vector<cluster::ContainerId>& short_lived = short_lived_;
@@ -375,14 +373,12 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
   // scan, so reconciliation is O(pending + changes).
   {
     ALADDIN_PHASE_SCOPE("k8s/reconcile");
-    // Sorted arena snapshot + binary search instead of an unordered_set:
-    // one bump allocation, no per-node hashing, same membership answers.
-    ArenaVector<PodUid> was_pending{ArenaAllocator<PodUid>(&arena_)};
-    was_pending.reserve(pending.size());
-    was_pending.assign(pending.begin(), pending.end());
-    std::sort(was_pending.begin(), was_pending.end());
+    // Binary search on the pending snapshot instead of an unordered_set:
+    // PendingPods() lists uids ascending, and preemptions below append to
+    // the adaptor's list, not to this copy.
+    ALADDIN_DCHECK(std::is_sorted(pending.begin(), pending.end()));
     const auto WasPending = [&](PodUid uid) {
-      return std::binary_search(was_pending.begin(), was_pending.end(), uid);
+      return std::binary_search(pending.begin(), pending.end(), uid);
     };
     for (PodUid uid : pending) {
       const auto c = adaptor_.ContainerOf(uid);
@@ -427,9 +423,6 @@ ALADDIN_HOT ResolveStats Resolver::Resolve(std::int64_t tick,
     }
   }
 
-  if (obs::MetricsEnabled()) {
-    ALADDIN_METRIC_ADD("k8s/arena_bytes", arena_.bytes_used());
-  }
   causes.FillStats(stats);
   FinishLifecycle(stats, state, tick, solve_cost,
                   static_cast<std::int64_t>(timer.ElapsedSeconds() * 1e6));

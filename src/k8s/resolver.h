@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "cluster/free_index.h"
-#include "common/arena.h"
 #include "core/scheduler.h"
 #include "core/sharded.h"
 #include "k8s/adaptor.h"
@@ -147,10 +146,8 @@ class Resolver {
   cluster::FreeIndex free_index_;  // rebuilt per task phase, buckets pooled
   std::int64_t built_topology_version_ = -1;
 
-  // Per-tick pooling: the pending snapshot and its long/short-lived splits
-  // persist as member scratch, the reconcile-phase lookup table lives in
-  // the arena, reset each Resolve().
-  Arena arena_;
+  // Per-tick pooling: the pending snapshot (uid-ascending) and its
+  // long/short-lived splits persist as member scratch.
   std::vector<PodUid> pending_;
   std::vector<cluster::ContainerId> long_lived_;
   std::vector<cluster::ContainerId> short_lived_;

@@ -30,11 +30,12 @@ constexpr RequestClass kNormalRequests[] = {
 constexpr RequestClass kPriorityRequests[] = {
     {2000, 0.40}, {4000, 0.30}, {8000, 0.20}, {16000, 0.10},
 };
+// Request cap: 16 CPUs / 32 GB (§V.A).
+constexpr std::int64_t kMaxRequestCores = 16;
+constexpr std::int64_t kMaxRequestMemGib = 32;
 
 cluster::ResourceVector DrawRequest(Rng& rng, bool high_priority,
-                                    std::int64_t app_size,
-                                    std::int64_t max_cores,
-                                    std::int64_t max_mem_gib) {
+                                    std::int64_t app_size) {
   std::vector<double> weights;
   const std::span<const RequestClass> table =
       high_priority ? std::span<const RequestClass>(kPriorityRequests)
@@ -42,7 +43,7 @@ cluster::ResourceVector DrawRequest(Rng& rng, bool high_priority,
   weights.reserve(table.size());
   for (const auto& rc : table) weights.push_back(rc.weight);
   std::int64_t cpu = table[rng.WeightedIndex(weights)].cpu_millis;
-  cpu = std::min(cpu, max_cores * 1000);
+  cpu = std::min(cpu, kMaxRequestCores * 1000);
   // Per-replica size shrinks as replica count grows (big services run many
   // small replicas); this also bounds total-demand variance — one tail app
   // drawing 16-core replicas would otherwise swing cluster demand by
@@ -62,16 +63,18 @@ cluster::ResourceVector DrawRequest(Rng& rng, bool high_priority,
   std::vector<double> mem_weights = {0.3, 0.5, 0.2};
   const std::int64_t per_core = kMemPerCoreMib[rng.WeightedIndex(mem_weights)];
   const std::int64_t mem_mib =
-      std::min(cpu * per_core / 1000, max_mem_gib * 1024);
+      std::min(cpu * per_core / 1000, kMaxRequestMemGib * 1024);
   return cluster::ResourceVector(cpu, mem_mib);
 }
 
 // Application size (container count) distribution fitted to Fig. 8(a):
 // 64 % singletons; most of the rest small (Zipf over [2,49]); a thin Zipf
 // tail in [50, ~2000]; giants injected separately.
-std::int64_t DrawAppSize(Rng& rng, double single_fraction) {
+constexpr double kSingleInstanceFraction = 0.64;  // Fig. 8(a)
+
+std::int64_t DrawAppSize(Rng& rng) {
   const double u = rng.UniformDouble();
-  if (u < single_fraction) return 1;
+  if (u < kSingleInstanceFraction) return 1;
   // Within the non-singleton mass: ~84.7 % small, 15.3 % tail; calibrated so
   // the overall mean lands near the paper's 100k/13056 ≈ 7.7.
   if (rng.UniformDouble() < 0.847) {
@@ -80,19 +83,23 @@ std::int64_t DrawAppSize(Rng& rng, double single_fraction) {
   return 49 + rng.Zipf(1951, 1.8);  // 50 .. 2000
 }
 
+// Paper-reported population figures (§V.A, Fig. 8) at scale 1.0.
+constexpr std::int64_t kApplications = 13056;
+constexpr std::int64_t kTargetContainers = 100000;
+
+std::int64_t ScaledApplications(double scale) {
+  return std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(std::llround(
+             static_cast<double>(kApplications) * scale)));
+}
+
+std::int64_t ScaledTargetContainers(double scale) {
+  return std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(std::llround(
+             static_cast<double>(kTargetContainers) * scale)));
+}
+
 }  // namespace
-
-std::int64_t AlibabaTraceOptions::ScaledApplications() const {
-  return std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(std::llround(
-             static_cast<double>(applications) * scale)));
-}
-
-std::int64_t AlibabaTraceOptions::ScaledTargetContainers() const {
-  return std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(std::llround(
-             static_cast<double>(target_containers) * scale)));
-}
 
 cluster::Topology MakeAlibabaCluster(std::size_t machines) {
   // Homogeneous 32 CPU / 64 GB machines (§V.A).
@@ -131,8 +138,8 @@ Workload GenerateAlibabaLike(const AlibabaTraceOptions& options) {
   Rng rng(options.seed);
   Workload workload;
 
-  const std::int64_t n_apps = options.ScaledApplications();
-  const std::int64_t target = options.ScaledTargetContainers();
+  const std::int64_t n_apps = ScaledApplications(options.scale);
+  const std::int64_t target = ScaledTargetContainers(options.scale);
 
   // --- Pass 1: decide per-application attributes. ------------------------
   struct AppSpec {
@@ -147,15 +154,18 @@ Workload GenerateAlibabaLike(const AlibabaTraceOptions& options) {
   // Giants: "a few LLAs are composed of more than 2,000 containers". Their
   // size scales with the workload so reduced replicas keep the same shape
   // (~2.0–2.6 % of all containers each).
+  constexpr std::int64_t kGiantApps = 4;
+  constexpr std::int64_t kGiantAppMinSize = 2000;
+  constexpr std::int64_t kGiantAppMaxSize = 2600;
   const std::int64_t n_giants = std::min<std::int64_t>(
-      options.giant_apps, std::max<std::int64_t>(1, n_apps / 100));
+      kGiantApps, std::max<std::int64_t>(1, n_apps / 100));
   for (std::int64_t g = 0; g < n_giants; ++g) {
     auto& spec = specs[static_cast<std::size_t>(g)];
     spec.giant = true;
     const double frac =
-        static_cast<double>(rng.UniformInt(options.giant_app_min_size,
-                                           options.giant_app_max_size)) /
-        static_cast<double>(options.target_containers);
+        static_cast<double>(rng.UniformInt(kGiantAppMinSize,
+                                           kGiantAppMaxSize)) /
+        static_cast<double>(kTargetContainers);
     spec.size = std::max<std::int64_t>(
         2, static_cast<std::int64_t>(std::llround(
                frac * static_cast<double>(target))));
@@ -167,8 +177,8 @@ Workload GenerateAlibabaLike(const AlibabaTraceOptions& options) {
   const std::int64_t app_size_cap =
       std::max<std::int64_t>(10, target * 6 / 100);
   for (std::int64_t i = n_giants; i < n_apps; ++i) {
-    specs[static_cast<std::size_t>(i)].size = std::min(
-        app_size_cap, DrawAppSize(rng, options.single_instance_fraction));
+    specs[static_cast<std::size_t>(i)].size =
+        std::min(app_size_cap, DrawAppSize(rng));
   }
 
   // Calibrate the container total to the (scaled) target within ±2 % so the
@@ -221,8 +231,9 @@ Workload GenerateAlibabaLike(const AlibabaTraceOptions& options) {
 
   // Priority apps (Fig. 8b: 2,088 / 13,056). Giants lead the list — large
   // high-priority LLAs are exactly the paper's hard cases.
+  constexpr double kPriorityFraction = 2088.0 / 13056.0;
   const auto n_priority = static_cast<std::int64_t>(std::llround(
-      options.priority_fraction * static_cast<double>(n_apps)));
+      kPriorityFraction * static_cast<double>(n_apps)));
   {
     std::int64_t assigned = 0;
     for (auto& spec : specs) {
@@ -247,8 +258,9 @@ Workload GenerateAlibabaLike(const AlibabaTraceOptions& options) {
 
   // Anti-affinity apps (Fig. 8b: 9,400 / 13,056): within-application
   // spreading. Giants and priority apps are preferentially included.
+  constexpr double kAntiAffinityFraction = 9400.0 / 13056.0;
   const auto n_anti = static_cast<std::int64_t>(std::llround(
-      options.anti_affinity_fraction * static_cast<double>(n_apps)));
+      kAntiAffinityFraction * static_cast<double>(n_apps)));
   {
     std::vector<std::size_t> order(specs.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -268,8 +280,8 @@ Workload GenerateAlibabaLike(const AlibabaTraceOptions& options) {
 
   // Heavy conflicters: high-priority, large-request apps that may not
   // co-locate with a large container mass (> 5,000 at scale 1.0).
-  const std::int64_t n_heavy = std::min<std::int64_t>(
-      options.heavy_conflicters, n_giants);
+  const std::int64_t n_heavy =
+      std::min<std::int64_t>(kHeavyConflicters, n_giants);
   for (std::int64_t g = 0; g < n_heavy; ++g) {
     specs[static_cast<std::size_t>(g)].heavy_conflicter = true;
   }
@@ -277,20 +289,20 @@ Workload GenerateAlibabaLike(const AlibabaTraceOptions& options) {
   // --- Pass 2: draw requests, calibrate demand, materialise. -------------
   std::vector<cluster::ResourceVector> requests(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    requests[i] = DrawRequest(rng, specs[i].priority > 0, specs[i].size,
-                              options.max_request_cores,
-                              options.max_request_mem_gib);
+    requests[i] = DrawRequest(rng, specs[i].priority > 0, specs[i].size);
   }
-  // Calibrate total CPU demand to `target_utilization` of the matching
+  // Calibrate total CPU demand to kTargetUtilization of the matching
   // cluster (machines = target/10 at 32 cores each): nudge the biggest
   // contributors down / the smallest up one power-of-two class at a time.
-  // Without this, one large app's request draw swings the demand-to-
-  // capacity ratio enough to flip experiments between trivial and
-  // infeasible across seeds.
+  // Keeps the demand-to-capacity ratio stable across scales and seeds so
+  // the comparative experiments probe constraint handling, not sampling
+  // luck: without it, one large app's request draw swings the ratio enough
+  // to flip experiments between trivial and infeasible across seeds.
   {
+    constexpr double kTargetUtilization = 0.76;
     const double capacity_millis = static_cast<double>(target) * 3200.0;
     const auto target_demand = static_cast<std::int64_t>(
-        options.target_utilization * capacity_millis);
+        kTargetUtilization * capacity_millis);
     auto demand = [&] {
       std::int64_t sum = 0;
       for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -299,8 +311,8 @@ Workload GenerateAlibabaLike(const AlibabaTraceOptions& options) {
       return sum;
     };
     auto set_cpu = [&](std::size_t i, std::int64_t cpu) {
-      const std::int64_t mem = std::min(cpu * 2048 / 1000,
-                                        options.max_request_mem_gib * 1024);
+      const std::int64_t mem =
+          std::min(cpu * 2048 / 1000, kMaxRequestMemGib * 1024);
       requests[i] = cluster::ResourceVector(cpu, mem);
     };
     std::int64_t current = demand();
@@ -327,7 +339,7 @@ Workload GenerateAlibabaLike(const AlibabaTraceOptions& options) {
         std::int64_t best_score = 0;
         for (std::size_t i = 0; i < specs.size(); ++i) {
           const std::int64_t cpu = requests[i].cpu_millis();
-          if (cpu * 2 > options.max_request_cores * 1000) continue;
+          if (cpu * 2 > kMaxRequestCores * 1000) continue;
           if (specs[i].size > 10) continue;  // keep the big-app caps intact
           const std::int64_t score = specs[i].size * cpu;
           if (score > best_score) {
@@ -368,10 +380,12 @@ Workload GenerateAlibabaLike(const AlibabaTraceOptions& options) {
   };
 
   // Cross-app anti-affinity over a slice of the AA apps (performance-
-  // interference pairs, §II.A). Partners are size-weighted.
+  // interference pairs, §II.A). Partners are size-weighted, so conflict
+  // mass concentrates on big LLAs as in the trace.
+  constexpr double kCrossAppRuleFraction = 0.25;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     if (!specs[i].anti_within || specs[i].giant) continue;
-    if (!rng.Bernoulli(options.cross_app_rule_fraction)) continue;
+    if (!rng.Bernoulli(kCrossAppRuleFraction)) continue;
     const std::int64_t rules = rng.UniformInt(1, 3);
     for (std::int64_t r = 0; r < rules; ++r) {
       const std::size_t other = draw_partner();
@@ -382,7 +396,7 @@ Workload GenerateAlibabaLike(const AlibabaTraceOptions& options) {
   // Heavy conflicters accumulate cross-app rules until the conflicting
   // container mass passes the (scaled) threshold.
   const auto conflict_target = static_cast<std::int64_t>(std::llround(
-      static_cast<double>(options.heavy_conflict_containers) * options.scale));
+      static_cast<double>(kHeavyConflictContainers) * options.scale));
   for (std::size_t i = 0; i < specs.size(); ++i) {
     if (!specs[i].heavy_conflicter) continue;
     // "cannot be co-located with at least other 5,000 containers" — the

@@ -29,43 +29,16 @@ struct AlibabaTraceOptions {
 
   std::uint64_t seed = 42;
 
-  // Paper-reported population figures (at scale 1.0).
-  std::int64_t applications = 13056;
-  std::int64_t target_containers = 100000;
-  double single_instance_fraction = 0.64;   // Fig. 8(a)
-  double below_50_fraction = 0.85;          // Fig. 8(a)
-  std::int64_t giant_apps = 4;              // "a few LLAs" > 2,000 containers
-  std::int64_t giant_app_min_size = 2000;
-  std::int64_t giant_app_max_size = 2600;
-
-  double anti_affinity_fraction = 9400.0 / 13056.0;  // Fig. 8(b)
-  double priority_fraction = 2088.0 / 13056.0;       // Fig. 8(b)
-  // Fraction of anti-affinity apps that also get cross-application rules
-  // (partners drawn size-weighted, so conflict mass concentrates on big
-  // LLAs as in the trace).
-  double cross_app_rule_fraction = 0.25;
-  // "several LLAs cannot be co-located with at least other 5,000 containers";
-  // count and conflict mass also scale.
-  std::int64_t heavy_conflicters = 4;
-  std::int64_t heavy_conflict_containers = 8000;
-
-  // Request cap: 16 CPUs / 32 GB (§V.A).
-  std::int64_t max_request_cores = 16;
-  std::int64_t max_request_mem_gib = 32;
-
-  // Total CPU demand is calibrated to this fraction of the matching
-  // cluster's capacity (machines = target_containers/10 at 32 cores each).
-  // Keeps the demand-to-capacity ratio stable across scales and seeds so
-  // the comparative experiments probe constraint handling, not sampling
-  // luck.
-  double target_utilization = 0.76;
-
   // Drop the memory dimension after generation (the evaluation's mode).
   bool cpu_only = true;
-
-  [[nodiscard]] std::int64_t ScaledApplications() const;
-  [[nodiscard]] std::int64_t ScaledTargetContainers() const;
 };
+
+// "several LLAs cannot be co-located with at least other 5,000 containers"
+// (§V.A): up to kHeavyConflicters giant apps gain cross-application rules
+// until kHeavyConflictContainers × scale other containers conflict with
+// each. Small scales have fewer giants, so fewer heavy conflicters.
+inline constexpr std::int64_t kHeavyConflicters = 4;
+inline constexpr std::int64_t kHeavyConflictContainers = 8000;
 
 // The matching homogeneous cluster (32 CPU / 64 GB machines, §V.A).
 cluster::Topology MakeAlibabaCluster(std::size_t machines);

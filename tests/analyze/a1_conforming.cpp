@@ -13,7 +13,7 @@ struct Workspace {  // exempt scratch owner (config.A1_EXEMPT_CLASSES)
 };
 
 void Relax(Workspace& ws) {
-  ws.dist.assign(ws.dist.size(), -1);  // ws-rooted: arena-backed scratch
+  ws.dist.assign(ws.dist.size(), -1);  // ws-rooted: workspace scratch
 }
 
 ALADDIN_HOT void Tick(Workspace& ws) {

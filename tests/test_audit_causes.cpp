@@ -1,7 +1,10 @@
 // cluster::Audit unplaced-cause classification (§V.B / Fig. 9): one fixture
-// per UnplacedCause plus the priority-inversion counter, each asserting the
-// derived ViolationPercent() / AntiAffinityShare() figures exactly.
+// per UnplacedCause plus the priority-inversion counter and the retired-
+// container exemption, each asserting the derived ViolationPercent() /
+// AntiAffinityShare() figures exactly.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "cluster/audit.h"
 #include "cluster/resources.h"
@@ -45,6 +48,40 @@ TEST_F(UnplacedResourcesTest, ClassifiedAsResources) {
   EXPECT_DOUBLE_EQ(report.ViolationPercent(), 100.0 / 3.0);
   // starved has no anti-affinity rule, so no violation is AA-typed.
   EXPECT_DOUBLE_EQ(report.AntiAffinityShare(), 0.0);
+}
+
+// A retired container (its pod is gone) is neither unplaced nor in the
+// violation base: the audit of an online run's append-only workload counts
+// only containers still asking to be placed.
+TEST(AuditRetired, RetiredContainerIsNotAViolation) {
+  const Topology topo = Topology::Uniform(2, ResourceVector::Cores(32, 64));
+  trace::Workload wl;
+  const ApplicationId filler =
+      wl.AddApplication("filler", 2, ResourceVector::Cores(32, 64));
+  wl.AddApplication("starved", 1, ResourceVector::Cores(1, 1));
+  const ApplicationId done =
+      wl.AddApplication("done", 1, ResourceVector::Cores(1, 1));
+  ClusterState state = wl.MakeState(topo);
+  state.Deploy(wl.application(filler).containers[0], MachineId(0));
+  state.Deploy(wl.application(filler).containers[1], MachineId(1));
+
+  const AuditReport all = Audit(state);
+  EXPECT_EQ(all.unplaced, 2u);
+  EXPECT_EQ(all.retired, 0u);
+  EXPECT_DOUBLE_EQ(all.ViolationPercent(), 50.0);
+
+  const std::vector<ContainerId> retired = {
+      wl.application(done).containers[0]};
+  const AuditReport report = Audit(state, retired);
+  EXPECT_EQ(report.total_containers, 4u);
+  EXPECT_EQ(report.placed, 2u);
+  EXPECT_EQ(report.retired, 1u);
+  EXPECT_EQ(report.unplaced, 1u);
+  EXPECT_EQ(report.unplaced_resources, 1u);
+  EXPECT_EQ(report.unplaced_anti_affinity + report.unplaced_scheduler, 0u);
+  EXPECT_EQ(report.TotalViolations(), 1u);
+  // 1 violation (starved) out of 3 live containers.
+  EXPECT_DOUBLE_EQ(report.ViolationPercent(), 100.0 / 3.0);
 }
 
 // kAntiAffinity: resources abound, but every machine with room hosts a

@@ -284,17 +284,6 @@ TEST_F(StateTest, VerifyResourceInvariant) {
   EXPECT_TRUE(state.VerifyResourceInvariant());
 }
 
-TEST_F(StateTest, ClearResets) {
-  ClusterState state = wl_.MakeState(topo_);
-  state.Deploy(C(web_, 0), MachineId(0));
-  state.Migrate(C(web_, 0), MachineId(1));
-  state.Clear();
-  EXPECT_EQ(state.placed_count(), 0u);
-  EXPECT_EQ(state.migrations(), 0);
-  EXPECT_EQ(state.Free(MachineId(1)).cpu_millis(), 32000);
-  EXPECT_TRUE(state.VerifyResourceInvariant());
-}
-
 TEST_F(StateTest, AppsOnTracksCounts) {
   ClusterState state = wl_.MakeState(topo_);
   state.Deploy(C(batch_, 0), MachineId(0));

@@ -1,5 +1,5 @@
 // Unit tests for src/common: ids, rng, stats, strings, csv, flags, table,
-// thread pool, arena.
+// timer, log, thread pool.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include <sstream>
 #include <thread>
 
-#include "common/arena.h"
 #include "common/csv.h"
 #include "common/flags.h"
 #include "common/ids.h"
@@ -178,51 +177,6 @@ TEST(Rng, ForkStreamsAreIndependentAndStable) {
 
 // -------------------------------------------------------------- stats ----
 
-TEST(OnlineStats, BasicMoments) {
-  OnlineStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(OnlineStats, EmptyIsZero) {
-  OnlineStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(OnlineStats, MergeMatchesSequential) {
-  Rng rng(43);
-  OnlineStats all, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.UniformDouble() * 10.0;
-    all.Add(x);
-    (i % 2 == 0 ? left : right).Add(x);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(OnlineStats, MergeWithEmpty) {
-  OnlineStats a, b;
-  a.Add(1.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  b.Merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.0);
-}
-
 TEST(Sample, PercentilesExact) {
   Sample s;
   for (int i = 1; i <= 100; ++i) s.Add(static_cast<double>(i));
@@ -265,21 +219,6 @@ TEST(BuildCdf, MonotoneAndComplete) {
 TEST(BuildCdf, EmptyInput) { EXPECT_TRUE(BuildCdf({}).empty()); }
 
 // ------------------------------------------------------------ strings ----
-
-TEST(Strings, SplitKeepsEmptyFields) {
-  const auto parts = Split("a,,b,", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[2], "b");
-  EXPECT_EQ(parts[3], "");
-}
-
-TEST(Strings, SplitSingleField) {
-  const auto parts = Split("abc", ',');
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "abc");
-}
 
 TEST(Strings, Trim) {
   EXPECT_EQ(Trim("  x \t\n"), "x");
@@ -571,68 +510,6 @@ TEST(SerialFor, MatchesParallelSemantics) {
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i], (i >= 2 && i < 8) ? 1 : 0);
   }
-}
-
-// -------------------------------------------------------------- arena ----
-
-TEST(Arena, AllocationsAreAligned) {
-  Arena arena(128);
-  for (std::size_t align : {1u, 2u, 8u, 16u, 64u}) {
-    void* p = arena.Allocate(3, align);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u)
-        << "align " << align;
-  }
-}
-
-TEST(Arena, ResetRewindsToTheSameStorage) {
-  Arena arena(256);
-  void* first = arena.Allocate(64, 8);
-  arena.Allocate(64, 8);
-  EXPECT_EQ(arena.bytes_used(), 128u);
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_used(), 0u);
-  // Same chunk, same cursor: the steady-state tick re-walks warm memory.
-  EXPECT_EQ(arena.Allocate(64, 8), first);
-}
-
-TEST(Arena, GrowthRetainsChunksAcrossResets) {
-  Arena arena(64);
-  arena.Allocate(200, 8);  // overflows the first chunk -> new chunk
-  arena.Allocate(1000, 8);
-  const std::size_t high_water = arena.bytes_reserved();
-  EXPECT_GE(high_water, 1200u);
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_reserved(), high_water);  // nothing freed
-  // Replaying the same demand fits in retained chunks: no further growth.
-  arena.Allocate(200, 8);
-  arena.Allocate(1000, 8);
-  EXPECT_EQ(arena.bytes_reserved(), high_water);
-}
-
-TEST(Arena, OversizedRequestGetsItsOwnChunk) {
-  Arena arena(64);
-  void* p = arena.Allocate(10000, 64);
-  EXPECT_NE(p, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u);
-  EXPECT_GE(arena.bytes_reserved(), 10000u);
-}
-
-TEST(ArenaVector, WorksAsATickScopedContainer) {
-  Arena arena;
-  for (int tick = 0; tick < 3; ++tick) {
-    arena.Reset();
-    ArenaVector<int> v{ArenaAllocator<int>(&arena)};
-    v.reserve(100);
-    for (int i = 0; i < 100; ++i) v.push_back(i);
-    EXPECT_EQ(v.size(), 100u);
-    EXPECT_EQ(v.front(), 0);
-    EXPECT_EQ(v.back(), 99);
-  }
-  // Three identical ticks reuse the warm chunk: footprint equals one tick's.
-  Arena one_tick;
-  ArenaVector<int> v{ArenaAllocator<int>(&one_tick)};
-  v.reserve(100);
-  EXPECT_EQ(arena.bytes_reserved(), one_tick.bytes_reserved());
 }
 
 }  // namespace

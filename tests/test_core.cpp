@@ -362,13 +362,15 @@ TEST_F(NetworkTest, ScansAreOrderedAndBounded) {
   EXPECT_EQ(desc.size(), 3u);
   EXPECT_TRUE(std::is_sorted(desc.rbegin(), desc.rend()));
 
-  std::vector<std::int64_t> asc;
-  network.ScanAscending(0, 100, [&](MachineId m) {
-    asc.push_back(state.Free(m).cpu_millis());
+  // A limit past the machine count visits every machine, still most
+  // headroom first.
+  desc.clear();
+  network.ScanDescending(100, [&](MachineId m) {
+    desc.push_back(state.Free(m).cpu_millis());
     return false;
   });
-  EXPECT_EQ(asc.size(), 6u);
-  EXPECT_TRUE(std::is_sorted(asc.begin(), asc.end()));
+  EXPECT_EQ(desc.size(), 6u);
+  EXPECT_TRUE(std::is_sorted(desc.rbegin(), desc.rend()));
 }
 
 // -------------------------------------------------------------- repair ----

@@ -78,19 +78,6 @@ TEST(DirtyLog, RecordsMutationsSinceCursor) {
   EXPECT_EQ(moved[1].machine, MachineId(3));
 }
 
-TEST(DirtyLog, ClearForcesFullResync) {
-  const Workload wl = TinyWorkload();
-  const Topology topo = Topology::Uniform(4, ResourceVector::Cores(32, 64));
-  cluster::ClusterState state = wl.MakeState(topo);
-  state.EnableTouchLog();
-  const std::uint64_t cursor = state.TouchLogEnd();
-  state.Deploy(ContainerId(0), MachineId(0));
-  state.Clear();
-  bool overflowed = false;
-  EXPECT_TRUE(state.TouchesSince(cursor, &overflowed).empty());
-  EXPECT_TRUE(overflowed) << "pre-Clear cursors must be told to rebuild";
-}
-
 TEST(DirtyLog, OverflowDropsOldestAndFlagsStragglers) {
   const Workload wl = TinyWorkload();
   const Topology topo = Topology::Uniform(4, ResourceVector::Cores(32, 64));
@@ -203,7 +190,7 @@ TEST(WorkloadGrowth, AppendedContainersEnterState) {
 // ------------------------------------------------ scheduler equivalence ----
 
 // Pooled scratch identity: one persistent scheduler reuses its aggregated
-// network (synced from the state's touch log), arena, repair scratch,
+// network (synced from the state's touch log), sort keys, repair scratch,
 // workspaces, and CSR across waves; a throwaway engine built fresh per wave
 // starts cold each time. The reuse is a pure optimisation — identical
 // placements and outcomes, wave after wave, or state is leaking across
@@ -359,11 +346,10 @@ flow::Graph LayeredGraph(std::int64_t width, VertexId& s, VertexId& t,
 
 // ------------------------------------------------ zero-alloc witness ----
 
-// The tentpole's acceptance witness: after warmup ticks have grown every
-// solver buffer to its high-water mark, further steady-state ticks must
-// never grow a workspace again (flow/ws_grow flat) while still running
-// solves (flow/ws_reuse advancing). Batch jobs complete after two ticks, so
-// load is stationary — later ticks never exceed the warmup footprint.
+// Runtime pins of the pooled-scratch contract that aladdin-analyze's A1
+// rule checks statically: warm buffers and structures are reused, never
+// regrown or rebuilt, once warmup has sized them.
+//
 // Solver-level witness: a reused Workspace grows its buffers on the first
 // run over a graph and never again — every later BeginRun lands in the
 // ws_reuse bucket. This is the zero-steady-state-allocation contract at the
@@ -396,9 +382,11 @@ TEST(ZeroAllocSteadyState, WorkspaceGrowthStopsAfterFirstSolve) {
       << "every steady-state solve must land in the reuse bucket";
 }
 
-// Scheduler-level witness: after warmup ticks, further resolver ticks never
-// grow a workspace buffer. (ws_reuse is not asserted here — the online
-// scheduling path runs no flow solver at all.)
+// Scheduler-level witness: after warmup ticks, further resolver ticks reuse
+// the warm aggregated network. Each solve syncs it from the state's touch
+// log (core/net_syncs advances) and none rebuilds it (core/net_builds stays
+// flat): the resolver's persistent state keeps its instance id, so a
+// rebuild would mean the network cache was thrown away.
 TEST(ZeroAllocSteadyState, ResolverTicksStayGrowFlatAfterWarmup) {
   obs::Registry::Get().ResetAll();
   obs::SetMetricsEnabled(true);
@@ -418,13 +406,18 @@ TEST(ZeroAllocSteadyState, ResolverTicksStayGrowFlatAfterWarmup) {
 
   for (int t = 0; t < 4; ++t) run_tick(t);  // warmup
 
-  const std::int64_t grow_warm = CounterValue("flow/ws_grow");
+  const std::int64_t builds_warm = CounterValue("core/net_builds");
+  const std::int64_t syncs_warm = CounterValue("core/net_syncs");
+  EXPECT_GT(builds_warm, 0) << "the first solve must build the network";
   for (int t = 4; t < 10; ++t) run_tick(t);
-  const std::int64_t grow_steady = CounterValue("flow/ws_grow");
+  const std::int64_t builds_steady = CounterValue("core/net_builds");
+  const std::int64_t syncs_steady = CounterValue("core/net_syncs");
 
   obs::SetMetricsEnabled(false);
-  EXPECT_EQ(grow_steady, grow_warm)
-      << "a steady-state tick grew a workspace buffer";
+  EXPECT_EQ(builds_steady, builds_warm)
+      << "a steady-state tick rebuilt the aggregated network";
+  EXPECT_GE(syncs_steady - syncs_warm, 6)
+      << "every steady-state tick must sync the warm network";
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 //     violations or dead-on-arrival solves;
 //   * spill rounds recover from a home shard that cannot hold an
 //     application's whole wave;
+//   * a re-attach to a new state routes every application afresh;
 //   * the supporting machinery (ShardPlan partitioning, touch replay into
 //     the shard mirrors, the rebuild when the coordinator falls off the
 //     touch log) agrees with its contracts in isolation.
@@ -40,11 +41,18 @@
 
 namespace aladdin::core {
 
-// Friend of ShardedScheduler: reads a shard's mirror.
+// Friend of ShardedScheduler: reads a shard's mirror and the routing table.
 struct ShardedSchedulerTestPeer {
   static const cluster::ShardView& View(const ShardedScheduler& scheduler,
                                         int shard) {
     return *scheduler.shards_[static_cast<std::size_t>(shard)].view;
+  }
+  // The home shard of every routing-table row (-1 = unrouted), indexed by
+  // application.
+  static std::vector<std::int32_t> Homes(const ShardedScheduler& scheduler) {
+    std::vector<std::int32_t> homes;
+    for (const auto& route : scheduler.app_route_) homes.push_back(route.home);
+    return homes;
   }
 };
 
@@ -564,6 +572,54 @@ TEST(ShardedSpill, OverCapacityWaveSurfacesUnplacedAfterSpill) {
   EXPECT_EQ(stats[1].spilled, 10u) << "the home shard's overflow spilled";
   EXPECT_EQ(stats[0].placed + stats[1].placed, 18u);
   EXPECT_TRUE(state.CheckConsistency());
+}
+
+// ------------------------------------------------------------ re-attach ----
+
+TEST(ShardedReattach, TickWithoutNewApplicationRoutesAfresh) {
+  // Schedule() on a state with a new instance id (the resolver's rebuild
+  // after a node change) re-attaches: new plan, new mirrors, and every
+  // application routed afresh, also on a tick that adds no application.
+  // The routing table must still cover every application with in-plan
+  // homes, and the placements must equal a fresh coordinator's.
+  const Topology topo =
+      Topology::Uniform(48, ResourceVector::Cores(32, 64), 8, 3);
+  Workload wl;
+  cluster::ClusterState state = wl.MakeState(topo);
+  core::ShardedOptions options;
+  options.shards = 4;
+  core::ShardedScheduler scheduler(options);
+  Rng rng(17);
+  const std::vector<ContainerId> first = GrowWave(wl, rng, 12);
+  state.SyncWorkloadGrowth();
+  (void)scheduler.Schedule(sim::ScheduleRequest{&wl, &first}, state);
+
+  // The next wave re-submits evicted containers of existing applications.
+  std::vector<ContainerId> next;
+  for (const auto& c : wl.containers()) {
+    if (state.IsPlaced(c.id) && c.id.value() % 3 == 0) state.Evict(c.id);
+    if (!state.IsPlaced(c.id)) next.push_back(c.id);
+  }
+  ASSERT_FALSE(next.empty());
+  cluster::ClusterState copy = state;  // a fresh instance id
+  cluster::ClusterState fresh_copy = state;
+  ASSERT_NE(copy.instance_id(), state.instance_id());
+  (void)scheduler.Schedule(sim::ScheduleRequest{&wl, &next}, copy);
+
+  const std::vector<std::int32_t> homes =
+      core::ShardedSchedulerTestPeer::Homes(scheduler);
+  ASSERT_GE(homes.size(), wl.application_count())
+      << "the re-attach dropped routing-table rows";
+  const int k = scheduler.plan()->shard_count();
+  for (std::size_t app = 0; app < homes.size(); ++app) {
+    EXPECT_LT(homes[app], k) << "application " << app;
+  }
+
+  core::ShardedScheduler fresh(options);
+  (void)fresh.Schedule(sim::ScheduleRequest{&wl, &next}, fresh_copy);
+  EXPECT_EQ(Placements(copy, wl.container_count()),
+            Placements(fresh_copy, wl.container_count()));
+  EXPECT_TRUE(copy.CheckConsistency());
 }
 
 // ------------------------------------------------- resolver end-to-end ----

@@ -128,11 +128,10 @@ TEST_F(GeneratorTest, HeavyConflictersExist) {
   auto options = SmallOptions();
   const Workload wl = GenerateAlibabaLike(options);
   const auto threshold = static_cast<std::int64_t>(
-      static_cast<double>(options.heavy_conflict_containers) * options.scale *
-      0.9);
+      static_cast<double>(kHeavyConflictContainers) * options.scale * 0.9);
   const WorkloadStats stats = ComputeWorkloadStats(wl, threshold);
   EXPECT_GE(stats.heavy_conflicter_apps,
-            static_cast<std::size_t>(options.heavy_conflicters));
+            static_cast<std::size_t>(kHeavyConflicters));
 }
 
 TEST_F(GeneratorTest, CpuOnlyMode) {

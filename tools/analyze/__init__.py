@@ -7,7 +7,7 @@ Enforces the invariants the compiler and clang-tidy cannot express:
                       (rand / random_device / raw clock reads) in
                       decision-path code;
   A1  allocation    — ALADDIN_HOT functions and their transitive callees
-                      must not heap-allocate outside Arena / Workspace;
+                      must not heap-allocate outside flow::Workspace;
   L1  locking       — the concurrency surface declares its lock discipline
                       with ALADDIN_GUARDED_BY and uses the annotated Mutex;
   E1  exhaustiveness— switches over closed enums (// analyze:closed_enum)

@@ -37,10 +37,9 @@ D103_EXEMPT = {
 
 # Types whose methods are allowed on the hot path even though they *may*
 # allocate: their growth is amortised against high-water marks that the
-# zero-alloc steady-state tests (tests/test_alloc_guard.cpp) pin at runtime.
-A1_EXEMPT_CLASSES = {
-    "Workspace", "StampedArray", "RingQueue", "Arena", "ArenaVector",
-}
+# zero-alloc steady-state tests (ZeroAllocSteadyState.* in
+# tests/test_equivalence.cpp) pin at runtime.
+A1_EXEMPT_CLASSES = {"Workspace", "StampedArray", "RingQueue"}
 
 # Callees never followed by the transitive walk. Mostly: runtime-gated
 # validation and instrumentation that is documented cold-per-tick. Each

@@ -332,8 +332,8 @@ _SCRATCH_ROOT_NAMES = frozenset({"ws", "ws_", "workspace", "workspace_"})
 
 
 def _scratch_locals(body: list[Token]) -> set[str]:
-    """Locals declared with a sanctioned scratch type (ArenaVector<T> v...)
-    — growth on them is arena-backed, not heap growth."""
+    """Locals declared with a sanctioned scratch type (StampedArray<T> v...)
+    — growth on them is amortised scratch, not per-call heap growth."""
     names: set[str] = set()
     for i, tok in enumerate(body):
         if tok.kind == "id" and tok.text in config.A1_EXEMPT_CLASSES:
@@ -378,8 +378,7 @@ def rule_a1_hot_path_allocation(ctx: RuleContext) -> list[Diagnostic]:
         body = fn.body
         scratch = _scratch_locals(body) | _SCRATCH_ROOT_NAMES
         for i, tok in enumerate(body):
-            # All forms of `new` count, placement included — placement new
-            # is only sanctioned inside the exempt Arena types.
+            # All forms of `new` count, placement included.
             if tok.text == "new":
                 diags.append(Diagnostic(
                     "A101", fn.file, tok.line,
@@ -398,7 +397,7 @@ def rule_a1_hot_path_allocation(ctx: RuleContext) -> list[Diagnostic]:
                         "A102", fn.file, tok.line,
                         f"std::{tok.text} constructed per call in "
                         f"'{fn.qualified}' (hot call chain: {via}) — use "
-                        "flow::Workspace / Arena scratch"))
+                        "flow::Workspace or member scratch"))
             elif (tok.text in (".", "->") and i + 2 < len(body)
                   and body[i + 1].kind == "id"
                   and body[i + 1].text in GROWTH_METHODS
