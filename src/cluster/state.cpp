@@ -24,7 +24,10 @@ ClusterState::ClusterState(const Topology& topology,
       applications_(&applications),
       constraints_(&constraints) {
   free_.reserve(topology.machine_count());
-  for (const Machine& m : topology.machines()) free_.push_back(m.capacity);
+  for (const Machine& m : topology.machines()) {
+    free_.push_back(m.capacity);
+    free_cpu_millis_ += m.capacity.cpu_millis();
+  }
   deployed_.resize(topology.machine_count());
   apps_on_.resize(topology.machine_count());
   placement_.assign(containers.size(), MachineId::Invalid());
@@ -40,6 +43,7 @@ ClusterState::ClusterState(const ClusterState& other)
       apps_on_(other.apps_on_),
       placement_(other.placement_),
       placed_count_(other.placed_count_),
+      free_cpu_millis_(other.free_cpu_millis_),
       migrations_(other.migrations_),
       preemptions_(other.preemptions_),
       touch_log_enabled_(other.touch_log_enabled_),
@@ -83,6 +87,7 @@ void ClusterState::Deploy(ContainerId c, MachineId m) {
       << " (free " << free_[Idx(m)].ToString() << ")";
   const Container& container = (*containers_)[Idx(c)];
   free_[Idx(m)] -= container.request;
+  free_cpu_millis_ -= container.request.cpu_millis();
   ALADDIN_DCHECK(!free_[Idx(m)].AnyNegative())
       << "Deploy: machine " << m << " over-committed";
   deployed_[Idx(m)].push_back(c);
@@ -106,6 +111,7 @@ void ClusterState::Evict(ContainerId c) {
   const MachineId m = placement_[Idx(c)];
   const Container& container = (*containers_)[Idx(c)];
   free_[Idx(m)] += container.request;
+  free_cpu_millis_ += container.request.cpu_millis();
   auto& list = deployed_[Idx(m)];
   const auto entry = std::find(list.begin(), list.end(), c);
   ALADDIN_CHECK(entry != list.end())
@@ -202,6 +208,7 @@ bool ClusterState::CheckConsistency(std::string* error) const {
   // and app counts and cross-checking the placement map.
   std::vector<std::uint8_t> seen(containers, 0);
   std::size_t listed = 0;
+  std::int64_t free_cpu = 0;
   for (std::size_t mi = 0; mi < machines; ++mi) {
     ResourceVector free = topology_->machines()[mi].capacity;
     std::unordered_map<std::int32_t, std::int32_t> apps;
@@ -241,6 +248,7 @@ bool ClusterState::CheckConsistency(std::string* error) const {
          << " != capacity minus placed " << free.ToString();
       return Fail(error, os);
     }
+    free_cpu += free.cpu_millis();
     std::unordered_map<std::int32_t, std::int32_t> cached;
     bool duplicate_entry = false;
     for (const auto& [app, count] : apps_on_[mi]) {
@@ -277,6 +285,12 @@ bool ClusterState::CheckConsistency(std::string* error) const {
     std::ostringstream os;
     os << "placed_count " << placed_count_ << " != " << placed
        << " valid placements (" << listed << " deployed-list entries)";
+    return Fail(error, os);
+  }
+  if (free_cpu != free_cpu_millis_) {
+    std::ostringstream os;
+    os << "free_cpu_millis " << free_cpu_millis_ << " != " << free_cpu
+       << " summed over machines";
     return Fail(error, os);
   }
   return true;

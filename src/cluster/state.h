@@ -66,6 +66,11 @@ class ClusterState {
   [[nodiscard]] const ResourceVector& Free(MachineId m) const {
     return free_[Idx(m)];
   }
+  // Sum of Free(m).cpu_millis() over every machine, kept as a running total
+  // by Deploy and Evict.
+  [[nodiscard]] std::int64_t free_cpu_millis() const {
+    return free_cpu_millis_;
+  }
 
   // Resource feasibility only (Eq. 6).
   [[nodiscard]] bool Fits(ContainerId c, MachineId m) const;
@@ -134,14 +139,14 @@ class ClusterState {
   //     placed container appears once on its machine and nowhere else (no
   //     container placed twice);
   //   * the per-machine application count maps match a recount;
-  //   * placed_count() matches the number of valid placements.
+  //   * placed_count() matches the number of valid placements;
+  //   * free_cpu_millis() matches the sum of the recomputed free CPU.
   // Returns true when consistent; otherwise false with a description of the
   // first discrepancy in *error (if non-null). O(machines + containers).
   [[nodiscard]] bool CheckConsistency(std::string* error = nullptr) const;
 
-  // Recomputes free resources from placements and compares; false indicates
-  // state corruption (used by tests and debug assertions). Subsumed by —
-  // and now implemented as — CheckConsistency().
+  // CheckConsistency() without the message, under the name perfbench's
+  // end-of-run audit calls.
   [[nodiscard]] bool VerifyResourceInvariant() const {
     return CheckConsistency();
   }
@@ -206,6 +211,7 @@ class ClusterState {
   std::vector<AppCounts> apps_on_;                  // per machine
   std::vector<MachineId> placement_;  // per container
   std::size_t placed_count_ = 0;
+  std::int64_t free_cpu_millis_ = 0;
   std::int64_t migrations_ = 0;
   std::int64_t preemptions_ = 0;
 

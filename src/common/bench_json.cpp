@@ -1,47 +1,19 @@
 #include "common/bench_json.h"
 
 #include <cstdio>
-#include <sstream>
+
+#include "common/strings.h"
 
 namespace aladdin {
-
-namespace {
-
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string Number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
-}  // namespace
 
 BenchJson::BenchJson(std::string bench_name)
     : bench_name_(std::move(bench_name)) {}
 
 void BenchJson::Tag(const std::string& key, const std::string& value) {
-  tags_.push_back({key, "\"" + Escape(value) + "\""});
+  std::string quoted = "\"";
+  AppendJsonEscaped(quoted, value);
+  quoted += '"';
+  tags_.push_back({key, std::move(quoted)});
 }
 
 void BenchJson::Tag(const std::string& key, std::int64_t value) {
@@ -64,22 +36,27 @@ void BenchJson::Percentiles(const std::string& name, const Sample& sample,
 }
 
 std::string BenchJson::ToJson() const {
-  std::ostringstream os;
-  os << "{\n  \"schema\": \"aladdin-bench-v1\",\n  \"bench\": \""
-     << Escape(bench_name_) << "\",\n  \"tags\": {";
+  std::string out = "{\n  \"schema\": \"aladdin-bench-v1\",\n  \"bench\": \"";
+  AppendJsonEscaped(out, bench_name_);
+  out += "\",\n  \"tags\": {";
   for (std::size_t i = 0; i < tags_.size(); ++i) {
-    if (i) os << ", ";
-    os << "\"" << Escape(tags_[i].key) << "\": " << tags_[i].value;
+    if (i) out += ", ";
+    out += '"';
+    AppendJsonEscaped(out, tags_[i].key);
+    out += "\": ";
+    out += tags_[i].value;
   }
-  os << "},\n  \"metrics\": [";
+  out += "},\n  \"metrics\": [";
   for (std::size_t i = 0; i < metrics_.size(); ++i) {
-    os << (i ? ",\n    " : "\n    ");
-    os << "{\"name\": \"" << Escape(metrics_[i].name) << "\", \"unit\": \""
-       << Escape(metrics_[i].unit) << "\", \"value\": "
-       << Number(metrics_[i].value) << "}";
+    out += i ? ",\n    " : "\n    ";
+    out += "{\"name\": \"";
+    AppendJsonEscaped(out, metrics_[i].name);
+    out += "\", \"unit\": \"";
+    AppendJsonEscaped(out, metrics_[i].unit);
+    AppendF(out, "\", \"value\": %.9g}", metrics_[i].value);
   }
-  os << "\n  ]\n}";
-  return os.str();
+  out += "\n  ]\n}";
+  return out;
 }
 
 bool BenchJson::WriteFile(const std::string& path) const {

@@ -86,7 +86,6 @@ bool CsvReader::NextRow(std::vector<std::string>& fields) {
   // Fields never span lines in our formats; an unterminated quote simply
   // closes at end of line rather than swallowing the rest of the file.
   fields.push_back(std::move(field));
-  ++rows_read_;
   return true;
 }
 

@@ -35,12 +35,9 @@ class CsvReader {
   // skipped. Quoted fields may contain separators and doubled quotes.
   bool NextRow(std::vector<std::string>& fields);
 
-  [[nodiscard]] std::size_t rows_read() const { return rows_read_; }
-
  private:
   std::istream& is_;
   char sep_;
-  std::size_t rows_read_ = 0;
 };
 
 }  // namespace aladdin

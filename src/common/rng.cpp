@@ -19,7 +19,7 @@ inline std::uint64_t Rotl(std::uint64_t x, int k) {
 }
 }  // namespace
 
-Rng::Rng(std::uint64_t seed) : seed_(seed) {
+Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = SplitMix64(sm);
 }
@@ -103,14 +103,6 @@ std::size_t Rng::WeightedIndex(const std::vector<double>& weights) {
     if (target < 0.0) return i;
   }
   return weights.size() - 1;  // numerical tail
-}
-
-Rng Rng::Fork() {
-  // Mix the original seed with the fork index so sibling streams are
-  // decorrelated regardless of how much the parent has been consumed.
-  std::uint64_t mix = seed_ ^ (0xA0761D6478BD642FULL * ++fork_counter_);
-  std::uint64_t sm = mix;
-  return Rng(SplitMix64(sm));
 }
 
 }  // namespace aladdin

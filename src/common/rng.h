@@ -58,14 +58,8 @@ class Rng {
     }
   }
 
-  // Deterministically derive an independent child stream (for parallel or
-  // per-entity generation); child #k of a given Rng is stable across runs.
-  Rng Fork();
-
  private:
   std::array<std::uint64_t, 4> s_;
-  std::uint64_t fork_counter_ = 0;
-  std::uint64_t seed_ = 0;
 };
 
 }  // namespace aladdin

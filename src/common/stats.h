@@ -13,7 +13,6 @@ namespace aladdin {
 class Sample {
  public:
   void Add(double x);
-  void Reserve(std::size_t n) { values_.reserve(n); }
 
   [[nodiscard]] std::size_t count() const { return values_.size(); }
   [[nodiscard]] double mean() const;

@@ -1,6 +1,8 @@
 #include "common/strings.h"
 
+#include <algorithm>
 #include <charconv>
+#include <cstdarg>
 #include <cstdio>
 
 namespace aladdin {
@@ -51,6 +53,42 @@ std::string FormatFixed(double v, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
   return buf;
+}
+
+void AppendF(std::string& out, const char* format, ...) {
+  char buf[320];
+  va_list args;
+  va_start(args, format);
+  const int n = std::vsnprintf(buf, sizeof(buf), format, args);
+  va_end(args);
+  if (n > 0) {
+    out.append(buf, std::min(static_cast<std::size_t>(n), sizeof(buf) - 1));
+  }
+}
+
+void AppendJsonEscaped(std::string& out, std::string_view s) {
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          AppendF(out, "\\u%04x", static_cast<unsigned>(c));
+        } else {
+          out += c;
+        }
+    }
+  }
 }
 
 }  // namespace aladdin

@@ -1,6 +1,8 @@
-// Small string utilities shared by the CSV layer, flag parser and reporters.
+// Small string utilities shared by the CSV layer, flag parser, reporters and
+// the obs renderers.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -20,5 +22,15 @@ std::string WithThousands(std::int64_t v);
 
 // Fixed-precision double ("%.*f") without iostream state leakage.
 std::string FormatFixed(double v, int digits);
+
+// Appends printf-formatted text to `out`, truncated to 319 bytes. No
+// iostreams, so the obs renderers may call it on the listener's HTTP
+// thread, which must not touch global locales.
+void AppendF(std::string& out, const char* format, ...)
+    __attribute__((format(printf, 2, 3)));
+
+// Appends `s` escaped as the body of a JSON string (no quotes): '"', '\\',
+// '\n' and '\t' get short escapes, every other byte below 0x20 \u00XX.
+void AppendJsonEscaped(std::string& out, std::string_view s);
 
 }  // namespace aladdin

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 
 namespace aladdin {
 
@@ -16,29 +15,10 @@ class WallTimer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
   [[nodiscard]] double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-  [[nodiscard]] std::int64_t ElapsedMicros() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                 start_)
-        .count();
-  }
 
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-// Adds elapsed seconds to `*sink` on destruction; for accumulating time spent
-// inside a phase across many calls.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(double* sink) : sink_(sink) {}
-  ~ScopedTimer() { *sink_ += timer_.ElapsedSeconds(); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  double* sink_;
-  WallTimer timer_;
 };
 
 }  // namespace aladdin

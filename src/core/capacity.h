@@ -42,13 +42,6 @@ class CapacityFunction {
     return check;
   }
 
-  // Eq. 8 in one bool.
-  static bool Admits(const cluster::ClusterState& state,
-                     cluster::ContainerId container,
-                     cluster::MachineId machine) {
-    return Evaluate(state, container, machine).Admits();
-  }
-
   // Batched Eq. 6 over a flat machine array: one fit bit per machine for a
   // single request tuple. The loop body is a dependency-free componentwise
   // compare against consecutive candidates — the structure-of-arrays form

@@ -76,8 +76,10 @@ class RepairEngine {
                 std::vector<cluster::ContainerId>& requeue);
 
   // Attempt to clear space for `c` on machine `m` by migrating/preempting
-  // at most kMaxVictims blockers. Returns true (and deploys c) on success;
-  // restores the exact prior placement on failure.
+  // at most kMaxVictims blockers. Returns true (and deploys c) on success.
+  // On failure every container is back on its prior machine, but the
+  // victims are re-deployed at the end of DeployedOn(m), so the machine's
+  // tenant order (which later tie-breaks read) can change.
   bool RepairOnMachine(cluster::ContainerId c, cluster::MachineId m,
                        const SearchOptions& search, SearchCounters& counters,
                        std::vector<cluster::ContainerId>& requeue);

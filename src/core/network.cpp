@@ -154,23 +154,6 @@ void AggregatedNetwork::Evict(cluster::ContainerId c) {
   if (log_cursor_ == before) log_cursor_ = state_->TouchLogEnd();
 }
 
-void AggregatedNetwork::Migrate(cluster::ContainerId c, cluster::MachineId to) {
-  const cluster::MachineId from = state_->PlacementOf(c);
-  const std::uint64_t before = state_->TouchLogEnd();
-  state_->Migrate(c, to);
-  Reindex(from);
-  Reindex(to);
-  if (log_cursor_ == before) log_cursor_ = state_->TouchLogEnd();
-}
-
-void AggregatedNetwork::Preempt(cluster::ContainerId c) {
-  const cluster::MachineId m = state_->PlacementOf(c);
-  const std::uint64_t before = state_->TouchLogEnd();
-  state_->Preempt(c);
-  Reindex(m);
-  if (log_cursor_ == before) log_cursor_ = state_->TouchLogEnd();
-}
-
 void AggregatedNetwork::DeployKeyDeferred(cluster::ContainerId c,
                                           cluster::MachineId m) {
   // Same contract as Deploy(), except the sorted-key update is deferred:

@@ -116,8 +116,6 @@ class AggregatedNetwork {
   // State mutations, mirrored into the aggregate indices.
   void Deploy(cluster::ContainerId c, cluster::MachineId m);
   void Evict(cluster::ContainerId c);
-  void Migrate(cluster::ContainerId c, cluster::MachineId to);
-  void Preempt(cluster::ContainerId c);
 
   // Repair-engine scan: visit machines in descending-free-CPU order (most
   // headroom first) until `fn` returns true or `limit` machines seen.

@@ -79,6 +79,9 @@ void ShardedScheduler::AttachShards(cluster::ClusterState& state) {
   for (int s = 0; s < k; ++s) {
     ShardRuntime& rt = shards_[static_cast<std::size_t>(s)];
     BuildView(s, state);
+    for (const cluster::MachineId m : plan_->shard_machines(s)) {
+      rt.capacity_cpu += state.topology().machine(m).capacity.cpu_millis();
+    }
     rt.solver = std::make_unique<AladdinScheduler>(options_.aladdin);
     if (k > 1) {
       // Interned once per attach; the K = 1 run registers nothing so its
@@ -193,14 +196,7 @@ void ShardedScheduler::RouteRound(const cluster::ClusterState& state,
   // Per-shard free CPU, reservation-adjusted as groups are assigned so one
   // big tick spreads instead of dog-piling the momentarily-emptiest shard.
   for (ShardRuntime& rt : shards_) {
-    const cluster::ClusterState& st = rt.view->state();
-    const std::size_t machines = st.topology().machine_count();
-    std::int64_t free = 0;
-    for (std::size_t m = 0; m < machines; ++m) {
-      free += st.Free(cluster::MachineId(static_cast<std::int32_t>(m)))
-                  .cpu_millis();
-    }
-    rt.free_cpu = free;
+    rt.free_cpu = rt.view->state().free_cpu_millis();
   }
 
   const auto argmax_free_cpu = [&](std::uint64_t tried) {
@@ -520,21 +516,10 @@ sim::ScheduleOutcome ShardedScheduler::Schedule(
   tick_touched_.clear();
 
   // End-of-tick cpu occupancy per shard (exact integers, from the merged
-  // shard views) — the imbalance-detector input. One pass over each
-  // shard's machine span, serial on the coordinator.
-  for (int s = 0; s < k; ++s) {
-    ShardRuntime& rt = shards_[static_cast<std::size_t>(s)];
-    const cluster::ClusterState& st = rt.view->state();
-    const std::size_t machines = st.topology().machine_count();
-    std::int64_t free = 0;
-    std::int64_t capacity = 0;
-    for (std::size_t m = 0; m < machines; ++m) {
-      const cluster::MachineId machine(static_cast<std::int32_t>(m));
-      free += st.Free(machine).cpu_millis();
-      capacity += st.topology().machine(machine).capacity.cpu_millis();
-    }
-    rt.stats.free_cpu_millis = free;
-    rt.stats.capacity_cpu_millis = capacity;
+  // shard views) — the imbalance-detector input.
+  for (ShardRuntime& rt : shards_) {
+    rt.stats.free_cpu_millis = rt.view->state().free_cpu_millis();
+    rt.stats.capacity_cpu_millis = rt.capacity_cpu;
   }
 
   last_shard_stats_.clear();

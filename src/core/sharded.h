@@ -108,7 +108,8 @@ class ShardedScheduler : public sim::Scheduler {
     sim::ScheduleOutcome outcome;
     std::int64_t migrations_mark = 0;
     std::int64_t preemptions_mark = 0;
-    std::int64_t free_cpu = 0;  // routing estimate, refreshed per tick
+    std::int64_t free_cpu = 0;  // routing estimate, refreshed per round
+    std::int64_t capacity_cpu = 0;  // the shard's machines, fixed at attach
     obs::ShardLoad stats;
     // Interned per-shard metric handles (K > 1 only; null otherwise so the
     // K = 1 run exports exactly the unsharded counter set).

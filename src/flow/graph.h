@@ -121,12 +121,6 @@ class Graph {
   [[nodiscard]] bool ValidateInvariants(std::span<const VertexId> exempt = {},
                                         std::string* error = nullptr) const;
 
-  // Legacy spelling kept for existing call sites; same as ValidateInvariants
-  // without the error message.
-  [[nodiscard]] bool CheckConsistency(std::span<const VertexId> exempt) const {
-    return ValidateInvariants(exempt);
-  }
-
  private:
   friend struct GraphTestPeer;  // tests corrupt arcs/CSR to exercise validation
   static std::size_t Index(ArcId a) {

@@ -54,6 +54,11 @@ ALADDIN_HOT void ModelAdaptor::OnEvent(const Event& event) {
         // persistent consumer must evict the old placement.
         RetireContainer(record);
       }
+      if (pod.phase == PodPhase::kBound &&
+          (record.pod.phase != PodPhase::kBound ||
+           pod.node != record.pod.node)) {
+        event_bindings_.push_back(pod.uid);
+      }
       SetPhase(record, pod.phase);
       record.pod.spec = pod.spec;
       record.pod.node = pod.node;
@@ -104,6 +109,10 @@ void ModelAdaptor::RetireContainer(const Record& record) {
 
 std::vector<cluster::ContainerId> ModelAdaptor::TakeRetiredContainers() {
   return std::exchange(retired_, {});
+}
+
+std::vector<PodUid> ModelAdaptor::TakeEventBindings() {
+  return std::exchange(event_bindings_, {});
 }
 
 const Pod* ModelAdaptor::FindPod(PodUid uid) const {

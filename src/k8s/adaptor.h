@@ -56,7 +56,6 @@ class ModelAdaptor {
   // not move when other pods are added.
   [[nodiscard]] const Pod* FindPod(PodUid uid) const;
   [[nodiscard]] std::size_t pod_count() const { return store_.size(); }
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] std::size_t bound_count() const { return bound_count_; }
   // Pending pods, uid-ascending: compacts the pending list (drops pods no
   // longer pending; sorts only if a uid arrived out of order). O(list).
@@ -98,6 +97,11 @@ class ModelAdaptor {
   // persistent state. Cleared by the call. Containers of pods undone by a
   // node removal are NOT reported — topology_version() covers those.
   [[nodiscard]] std::vector<cluster::ContainerId> TakeRetiredContainers();
+  // Pods whose binding an event set or moved since the last call, in event
+  // order (a pod may repeat); the consumer places them where the event
+  // says. A moved pod's old placement is in TakeRetiredContainers(). Cleared
+  // by the call.
+  [[nodiscard]] std::vector<PodUid> TakeEventBindings();
 
   // Translations, valid for the current snapshot.
   [[nodiscard]] cluster::ContainerId ContainerOf(PodUid uid) const;
@@ -149,6 +153,7 @@ class ModelAdaptor {
   // pod: target owner name -> source application.
   std::multimap<std::string, cluster::ApplicationId> deferred_rules_;
   std::vector<cluster::ContainerId> retired_;
+  std::vector<PodUid> event_bindings_;
 
   std::vector<PodUid> pod_of_container_;          // by container index
   std::unordered_map<std::string, cluster::MachineId> machine_of_node_;

@@ -33,20 +33,6 @@ void MarkSurvivors(std::vector<std::pair<Key, std::uint32_t>>& keys,
 
 }  // namespace
 
-const char* EventTypeName(EventType type) {
-  switch (type) {
-    case EventType::kPodAdded:
-      return "PodAdded";
-    case EventType::kPodDeleted:
-      return "PodDeleted";
-    case EventType::kNodeAdded:
-      return "NodeAdded";
-    case EventType::kNodeRemoved:
-      return "NodeRemoved";
-  }
-  return "?";
-}
-
 void EventsHandlingCenter::Subscribe(Handler handler) {
   handlers_.push_back(std::move(handler));
 }

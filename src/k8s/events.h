@@ -26,8 +26,6 @@ enum class EventType {  // analyze:closed_enum
   kNodeRemoved,
 };
 
-const char* EventTypeName(EventType type);
-
 struct Event {
   EventType type;
   // One of the two payloads is meaningful depending on the type.

@@ -124,18 +124,10 @@ void Resolver::RebuildState(std::int64_t tick) {
     ledger_.OnRetired(c.value(), tick);
   }
 
-  // Pre-deploy bound pods into the fresh state.
-  for (PodUid uid : adaptor_.BoundPods()) {
-    const Pod* pod = adaptor_.FindPod(uid);
-    const auto c = adaptor_.ContainerOf(uid);
-    const auto m = adaptor_.MachineOf(pod->node);
-    if (!c.valid() || !m.valid() || !state_->Fits(c, m)) {
-      // Stale binding (node shrank or vanished between resolves).
-      adaptor_.UnbindPod(uid);
-      continue;
-    }
-    state_->Deploy(c, m);
-  }
+  // Pre-deploy bound pods into the fresh state, those bound by events
+  // included.
+  (void)adaptor_.TakeEventBindings();
+  for (PodUid uid : adaptor_.BoundPods()) AdoptBinding(uid, tick);
 
   // The change journal starts *after* pre-deployment: it should only carry
   // this-tick scheduling decisions.
@@ -155,6 +147,29 @@ void Resolver::SyncState(std::int64_t tick) {
                         c.value());
     }
   }
+  // Pods an event bound or moved: after the evictions above, so a moved
+  // pod's old node has its room back. Skips pods deleted or unbound since,
+  // and repeats.
+  for (PodUid uid : adaptor_.TakeEventBindings()) {
+    const Pod* pod = adaptor_.FindPod(uid);
+    if (pod == nullptr || pod->phase != PodPhase::kBound ||
+        state_->IsPlaced(adaptor_.ContainerOf(uid))) {
+      continue;
+    }
+    AdoptBinding(uid, tick);
+  }
+}
+
+void Resolver::AdoptBinding(PodUid uid, std::int64_t tick) {
+  const Pod* pod = adaptor_.FindPod(uid);
+  const auto c = adaptor_.ContainerOf(uid);
+  const auto m = adaptor_.MachineOf(pod->node);
+  if (ledger_.HasOpenSpan(c.value())) ledger_.OnRetired(c.value(), tick);
+  if (!c.valid() || !m.valid() || !state_->Fits(c, m)) {
+    adaptor_.UnbindPod(uid);
+    return;
+  }
+  state_->Deploy(c, m);
 }
 
 void Resolver::TrackArrivals(const std::vector<PodUid>& pending,

@@ -117,8 +117,13 @@ class Resolver {
   // `tick` closes the lifecycle spans of containers retired by the rebuild.
   void RebuildState(std::int64_t tick);
   // Brings the persistent state in line with adaptor-side changes since the
-  // last tick: workload growth and retired (deleted/unbound) containers.
+  // last tick: workload growth, retired (deleted/unbound) containers and
+  // pods an event bound or moved.
   void SyncState(std::int64_t tick);
+  // Deploys bound pod `uid` onto its node in state_, or unbinds it as stale
+  // when it has no container, its node is gone or the node lacks room. A
+  // pending span of the pod closes: an event bound it, not this resolver.
+  void AdoptBinding(PodUid uid, std::int64_t tick);
 
   // Opens lifecycle spans (and interns app names with the SLO engine) for
   // pending pods not already tracked. Serial section; journals kPodArrived.
@@ -135,6 +140,8 @@ class Resolver {
                        const cluster::ClusterState& state, std::int64_t tick,
                        std::int64_t solve_cost,
                        std::int64_t solve_wall_micros);
+
+  friend struct ResolverTestPeer;  // tests read the persistent state
 
   ModelAdaptor& adaptor_;
   ResolverOptions options_;

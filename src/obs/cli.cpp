@@ -136,11 +136,6 @@ bool ObsCli::Finish(BenchJson* json) {
   return ok;
 }
 
-const std::string& ObsCli::trace_path() const {
-  static const std::string empty;
-  return trace_path_ != nullptr ? *trace_path_ : empty;
-}
-
 const std::string& ObsCli::journal_path() const {
   static const std::string empty;
   return journal_path_ != nullptr ? *journal_path_ : empty;

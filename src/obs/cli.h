@@ -45,10 +45,6 @@ class ObsCli {
   // false if any requested output file could not be written.
   [[nodiscard]] bool Finish(BenchJson* json = nullptr);
 
-  [[nodiscard]] bool metrics_requested() const {
-    return metrics_ != nullptr && *metrics_;
-  }
-  [[nodiscard]] const std::string& trace_path() const;
   [[nodiscard]] const std::string& journal_path() const;
   [[nodiscard]] bool journal_requested() const {
     return journal_path_ != nullptr && !journal_path_->empty();

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -144,39 +143,6 @@ void CrashDumpJournal() {
             << " decisions to " << path;
 }
 
-// --- minimal JSON field scanners for DecisionFromJson ----------------------
-
-bool FindRawValue(const std::string& line, const std::string& key,
-                  std::string* out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  std::size_t begin = at + needle.size();
-  while (begin < line.size() && line[begin] == ' ') ++begin;
-  std::size_t end = begin;
-  if (begin < line.size() && line[begin] == '"') {
-    end = line.find('"', begin + 1);
-    if (end == std::string::npos) return false;
-    *out = line.substr(begin + 1, end - begin - 1);
-    return true;
-  }
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  if (end == begin) return false;
-  *out = line.substr(begin, end - begin);
-  return true;
-}
-
-bool FindInt(const std::string& line, const std::string& key,
-             std::int64_t* out) {
-  std::string raw;
-  if (!FindRawValue(line, key, &raw)) return false;
-  char* parse_end = nullptr;
-  const long long value = std::strtoll(raw.c_str(), &parse_end, 10);
-  if (parse_end == raw.c_str() || *parse_end != '\0') return false;
-  *out = static_cast<std::int64_t>(value);
-  return true;
-}
-
 // Per-thread deferred-capture state (ScopedDecisionCapture). A raw pointer
 // is enough: the capture scope outlives every EmitDecision it redirects.
 struct CaptureState {
@@ -191,13 +157,6 @@ const char* CauseName(Cause cause) {
   const auto i = static_cast<std::size_t>(cause);
   if (i >= static_cast<std::size_t>(Cause::kCount)) return "?";
   return kCauseNames[i];
-}
-
-Cause CauseFromName(const std::string& name) {
-  for (std::size_t i = 0; i < static_cast<std::size_t>(Cause::kCount); ++i) {
-    if (name == kCauseNames[i]) return static_cast<Cause>(i);
-  }
-  return Cause::kCount;
 }
 
 const char* DecisionKindName(DecisionKind kind) {
@@ -330,46 +289,6 @@ std::string DecisionToJson(const Decision& decision) {
                 decision.container, decision.machine, decision.other,
                 static_cast<long long>(decision.detail));
   return buf;
-}
-
-bool DecisionFromJson(const std::string& line, Decision* decision) {
-  Decision out;
-  std::int64_t value = 0;
-  std::string kind;
-  std::string cause;
-  if (!FindInt(line, "seq", &value)) return false;
-  out.seq = static_cast<std::uint64_t>(value);
-  if (!FindInt(line, "tick", &out.tick)) return false;
-  if (!FindRawValue(line, "kind", &kind) ||
-      !FindRawValue(line, "cause", &cause)) {
-    return false;
-  }
-  const Cause parsed_cause = CauseFromName(cause);
-  if (parsed_cause == Cause::kCount) return false;
-  out.cause = parsed_cause;
-  bool kind_found = false;
-  for (std::size_t i = 0;
-       i < static_cast<std::size_t>(DecisionKind::kCount); ++i) {
-    if (kind == kKindNames[i]) {
-      out.kind = static_cast<DecisionKind>(i);
-      kind_found = true;
-      break;
-    }
-  }
-  if (!kind_found) return false;
-  if (!FindInt(line, "container", &value)) return false;
-  out.container = static_cast<std::int32_t>(value);
-  if (!FindInt(line, "machine", &value)) return false;
-  out.machine = static_cast<std::int32_t>(value);
-  if (!FindInt(line, "other", &value)) return false;
-  out.other = static_cast<std::int32_t>(value);
-  if (!FindInt(line, "detail", &out.detail)) return false;
-  // Optional: absent in unsharded journals (defaults to -1).
-  if (FindInt(line, "shard", &value)) {
-    out.shard = static_cast<std::int32_t>(value);
-  }
-  *decision = out;
-  return true;
 }
 
 bool FlushJournal() {

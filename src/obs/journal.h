@@ -80,8 +80,6 @@ enum class Cause : std::uint8_t {  // analyze:closed_enum
 };
 
 [[nodiscard]] const char* CauseName(Cause cause);
-// Inverse of CauseName; returns kCount for unknown names.
-[[nodiscard]] Cause CauseFromName(const std::string& name);
 
 enum class DecisionKind : std::uint8_t {  // analyze:closed_enum
   kPlace = 0,  // container bound to a machine
@@ -178,11 +176,9 @@ void EmitCapturedDecisions(const std::vector<Decision>& decisions);
 // dropped).
 [[nodiscard]] std::uint64_t EmittedJournalDecisions();
 
-// One JSONL line (no trailing newline) / its inverse for round-trip tests
-// and offline tooling. FromJson returns false on malformed input.
+// One JSONL line (no trailing newline). tools/check_journal.py and
+// tools/explain.py parse the stream.
 [[nodiscard]] std::string DecisionToJson(const Decision& decision);
-[[nodiscard]] bool DecisionFromJson(const std::string& line,
-                                    Decision* decision);
 
 // Appends buffered records to the configured sink and clears the ring.
 // No-op (true) without a sink. False on I/O failure.

@@ -10,40 +10,12 @@
 
 namespace aladdin::obs {
 
-namespace internal {
-
-namespace {
-std::atomic<std::size_t> g_next_shard{0};
-}  // namespace
-
-std::size_t ThisThreadShard() {
-  thread_local const std::size_t shard =
-      g_next_shard.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
-  return shard;
-}
-
-}  // namespace internal
-
 std::int64_t MonotonicNowNs() {
   using Clock = std::chrono::steady_clock;
   static const Clock::time_point epoch = Clock::now();
   return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                               epoch)
       .count();
-}
-
-// --- Counter ----------------------------------------------------------------
-
-std::int64_t Counter::Value() const {
-  std::int64_t total = 0;
-  for (const auto& cell : cells_) {
-    total += cell.value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void Counter::Reset() {
-  for (auto& cell : cells_) cell.value.store(0, std::memory_order_relaxed);
 }
 
 // --- Histogram --------------------------------------------------------------
@@ -139,46 +111,6 @@ double HistogramSnapshot::Percentile(double p) const {
     seen = next;
   }
   return max;
-}
-
-void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
-  if (other.count == 0) return;
-  ALADDIN_CHECK(counts.size() == other.counts.size() && lo == other.lo &&
-                growth == other.growth)
-      << "merging histograms with different bucket geometry";
-  for (std::size_t i = 0; i < counts.size(); ++i) counts[i] += other.counts[i];
-  if (count == 0) {
-    min = other.min;
-    max = other.max;
-  } else {
-    min = std::min(min, other.min);
-    max = std::max(max, other.max);
-  }
-  count += other.count;
-  sum += other.sum;
-}
-
-// --- Phase ------------------------------------------------------------------
-
-std::int64_t Phase::TotalNs() const {
-  std::int64_t total = 0;
-  for (const auto& cell : ns_) {
-    total += cell.value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::int64_t Phase::Calls() const {
-  std::int64_t total = 0;
-  for (const auto& cell : calls_) {
-    total += cell.value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void Phase::Reset() {
-  for (auto& cell : ns_) cell.value.store(0, std::memory_order_relaxed);
-  for (auto& cell : calls_) cell.value.store(0, std::memory_order_relaxed);
 }
 
 // --- Registry ---------------------------------------------------------------

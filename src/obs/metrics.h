@@ -1,13 +1,13 @@
 // Metrics registry: process-global named Counters, Gauges, Histograms and
 // Phase timers behind the obs/runtime.h kill switches.
 //
-// Counters and phase timers are *sharded*: each thread writes its own
-// cache-line-padded cell (relaxed atomics), so concurrent shard solves never
-// contend on a metric, and reads sum the shards. Because every increment is
-// an exact integer add, counter totals are bit-identical between serial and
+// Counters and phase timers are relaxed atomics. Every update is an exact
+// integer add, so counter totals are bit-identical between serial and
 // parallel runs of the same work — tools/perf_compare.py identity-checks
 // them (unit "count"), while phase times export as time units and are only
-// ratio-checked.
+// ratio-checked. The only concurrent writers are the sharded coordinator's
+// shard solves, a few thousand adds per tick, so one shared cell per metric
+// does not contend measurably.
 //
 // Call-site idiom (one registry lookup ever, then a relaxed load + add):
 //
@@ -39,21 +39,11 @@ class BenchJson;
 
 namespace aladdin::obs {
 
-inline constexpr std::size_t kMetricShards = 16;
-
-namespace internal {
-struct alignas(64) ShardCell {
-  std::atomic<std::int64_t> value{0};
-};
-// Stable per-thread shard index in [0, kMetricShards).
-[[nodiscard]] std::size_t ThisThreadShard();
-}  // namespace internal
-
 // Monotonic clock for phase timing and trace timestamps, in nanoseconds
 // since a process-local epoch (steady_clock; comparable across threads).
 [[nodiscard]] std::int64_t MonotonicNowNs();
 
-// Monotonically increasing sum, sharded per thread.
+// Monotonically increasing sum.
 class Counter {
  public:
   // Gated add: a no-op unless metrics are enabled.
@@ -62,14 +52,15 @@ class Counter {
   }
   // Ungated add for call sites that already checked MetricsEnabled().
   void AddUnchecked(std::int64_t delta) {
-    cells_[internal::ThisThreadShard()].value.fetch_add(
-        delta, std::memory_order_relaxed);
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
-  [[nodiscard]] std::int64_t Value() const;
-  void Reset();
+  [[nodiscard]] std::int64_t Value() const {
+    return value_.load(std::memory_order_relaxed);
+  }
+  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
-  internal::ShardCell cells_[kMetricShards];
+  std::atomic<std::int64_t> value_{0};
 };
 
 // Last-write-wins scalar (pods bound, queue depth, ...).
@@ -90,8 +81,8 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
-// Mergeable view of a Histogram (or of several, via Merge): geometric
-// buckets plus exact count / sum / min / max.
+// View of a Histogram: geometric buckets plus exact count / sum / min /
+// max.
 struct HistogramSnapshot {
   double lo = 0.0;      // upper bound of bucket 0
   double growth = 1.0;  // bucket i covers [lo*growth^(i-1), lo*growth^i)
@@ -108,13 +99,11 @@ struct HistogramSnapshot {
   // Bucket edges (bucket 0 is (-inf, lo); the last bucket is open-ended).
   [[nodiscard]] double BucketLow(std::size_t bucket) const;
   [[nodiscard]] double BucketHigh(std::size_t bucket) const;
-
-  void Merge(const HistogramSnapshot& other);
 };
 
-// Lock-free geometric-bucket histogram. Observe is wait-free on the bucket
-// counters; min/max/sum use CAS loops (uncontended in practice — histogram
-// observations are per-tick, not per-container).
+// Lock-free geometric-bucket histogram. An observation is wait-free on the
+// bucket counters; min/max/sum use CAS loops (uncontended in practice —
+// histogram observations are per-tick, not per-container).
 class Histogram {
  public:
   // ~24 buckets per factor-64 span: growth 2^(1/4), 96 buckets from `lo`
@@ -123,9 +112,7 @@ class Histogram {
                      double growth = 1.1892071150027210667, // 2^(1/4)
                      std::size_t buckets = 96);
 
-  void Observe(double value) {
-    if (MetricsEnabled()) ObserveUnchecked(value);
-  }
+  // Ungated: ALADDIN_METRIC_OBSERVE checks MetricsEnabled() first.
   void ObserveUnchecked(double value);
 
   [[nodiscard]] HistogramSnapshot Snapshot() const;
@@ -146,29 +133,35 @@ class Histogram {
   std::atomic<double> max_{0.0};
 };
 
-// Named pipeline phase: accumulated wall nanoseconds + call count, sharded
-// like Counter. `exclusive` marks phases that partition a scheduling tick.
+// Named pipeline phase: accumulated wall nanoseconds + call count.
+// `exclusive` marks phases that partition a scheduling tick.
 class Phase {
  public:
   Phase(std::string name, bool exclusive)
       : name_(std::move(name)), exclusive_(exclusive) {}
 
   void RecordUnchecked(std::int64_t ns) {
-    const std::size_t shard = internal::ThisThreadShard();
-    ns_[shard].value.fetch_add(ns, std::memory_order_relaxed);
-    calls_[shard].value.fetch_add(1, std::memory_order_relaxed);
+    ns_.fetch_add(ns, std::memory_order_relaxed);
+    calls_.fetch_add(1, std::memory_order_relaxed);
   }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] bool exclusive() const { return exclusive_; }
-  [[nodiscard]] std::int64_t TotalNs() const;
-  [[nodiscard]] std::int64_t Calls() const;
-  void Reset();
+  [[nodiscard]] std::int64_t TotalNs() const {
+    return ns_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::int64_t Calls() const {
+    return calls_.load(std::memory_order_relaxed);
+  }
+  void Reset() {
+    ns_.store(0, std::memory_order_relaxed);
+    calls_.store(0, std::memory_order_relaxed);
+  }
 
  private:
   std::string name_;
   bool exclusive_;
-  internal::ShardCell ns_[kMetricShards];
-  internal::ShardCell calls_[kMetricShards];
+  std::atomic<std::int64_t> ns_{0};
+  std::atomic<std::int64_t> calls_{0};
 };
 
 // Phase activity over a window (CapturePhases() start/end diff).

@@ -2,62 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <utility>
 
 #include "common/check.h"
 #include "common/mutex.h"
+#include "common/strings.h"
 #include "obs/metrics.h"
 
 namespace aladdin::obs {
 
 namespace {
-
-// snprintf append helper shared by the renderers (obs cannot use iostreams
-// on the HTTP path — the listener thread must not touch global locales).
-void AppendF(std::string& out, const char* format, ...) {
-  char buf[320];
-  va_list args;
-  va_start(args, format);
-  const int n = std::vsnprintf(buf, sizeof(buf), format, args);
-  va_end(args);
-  if (n > 0) out.append(buf, std::min(static_cast<std::size_t>(n),
-                                      sizeof(buf) - 1));
-}
-
-// Minimal JSON string escape (quotes, backslashes, control bytes) so app
-// names survive the /slo endpoint round-trip verbatim.
-void AppendJsonString(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          AppendF(out, "\\u%04x", ch);
-        } else {
-          out += ch;
-        }
-    }
-  }
-  out += '"';
-}
-
+// Trailing window (ticks) for the burn rate.
+constexpr std::int64_t kBurnWindowTicks = 8;
 }  // namespace
 
 std::int64_t PercentileFromCounts(const std::vector<std::int64_t>& counts,
@@ -91,8 +47,7 @@ PendingAgeStats SummarizePendingAges(
 
 SloEngine::SloEngine(SloObjective objective) : objective_(objective) {
   ALADDIN_CHECK(objective_.wait_ticks >= 0) << "negative SLO objective";
-  ALADDIN_CHECK(objective_.burn_window_ticks > 0) << "empty burn window";
-  burn_ring_.resize(static_cast<std::size_t>(objective_.burn_window_ticks));
+  burn_ring_.resize(static_cast<std::size_t>(kBurnWindowTicks));
 }
 
 void SloEngine::RegisterApp(std::int32_t app, std::string_view name) {
@@ -328,7 +283,7 @@ std::string RenderStatusz(const IntrospectionStatus& status) {
           "burn window %lld tick(s)\n",
           slo.objective.percent,
           static_cast<long long>(slo.objective.wait_ticks),
-          static_cast<long long>(slo.objective.burn_window_ticks));
+          static_cast<long long>(kBurnWindowTicks));
   AppendF(out,
           "slo: admitted=%lld within=%lld violations=%lld "
           "attainment=%.2f%% burn=%.2f\n",
@@ -393,7 +348,7 @@ std::string RenderSloJson(const IntrospectionStatus& status) {
           "\"burn_window_ticks\":%lld},",
           static_cast<long long>(slo.objective.wait_ticks),
           slo.objective.percent,
-          static_cast<long long>(slo.objective.burn_window_ticks));
+          static_cast<long long>(kBurnWindowTicks));
   AppendF(out,
           "\"admitted\":%lld,\"within\":%lld,\"violations\":%lld,"
           "\"attainment_pct\":%.4f,\"burn_rate\":%.4f,",
@@ -417,10 +372,10 @@ std::string RenderSloJson(const IntrospectionStatus& status) {
   for (std::size_t i = 0; i < slo.apps.size(); ++i) {
     const SloAppRow& row = slo.apps[i];
     if (i > 0) out += ',';
-    AppendF(out, "{\"app\":%d,\"name\":", row.app);
-    AppendJsonString(out, row.name);
+    AppendF(out, "{\"app\":%d,\"name\":\"", row.app);
+    AppendJsonEscaped(out, row.name);
     AppendF(out,
-            ",\"admitted\":%lld,\"within\":%lld,\"violations\":%lld,"
+            "\",\"admitted\":%lld,\"within\":%lld,\"violations\":%lld,"
             "\"p50\":%lld,\"p99\":%lld,\"p999\":%lld,\"wait_max\":%lld}",
             static_cast<long long>(row.admitted),
             static_cast<long long>(row.within),

@@ -37,8 +37,6 @@ struct SloObjective {
   // "percent% of containers placed within wait_ticks ticks of arrival."
   std::int64_t wait_ticks = 4;
   double percent = 99.0;
-  // Trailing window (ticks) for the burn rate.
-  std::int64_t burn_window_ticks = 8;
 };
 
 // Exact integer percentiles over a dense count-by-value array (nearest
@@ -176,7 +174,8 @@ class SloEngine {
   std::vector<std::string> app_names_;     // dense by app id
   std::vector<ShardSlo> shards_;           // dense by shard (K > 1 only)
   mutable std::vector<RankKey> rank_scratch_;  // Snapshot's, capacity kept
-  // Burn window ring: per-tick good (within) / bad (new violations).
+  // Burn window ring, one slot per tick of the trailing burn window:
+  // per-tick good (within) / bad (new violations).
   struct BurnSlot {
     std::int64_t good = 0;
     std::int64_t bad = 0;

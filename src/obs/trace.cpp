@@ -8,6 +8,7 @@
 
 #include "common/log.h"
 #include "common/mutex.h"
+#include "common/strings.h"
 #include "common/thread_annotations.h"
 
 namespace aladdin::obs {
@@ -83,35 +84,6 @@ ThreadBuffer& ThisThreadBuffer() {
 
 thread_local std::int32_t g_scope_depth = 0;
 
-void AppendEscaped(std::string& out, const char* text) {
-  for (const char* p = text; *p != '\0'; ++p) {
-    const char c = *p;
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 // A serialisable trace event, pre-sort. `ph` is the Chrome event phase.
 struct Event {
   const char* name = nullptr;
@@ -127,7 +99,7 @@ void AppendEvent(std::string& out, const Event& event, std::int64_t epoch_ns) {
       1000.0;
   char buf[64];
   out += "{\"name\":\"";
-  AppendEscaped(out, event.name);
+  AppendJsonEscaped(out, event.name);
   out += "\",\"cat\":\"aladdin\",\"ph\":\"";
   out += event.ph;
   out += "\",\"ts\":";
@@ -158,7 +130,7 @@ void AppendMetadata(std::string& out, const char* kind, std::uint32_t tid,
     out += buf;
   }
   out += ",\"args\":{\"name\":\"";
-  AppendEscaped(out, value.c_str());
+  AppendJsonEscaped(out, value);
   out += "\"}}";
 }
 

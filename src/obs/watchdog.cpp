@@ -1,10 +1,10 @@
 #include "obs/watchdog.h"
 
 #include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 
 #include "common/check.h"
+#include "common/strings.h"
 #include "obs/metrics.h"
 
 namespace aladdin::obs {
@@ -23,18 +23,6 @@ const char* const kAlertSeverityNames[] = {"warning", "critical"};
 static_assert(sizeof(kAlertSeverityNames) / sizeof(kAlertSeverityNames[0]) ==
                   static_cast<std::size_t>(AlertSeverity::kCount),
               "kAlertSeverityNames out of sync with AlertSeverity");
-
-// snprintf append helper (same discipline as slo.cpp: the /alertz renderers
-// run on the listener's HTTP thread, which must not touch iostream locales).
-void AppendF(std::string& out, const char* format, ...) {
-  char buf[320];
-  va_list args;
-  va_start(args, format);
-  const int n = std::vsnprintf(buf, sizeof(buf), format, args);
-  va_end(args);
-  if (n > 0) out.append(buf, std::min(static_cast<std::size_t>(n),
-                                      sizeof(buf) - 1));
-}
 
 // Detector thresholds. All are exact integers: percentages are *_pct
 // (100 = 1x), ratios are permille or basis points as named, and every

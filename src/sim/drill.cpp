@@ -1,11 +1,10 @@
 #include "sim/drill.h"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
 
 #include "cluster/resources.h"
 #include "common/check.h"
+#include "common/strings.h"
 #include "k8s/simulator.h"
 
 namespace aladdin::sim {
@@ -19,15 +18,6 @@ constexpr const char* kScenarioNames[] = {
 static_assert(sizeof(kScenarioNames) / sizeof(kScenarioNames[0]) ==
                   static_cast<std::size_t>(DrillScenario::kCount),
               "kScenarioNames out of sync with DrillScenario");
-
-void AppendF(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) out.append(buf, std::min<std::size_t>(n, sizeof(buf) - 1));
-}
 
 // Arms exactly the detectors `scenario` is designed to trip. The baseline
 // keeps everything armed — its verdict is that nothing fires anyway.

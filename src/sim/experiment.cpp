@@ -35,7 +35,7 @@ RunMetrics RunExperimentOn(Scheduler& scheduler,
   ScheduleOutcome outcome = scheduler.Schedule(request, state);
   const double wall = timer.ElapsedSeconds();
 
-  if (!state.VerifyResourceInvariant()) {
+  if (!state.CheckConsistency()) {
     LOG_ERROR << scheduler.name()
               << " corrupted cluster state (resource invariant violated)";
   }

@@ -52,12 +52,6 @@ void Workload::AddAntiAffinity(cluster::ApplicationId a,
   }
 }
 
-cluster::ResourceVector Workload::TotalDemand() const {
-  cluster::ResourceVector total;
-  for (const auto& c : containers_) total += c.request;
-  return total;
-}
-
 cluster::ClusterState Workload::MakeState(
     const cluster::Topology& topology) const {
   return cluster::ClusterState(topology, containers_, applications_,

@@ -58,9 +58,6 @@ class Workload {
     return containers_.size();
   }
 
-  // Sum of all container requests.
-  [[nodiscard]] cluster::ResourceVector TotalDemand() const;
-
   // Fresh empty cluster state bound to this workload's tables.
   [[nodiscard]] cluster::ClusterState MakeState(
       const cluster::Topology& topology) const;

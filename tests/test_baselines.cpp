@@ -106,7 +106,7 @@ TEST_F(BaselineFixture, FirmamentPlacesSimpleWorkload) {
   sim::ScheduleRequest request{&wl_, &arrival};
   const auto outcome = scheduler.Schedule(request, state);
   EXPECT_TRUE(outcome.unplaced.empty());
-  EXPECT_TRUE(state.VerifyResourceInvariant());
+  EXPECT_TRUE(state.CheckConsistency());
 }
 
 TEST_F(BaselineFixture, FirmamentNeverLeavesColocationViolations) {
@@ -149,7 +149,7 @@ TEST(Firmament, GeneratedWorkloadInvariants) {
   auto state = wl.MakeState(topo);
   sim::ScheduleRequest request{&wl, &arrival};
   const auto outcome = scheduler.Schedule(request, state);
-  EXPECT_TRUE(state.VerifyResourceInvariant());
+  EXPECT_TRUE(state.CheckConsistency());
   EXPECT_TRUE(cluster::CollectColocationViolations(state).empty());
   EXPECT_EQ(state.placed_count() + outcome.unplaced.size(),
             wl.container_count());
@@ -195,7 +195,7 @@ TEST(Firmament, McmfAndGreedyRoundsBothValid) {
     auto state = wl.MakeState(topo);
     sim::ScheduleRequest request{&wl, &arrival};
     const auto outcome = scheduler.Schedule(request, state);
-    EXPECT_TRUE(state.VerifyResourceInvariant()) << "threshold " << threshold;
+    EXPECT_TRUE(state.CheckConsistency()) << "threshold " << threshold;
     EXPECT_TRUE(cluster::CollectColocationViolations(state).empty());
     EXPECT_EQ(state.placed_count() + outcome.unplaced.size(),
               wl.container_count());
@@ -305,7 +305,7 @@ TEST(Medea, HardModeOnGeneratedWorkloadNeverViolates) {
   sim::ScheduleRequest request{&wl, &arrival};
   scheduler.Schedule(request, state);
   EXPECT_TRUE(cluster::CollectColocationViolations(state).empty());
-  EXPECT_TRUE(state.VerifyResourceInvariant());
+  EXPECT_TRUE(state.CheckConsistency());
 }
 
 TEST(Medea, SoftModeTradesViolationsForMachines) {
@@ -365,7 +365,7 @@ TEST(Medea, LocalSearchNeverIncreasesObjective) {
   const double after =
       SolutionObjective(state, outcome.unplaced.size(), weights);
   EXPECT_LE(after, before + 1e-9);
-  EXPECT_TRUE(state.VerifyResourceInvariant());
+  EXPECT_TRUE(state.CheckConsistency());
   (void)stats;
 }
 
@@ -411,7 +411,7 @@ TEST_F(BaselineFixture, GoKubeRespectsHardAntiAffinity) {
   sim::ScheduleRequest request{&wl_, &arrival};
   scheduler.Schedule(request, state);
   EXPECT_TRUE(cluster::CollectColocationViolations(state).empty());
-  EXPECT_TRUE(state.VerifyResourceInvariant());
+  EXPECT_TRUE(state.CheckConsistency());
 }
 
 TEST(GoKube, SpreadsAcrossMachines) {
@@ -524,7 +524,7 @@ TEST(GoKube, GeneratedWorkloadInvariants) {
   auto state = wl.MakeState(topo);
   sim::ScheduleRequest request{&wl, &arrival};
   const auto outcome = scheduler.Schedule(request, state);
-  EXPECT_TRUE(state.VerifyResourceInvariant());
+  EXPECT_TRUE(state.CheckConsistency());
   EXPECT_TRUE(cluster::CollectColocationViolations(state).empty());
   EXPECT_EQ(state.placed_count() + outcome.unplaced.size(),
             wl.container_count());

@@ -161,20 +161,6 @@ TEST(Rng, ShuffleIsPermutation) {
   EXPECT_EQ(shuffled, v);
 }
 
-TEST(Rng, ForkStreamsAreIndependentAndStable) {
-  Rng a(41);
-  Rng child1 = a.Fork();
-  Rng child2 = a.Fork();
-  EXPECT_NE(child1.Next(), child2.Next());
-  // Same parent seed reproduces the same children, and the second fork
-  // differs from the first deterministically.
-  EXPECT_EQ(Rng(41).Fork().Next(), Rng(41).Fork().Next());
-  Rng b1(41), b2(41);
-  b1.Fork();
-  b2.Fork();
-  EXPECT_EQ(b1.Fork().Next(), b2.Fork().Next());
-}
-
 // -------------------------------------------------------------- stats ----
 
 TEST(Sample, PercentilesExact) {
@@ -403,7 +389,6 @@ TEST(Timer, MeasuresElapsedTime) {
   volatile double x = 1.0;
   for (int i = 0; i < 100000; ++i) x = x * 1.0000001;
   EXPECT_GT(timer.ElapsedSeconds(), 0.0);
-  EXPECT_GE(timer.ElapsedMicros(), 0);
   EXPECT_NEAR(timer.ElapsedMillis(), timer.ElapsedSeconds() * 1e3,
               timer.ElapsedMillis() * 0.5 + 1.0);
 }
@@ -415,21 +400,6 @@ TEST(Timer, ResetRestartsClock) {
   const double before = timer.ElapsedSeconds();
   timer.Reset();
   EXPECT_LE(timer.ElapsedSeconds(), before + 1e-3);
-}
-
-TEST(Timer, ScopedTimerAccumulates) {
-  double sink = 0.0;
-  {
-    ScopedTimer t1(&sink);
-    volatile double x = 1.0;
-    for (int i = 0; i < 10000; ++i) x = x * 1.0000001;
-  }
-  const double after_first = sink;
-  EXPECT_GT(after_first, 0.0);
-  {
-    ScopedTimer t2(&sink);
-  }
-  EXPECT_GE(sink, after_first);
 }
 
 // ---------------------------------------------------------------- log ----

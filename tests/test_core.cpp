@@ -182,8 +182,7 @@ TEST_F(CapacityTest, Eq7BlacklistCheck) {
   EXPECT_TRUE(check.fits);
   EXPECT_TRUE(check.blacklisted);
   EXPECT_FALSE(check.Admits());
-  EXPECT_FALSE(CapacityFunction::Admits(state, a1, MachineId(0)));
-  EXPECT_TRUE(CapacityFunction::Admits(state, a1, MachineId(1)));
+  EXPECT_TRUE(CapacityFunction::Evaluate(state, a1, MachineId(1)).Admits());
 }
 
 // -------------------------------------------------------------- search ----
@@ -404,7 +403,7 @@ TEST(Repair, MigrationScenarioFig3b) {
   EXPECT_EQ(state.PlacementOf(wl.application(b).containers[0]), m_big);
   EXPECT_EQ(state.migrations(), 1);
   EXPECT_EQ(state.preemptions(), 0);
-  EXPECT_TRUE(state.VerifyResourceInvariant());
+  EXPECT_TRUE(state.CheckConsistency());
 }
 
 TEST(Repair, PreemptionOnlyAgainstLowerWeightedFlow) {
@@ -476,7 +475,7 @@ TEST(Repair, RollbackRestoresStateWhenImpossible) {
   EXPECT_EQ(state.PlacementOf(wl.application(a).containers[0]), MachineId(0));
   EXPECT_EQ(state.migrations(), 0);
   EXPECT_EQ(state.preemptions(), 0);
-  EXPECT_TRUE(state.VerifyResourceInvariant());
+  EXPECT_TRUE(state.CheckConsistency());
 }
 
 TEST(Repair, Fig7TwoDimensionalRescheduling) {
@@ -513,7 +512,7 @@ TEST(Repair, Fig7TwoDimensionalRescheduling) {
   // Everyone still placed, both resource dimensions intact.
   EXPECT_EQ(state.placed_count(), 4u);
   EXPECT_GE(state.migrations(), 1);
-  EXPECT_TRUE(state.VerifyResourceInvariant());
+  EXPECT_TRUE(state.CheckConsistency());
 }
 
 TEST(Repair, CompactionDrainsLightMachines) {
@@ -535,7 +534,7 @@ TEST(Repair, CompactionDrainsLightMachines) {
   EXPECT_GE(freed, 2);
   EXPECT_LE(state.UsedMachineCount(), 2u);
   EXPECT_EQ(state.placed_count(), 4u);
-  EXPECT_TRUE(state.VerifyResourceInvariant());
+  EXPECT_TRUE(state.CheckConsistency());
 }
 
 TEST(Repair, CompactionRespectsMigrationBudget) {
@@ -614,7 +613,7 @@ TEST(AladdinScheduler, QuickstartScenarioZeroViolations) {
   EXPECT_EQ(state.placed_count(), wl.container_count());
   const auto report = cluster::Audit(state);
   EXPECT_EQ(report.TotalViolations(), 0u);
-  EXPECT_TRUE(state.VerifyResourceInvariant());
+  EXPECT_TRUE(state.CheckConsistency());
 }
 
 TEST(AladdinScheduler, WeightBasesProduceIdenticalPlacements) {
@@ -729,7 +728,7 @@ TEST(AladdinScheduler, SchedulesFullBenchWorkloadCleanly) {
   EXPECT_EQ(outcome.unplaced.size(), 0u);
   EXPECT_EQ(report.TotalViolations(), 0u);
   EXPECT_EQ(report.colocation_violations, 0u);
-  EXPECT_TRUE(state.VerifyResourceInvariant());
+  EXPECT_TRUE(state.CheckConsistency());
 }
 
 
@@ -762,7 +761,7 @@ TEST(TaskScheduler, ReportsUnplacedWhenFull) {
   const Topology topo = Topology::Uniform(2, ResourceVector::Cores(32, 64));
   auto state = wl.MakeState(topo);
   EXPECT_EQ(PlaceTasks(wl, state), 1u);
-  EXPECT_TRUE(state.VerifyResourceInvariant());
+  EXPECT_TRUE(state.CheckConsistency());
 }
 
 TEST(TaskScheduler, IgnoresAntiAffinityByDesign) {

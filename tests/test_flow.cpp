@@ -152,7 +152,7 @@ TEST(Graph, ConsistencyHoldsAfterMaxFlow) {
   g.AddArc(m, t, 3, 0);
   Dinic(g, s, t);
   const VertexId exempt[] = {s, t};
-  EXPECT_TRUE(g.CheckConsistency(exempt));
+  EXPECT_TRUE(g.ValidateInvariants(exempt));
 }
 
 // ---------------------------------------------------------- max flow ----
@@ -268,7 +268,7 @@ TEST_P(MaxFlowPropertyTest, FlowConservationAfterSolve) {
   Graph g = RandomGraph(rng, 15, 45, s, t, false);
   Dinic(g, s, t);
   const VertexId exempt[] = {s, t};
-  EXPECT_TRUE(g.CheckConsistency(exempt));
+  EXPECT_TRUE(g.ValidateInvariants(exempt));
   EXPECT_EQ(g.NetOutflow(s), -g.NetOutflow(t));
 }
 
@@ -482,7 +482,7 @@ TEST(Decompose, PathsSumToFlowValue) {
   EXPECT_EQ(total, value);
   // The decomposition consumed all flow.
   const VertexId exempt[] = {s, t};
-  EXPECT_TRUE(g.CheckConsistency(exempt));
+  EXPECT_TRUE(g.ValidateInvariants(exempt));
   EXPECT_EQ(g.NetOutflow(s), 0);
 }
 

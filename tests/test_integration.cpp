@@ -172,7 +172,7 @@ TEST(Integration, MemoryDimensionEnforcedWhenEnabled) {
   config.order = trace::ArrivalOrder::kRandom;
   for (const auto& scheduler : AllSchedulers()) {
     const sim::RunMetrics m = sim::RunExperiment(*scheduler, wl, config);
-    // VerifyResourceInvariant (checked inside RunExperimentOn via logging)
+    // CheckConsistency (checked inside RunExperimentOn via logging)
     // covers both dimensions; re-assert placement accounting here.
     EXPECT_EQ(m.audit.placed + m.audit.unplaced, wl.container_count())
         << scheduler->name();

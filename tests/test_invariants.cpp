@@ -60,6 +60,9 @@ struct ClusterStateTestPeer {
     return s.placement_[static_cast<std::size_t>(c.value())];
   }
   static std::size_t& placed_count(ClusterState& s) { return s.placed_count_; }
+  static std::int64_t& free_cpu_millis(ClusterState& s) {
+    return s.free_cpu_millis_;
+  }
 };
 
 }  // namespace aladdin::cluster
@@ -256,6 +259,12 @@ TEST_F(StateConsistencyTest, CleanStatePasses) {
   state.Evict(C(0));
   state.Deploy(C(0), MachineId(1));
   EXPECT_TRUE(state.CheckConsistency(&error)) << error;
+  std::int64_t free_cpu = 0;
+  for (std::size_t m = 0; m < topo_.machine_count(); ++m) {
+    free_cpu +=
+        state.Free(MachineId(static_cast<std::int32_t>(m))).cpu_millis();
+  }
+  EXPECT_EQ(state.free_cpu_millis(), free_cpu);
 }
 
 TEST_F(StateConsistencyTest, DetectsCorruptedFreeVector) {
@@ -314,6 +323,15 @@ TEST_F(StateConsistencyTest, DetectsPlacedCountDrift) {
   std::string error;
   EXPECT_FALSE(state.CheckConsistency(&error));
   EXPECT_NE(error.find("placed_count"), std::string::npos) << error;
+}
+
+TEST_F(StateConsistencyTest, DetectsFreeCpuTotalDrift) {
+  ClusterState state = wl_.MakeState(topo_);
+  state.Deploy(C(0), MachineId(0));
+  ClusterStateTestPeer::free_cpu_millis(state) += 1;
+  std::string error;
+  EXPECT_FALSE(state.CheckConsistency(&error));
+  EXPECT_NE(error.find("free_cpu_millis"), std::string::npos) << error;
 }
 
 TEST_F(StateConsistencyTest, DeployPreconditionsDie) {

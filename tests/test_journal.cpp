@@ -1,7 +1,9 @@
-// Decision provenance journal: serial-vs-parallel bit-identity of the JSONL
-// stream, ring wraparound accounting, JSON round-trips, the guarantee that
-// every unplaced container carries a structured (non-catch-all) cause, sink
-// draining at tick boundaries, and the crash-time flight recorder.
+// Decision provenance journal: ring wraparound accounting, the JSONL line
+// format, the guarantee that every unplaced container carries a structured
+// (non-catch-all) cause, sink draining at tick boundaries, and the
+// crash-time flight recorder. tools/check_journal.py and tools/explain.py
+// are the journal's parsers; these tests compare emitted lines with
+// DecisionToJson of the expected records.
 #include <array>
 #include <cstdint>
 #include <cstdio>
@@ -55,15 +57,16 @@ obs::Decision MakeDecision(std::uint64_t seq) {
 
 // --- cause / kind vocabulary -------------------------------------------------
 
+// Distinct names are what lets the tools map a journal's cause string back
+// to one cause.
 TEST(JournalVocabulary, CauseNamesRoundTripAndStayClosed) {
+  std::set<std::string> names;
   for (std::size_t i = 0; i < static_cast<std::size_t>(obs::Cause::kCount);
        ++i) {
-    const auto cause = static_cast<obs::Cause>(i);
-    const std::string name = obs::CauseName(cause);
+    const std::string name = obs::CauseName(static_cast<obs::Cause>(i));
     EXPECT_NE(name, "?") << "cause " << i << " has no name";
-    EXPECT_EQ(obs::CauseFromName(name), cause) << name;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate cause name " << name;
   }
-  EXPECT_EQ(obs::CauseFromName("not_a_cause"), obs::Cause::kCount);
   EXPECT_STREQ(obs::CauseName(obs::Cause::kCount), "?");
 }
 
@@ -75,40 +78,21 @@ TEST(JournalVocabulary, DecisionKindNames) {
   }
 }
 
-// --- JSON round trip ---------------------------------------------------------
+// --- JSONL line format -------------------------------------------------------
 
+// Golden lines: every field of a record reaches its line, and `shard`
+// appears only when assigned.
 TEST(JournalJson, DecisionRoundTripsThroughJsonl) {
-  const obs::Decision original = MakeDecision(123456789);
-  const std::string line = obs::DecisionToJson(original);
-  obs::Decision parsed;
-  ASSERT_TRUE(obs::DecisionFromJson(line, &parsed)) << line;
-  EXPECT_EQ(parsed.seq, original.seq);
-  EXPECT_EQ(parsed.tick, original.tick);
-  EXPECT_EQ(parsed.kind, original.kind);
-  EXPECT_EQ(parsed.cause, original.cause);
-  EXPECT_EQ(parsed.container, original.container);
-  EXPECT_EQ(parsed.machine, original.machine);
-  EXPECT_EQ(parsed.other, original.other);
-  EXPECT_EQ(parsed.detail, original.detail);
-}
-
-TEST(JournalJson, MalformedLinesAreRejected) {
-  obs::Decision d;
-  EXPECT_FALSE(obs::DecisionFromJson("", &d));
-  EXPECT_FALSE(obs::DecisionFromJson("{}", &d));
-  EXPECT_FALSE(obs::DecisionFromJson(
-      "{\"seq\":1,\"tick\":0,\"kind\":\"place\",\"cause\":\"bogus\","
-      "\"container\":1,\"machine\":1,\"other\":-1,\"detail\":0}",
-      &d));
-  EXPECT_FALSE(obs::DecisionFromJson(
-      "{\"seq\":1,\"tick\":0,\"kind\":\"bogus\",\"cause\":\"none\","
-      "\"container\":1,\"machine\":1,\"other\":-1,\"detail\":0}",
-      &d));
-  // Missing a required field.
-  EXPECT_FALSE(obs::DecisionFromJson(
-      "{\"seq\":1,\"kind\":\"place\",\"cause\":\"none\","
-      "\"container\":1,\"machine\":1,\"other\":-1,\"detail\":0}",
-      &d));
+  obs::Decision decision = MakeDecision(123456789);
+  EXPECT_EQ(obs::DecisionToJson(decision),
+            "{\"seq\":123456789,\"tick\":7,\"kind\":\"migrate\","
+            "\"cause\":\"migrated_for_repair\",\"container\":42,"
+            "\"machine\":3,\"other\":9,\"detail\":-12345}");
+  decision.shard = 2;
+  EXPECT_EQ(obs::DecisionToJson(decision),
+            "{\"seq\":123456789,\"tick\":7,\"kind\":\"migrate\","
+            "\"cause\":\"migrated_for_repair\",\"container\":42,"
+            "\"machine\":3,\"other\":9,\"detail\":-12345,\"shard\":2}");
 }
 
 // --- unplaced causes (always on, journal armed or not) -----------------------
@@ -261,17 +245,19 @@ TEST_F(JournalTest, TickBoundariesDrainToTheSink) {
   EXPECT_EQ(obs::DroppedJournalDecisions(), 0u);
   EXPECT_EQ(obs::EmittedJournalDecisions(), 20u);
 
+  // Seq-ordered across drains, each record stamped with the tick it was
+  // emitted in (so ticks are non-decreasing).
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::string line;
   std::uint64_t expected_seq = 0;
-  std::int64_t last_tick = 0;
   while (std::getline(in, line)) {
-    obs::Decision d;
-    ASSERT_TRUE(obs::DecisionFromJson(line, &d)) << line;
-    EXPECT_EQ(d.seq, expected_seq++);  // seq-ordered across drains
-    EXPECT_GE(d.tick, last_tick);      // ticks monotone non-decreasing
-    last_tick = d.tick;
+    obs::Decision expected;
+    expected.seq = expected_seq;
+    expected.tick = static_cast<std::int64_t>(expected_seq / 4) + 1;
+    expected.container = static_cast<std::int32_t>(expected.tick);
+    EXPECT_EQ(line, obs::DecisionToJson(expected));
+    ++expected_seq;
   }
   EXPECT_EQ(expected_seq, 20u);
 }
@@ -366,17 +352,21 @@ TEST_F(JournalTest, CheckFailureDumpsFlightRecorder) {
   // The dying process left its last decisions next to the sink.
   std::ifstream in(crash);
   ASSERT_TRUE(in.good()) << crash << " was not written by the check hook";
-  std::vector<obs::Decision> dumped;
+  std::vector<std::string> dumped;
   std::string line;
-  while (std::getline(in, line)) {
-    obs::Decision d;
-    ASSERT_TRUE(obs::DecisionFromJson(line, &d)) << line;
-    dumped.push_back(d);
-  }
-  ASSERT_EQ(dumped.size(), 2u);
-  EXPECT_EQ(dumped[0].kind, obs::DecisionKind::kPlace);
-  EXPECT_EQ(dumped[0].container, 7);
-  EXPECT_EQ(dumped[1].cause, obs::Cause::kCapacityExhaustedCpu);
+  while (std::getline(in, line)) dumped.push_back(line);
+  obs::Decision place;
+  place.kind = obs::DecisionKind::kPlace;
+  place.cause = obs::Cause::kAdmittedDirect;
+  place.container = 7;
+  place.machine = 2;
+  obs::Decision unplaced;
+  unplaced.seq = 1;
+  unplaced.kind = obs::DecisionKind::kUnplaced;
+  unplaced.cause = obs::Cause::kCapacityExhaustedCpu;
+  unplaced.container = 8;
+  EXPECT_EQ(dumped, (std::vector<std::string>{obs::DecisionToJson(place),
+                                              obs::DecisionToJson(unplaced)}));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -22,6 +23,14 @@
 #include "k8s/simulator.h"
 
 namespace aladdin::k8s {
+
+// Friend of Resolver: reads the persistent state.
+struct ResolverTestPeer {
+  static std::size_t placed_count(const Resolver& resolver) {
+    return resolver.state_.has_value() ? resolver.state_->placed_count() : 0;
+  }
+};
+
 namespace {
 
 using cluster::ResourceVector;
@@ -89,15 +98,15 @@ std::string EventKey(const Event& e) {
 
 TEST(Ehc, DispatchesToSubscribersInOrder) {
   EventsHandlingCenter ehc;
-  std::vector<std::string> log;
-  ehc.Subscribe([&](const Event& e) { log.push_back(EventTypeName(e.type)); });
+  std::vector<EventType> log;
+  ehc.Subscribe([&](const Event& e) { log.push_back(e.type); });
   ehc.Submit(NodeAdded("n0", ResourceVector::Cores(32, 64)));
   ehc.Submit(PodAdded(MakePod(1, "a", ResourceVector::Cores(1, 2))));
   EXPECT_EQ(ehc.pending(), 2u);
   EXPECT_EQ(ehc.DrainAndDispatch(), 2u);
   ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[0], "NodeAdded");
-  EXPECT_EQ(log[1], "PodAdded");
+  EXPECT_EQ(log[0], EventType::kNodeAdded);
+  EXPECT_EQ(log[1], EventType::kPodAdded);
   EXPECT_EQ(ehc.pending(), 0u);
 }
 
@@ -650,6 +659,88 @@ TEST(Resolver, ShortLivedPodsBypassConstraints) {
   EXPECT_EQ(stats.new_bindings, 2u);
   EXPECT_EQ(ma.FindPod(1)->node, "n0");
   EXPECT_EQ(ma.FindPod(2)->node, "n0");
+}
+
+// A pod bound to `node` by an event, as another scheduler or a user would
+// bind it.
+Event BoundPodAdded(PodUid uid, const std::string& app, ResourceVector req,
+                    const std::string& node) {
+  Pod pod = MakePod(uid, app, req);
+  pod.phase = PodPhase::kBound;
+  pod.node = node;
+  pod.bound_at_tick = 1;
+  return PodAdded(std::move(pod));
+}
+
+// No node's bound requests exceed `capacity`, and the resolver's state
+// holds exactly the bound pods.
+void ExpectBindingsFit(ClusterSimulator& sim, ResourceVector capacity) {
+  std::map<std::string, ResourceVector> used;
+  for (PodUid uid : sim.adaptor().BoundPods()) {
+    const Pod* pod = sim.adaptor().FindPod(uid);
+    used[pod->node] += pod->spec->requests;
+  }
+  for (const auto& [node, total] : used) {
+    EXPECT_TRUE(total.FitsIn(capacity)) << node << " holds "
+                                        << total.ToString();
+  }
+  EXPECT_EQ(ResolverTestPeer::placed_count(sim.resolver()),
+            sim.adaptor().bound_count());
+}
+
+// A pod an event delivers already bound occupies its node: the resolver
+// places nothing beside it that does not fit.
+TEST(Resolver, PodBoundByAnEventOccupiesItsNode) {
+  const ResourceVector capacity = ResourceVector::Cores(4, 8);
+  ClusterSimulator sim;
+  const std::vector<std::string> nodes = sim.AddNodes(2, capacity);
+  PodSpec spec;
+  spec.requests = ResourceVector::Cores(3, 6);
+  const PodUid a = sim.SubmitDeployment("a", 1, spec).front();
+  sim.Tick();
+  ExpectBindingsFit(sim, capacity);
+  const std::string a_node = sim.adaptor().FindPod(a)->node;
+  const std::string other = nodes[0] == a_node ? nodes[1] : nodes[0];
+
+  sim.ehc().Submit(
+      BoundPodAdded(1000, "external", ResourceVector::Cores(3, 6), other));
+  const PodUid b = sim.SubmitDeployment("b", 1, spec).front();
+  sim.Tick();
+  EXPECT_EQ(sim.adaptor().FindPod(b)->phase, PodPhase::kPending);
+  EXPECT_EQ(sim.adaptor().FindPod(1000)->node, other);
+  EXPECT_EQ(sim.adaptor().FindPod(a)->node, a_node);
+  ExpectBindingsFit(sim, capacity);
+}
+
+// An update that moves a bound pod moves its container too: the new node
+// fills up and the old one has room again.
+TEST(Resolver, PodMovedByAnEventFollowsItsNode) {
+  const ResourceVector capacity = ResourceVector::Cores(4, 8);
+  ClusterSimulator sim;
+  const std::vector<std::string> nodes = sim.AddNodes(2, capacity);
+  PodSpec spec;
+  spec.requests = ResourceVector::Cores(3, 6);
+  const PodUid a = sim.SubmitDeployment("a", 1, spec).front();
+  sim.Tick();
+  ExpectBindingsFit(sim, capacity);
+  Pod moved = *sim.adaptor().FindPod(a);
+  const std::string from = moved.node;
+  moved.node = nodes[0] == from ? nodes[1] : nodes[0];
+
+  sim.ehc().Submit(PodAdded(moved));
+  const std::vector<PodUid> b = sim.SubmitDeployment("b", 2, spec);
+  const ResolveStats stats = sim.Tick();
+  EXPECT_EQ(sim.adaptor().FindPod(a)->node, moved.node);
+  // Room for one replica of b, on the node `a` left; the other stays
+  // pending.
+  EXPECT_EQ(stats.new_bindings, 1u);
+  EXPECT_EQ(stats.unschedulable, 1u);
+  for (PodUid uid : b) {
+    const Pod* pod = sim.adaptor().FindPod(uid);
+    EXPECT_TRUE(pod->phase == PodPhase::kPending || pod->node == from)
+        << "pod " << uid << " on " << pod->node;
+  }
+  ExpectBindingsFit(sim, capacity);
 }
 
 // ------------------------------------------------------- churn fuzzing ----

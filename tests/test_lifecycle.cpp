@@ -237,7 +237,6 @@ TEST(SloEngine, AttainmentCountsWithinAndViolations) {
   obs::SloObjective objective;
   objective.wait_ticks = 1;
   objective.percent = 99.0;
-  objective.burn_window_ticks = 4;
   obs::SloEngine slo(objective);
   slo.RegisterApp(0, "web");
   obs::LifecycleLedger ledger;
@@ -300,7 +299,6 @@ TEST(SloEngine, BurnRateWindowsAndExpires) {
   obs::SloObjective objective;
   objective.wait_ticks = 0;   // any wait > 0 violates
   objective.percent = 99.0;   // budget 1%
-  objective.burn_window_ticks = 4;
   obs::SloEngine slo(objective);
   obs::LifecycleLedger ledger;
 
@@ -314,8 +312,8 @@ TEST(SloEngine, BurnRateWindowsAndExpires) {
   // Window: 3 good, 1 bad -> bad fraction 0.25, burn = 0.25 / 0.01 = 25.
   EXPECT_DOUBLE_EQ(slo.Snapshot(0).burn_rate, 25.0);
 
-  // Rotating the full window out drops the burn to zero; the cumulative
-  // attainment keeps the violation forever.
+  // Rotating the full 8-tick window out drops the burn to zero; the
+  // cumulative attainment keeps the violation forever.
   slo.BeginTick(10);
   const obs::SloSnapshot snap = slo.Snapshot(0);
   EXPECT_DOUBLE_EQ(snap.burn_rate, 0.0);

@@ -123,7 +123,7 @@ TEST_P(FuzzTest, ClusterStateRandomOperationSequence) {
       unplaced.push_back(c);
     }
     // Invariants after every step.
-    ASSERT_TRUE(state.VerifyResourceInvariant()) << "step " << step;
+    ASSERT_TRUE(state.CheckConsistency()) << "step " << step;
   }
   // Blacklist agrees with the pairwise oracle everywhere.
   for (const auto& c : wl.containers()) {
@@ -211,7 +211,7 @@ TEST_P(FuzzTest, RepairTransactionsNeverCorruptState) {
   const auto still_unplaced =
       repair.Repair(pending, core::SearchOptions{}, counters);
 
-  EXPECT_TRUE(state.VerifyResourceInvariant());
+  EXPECT_TRUE(state.CheckConsistency());
   // Eq. 9 monotonicity: every repair transaction admits at least as much
   // weighted flow as it displaces, so the objective never shrinks.
   auto total_weighted_flow = [&] {
@@ -351,7 +351,7 @@ TEST(HeavyFuzz, SearchOracleAndRepairInvariantsAcrossVariedClusters) {
     for (const auto& c : wl.containers()) {
       if (state.IsPlaced(c.id)) flow_after += weights.WeightedFlow(c);
     }
-    ASSERT_TRUE(state.VerifyResourceInvariant()) << "seed " << seed;
+    ASSERT_TRUE(state.CheckConsistency()) << "seed " << seed;
     ASSERT_GE(flow_after, flow_before) << "seed " << seed;
     ASSERT_TRUE(cluster::CollectColocationViolations(state).empty())
         << "seed " << seed;
@@ -378,8 +378,10 @@ TEST_P(GeneratorSweepTest, InvariantsHoldAcrossSeeds) {
   EXPECT_NEAR(stats.SingleInstanceFraction(), 0.64, 0.08);
   // Demand calibrated to the target utilisation band of the matched
   // cluster (76 % +-5 %).
-  const double demand =
-      static_cast<double>(wl.TotalDemand().cpu_millis());
+  double demand = 0.0;
+  for (const auto& c : wl.containers()) {
+    demand += static_cast<double>(c.request.cpu_millis());
+  }
   const double capacity = 3000.0 * 3200.0;
   EXPECT_NEAR(demand / capacity, 0.76, 0.05);
   // Request cap respected.

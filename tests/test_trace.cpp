@@ -44,13 +44,6 @@ TEST(Workload, ContainerIdsAreDense) {
   }
 }
 
-TEST(Workload, TotalDemand) {
-  Workload wl;
-  wl.AddApplication("a", 2, ResourceVector::Cores(2, 4));
-  wl.AddApplication("b", 1, ResourceVector::Cores(3, 6));
-  EXPECT_EQ(wl.TotalDemand(), ResourceVector::Cores(7, 14));
-}
-
 TEST(Workload, ProjectCpuOnly) {
   Workload wl;
   wl.AddApplication("a", 2, ResourceVector::Cores(2, 4));
