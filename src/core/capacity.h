@@ -11,17 +11,15 @@
 // linear combination of flow values.
 #pragma once
 
-#include <cstdint>
-#include <span>
-
 #include "cluster/state.h"
 
 namespace aladdin::core {
 
 // Outcome of evaluating the capacity function for a (container, machine)
-// pair; split so the search can attribute failures (the full enumeration
-// memoises only blacklist failures for IL, and DiagnoseFailure tells
-// resource failures from blacklist ones).
+// pair; split so the search can attribute failures (the IL memo keeps only
+// blacklist failures, and DiagnoseFailure tells resource failures from
+// blacklist ones). The best-fit walks test (1) against the free tuples
+// AggregatedNetwork indexes and probe only the blacklist.
 struct CapacityCheck {
   bool fits = false;         // Eq. 6
   bool blacklisted = false;  // Eq. 7–8
@@ -40,21 +38,6 @@ class CapacityFunction {
     // set, so skip it when the resource tuple already rejects the path.
     check.blacklisted = check.fits && state.Blacklisted(container, machine);
     return check;
-  }
-
-  // Batched Eq. 6 over a flat machine array: one fit bit per machine for a
-  // single request tuple. The loop body is a dependency-free componentwise
-  // compare against consecutive candidates — the structure-of-arrays form
-  // the group waterfall feeds its frozen snapshot chunks through. Each bit
-  // equals CapacityCheck::fits for that (container, machine) pair.
-  static void BatchFits(const cluster::ClusterState& state,
-                        cluster::ContainerId container,
-                        std::span<const std::int32_t> machines,
-                        std::span<std::uint8_t> out) {
-    for (std::size_t i = 0; i < machines.size(); ++i) {
-      out[i] =
-          state.Fits(container, cluster::MachineId(machines[i])) ? 1 : 0;
-    }
   }
 };
 

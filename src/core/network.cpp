@@ -1,6 +1,7 @@
 #include "core/network.h"
 
 #include <algorithm>
+#include <bit>
 #include <span>
 #include <vector>
 
@@ -34,17 +35,18 @@ void AggregatedNetwork::Attach(cluster::ClusterState* state) {
   const std::size_t machines = topology_->machine_count();
   by_free_.clear();
   // analyze:allow(A103) Attach is the full (re)build; per-tick Sync() replays the touch log
-  indexed_free_.assign(machines, 0);
+  indexed_free_.assign(machines, cluster::ResourceVector::Zero());
   epoch_.assign(machines, 0);  // analyze:allow(A103) rebuild arm, as above
   rack_free_.assign(topology_->rack_count(), {});  // analyze:allow(A103) rebuild arm, as above
   subcluster_free_.assign(topology_->subcluster_count(), {});  // analyze:allow(A103) rebuild arm, as above
   rack_max_.assign(topology_->rack_count(), 0);  // analyze:allow(A103) rebuild arm, as above
-  il_memo_.assign(state->applications().size(), {});  // analyze:allow(A103) rebuild arm, as above
+  il_memo_.clear();
+  il_memo_.resize(state->applications().size());  // analyze:allow(A103) rebuild arm, as above
 
   // Build rack multisets first, then seed sub-cluster maxima.
   for (const auto& machine : topology_->machines()) {
-    const std::int64_t free = state_->Free(machine.id).cpu_millis();
-    indexed_free_[Idx(machine.id)] = free;
+    indexed_free_[Idx(machine.id)] = state_->Free(machine.id);
+    const std::int64_t free = indexed_free_[Idx(machine.id)].cpu_millis();
     by_free_.insert({free, machine.id.value()});
     rack_free_[Idx(machine.rack)].insert(free);
   }
@@ -93,10 +95,6 @@ void AggregatedNetwork::Sync() {
   log_cursor_ = state_->TouchLogEnd();
 }
 
-std::int64_t AggregatedNetwork::FreeCpu(cluster::MachineId m) const {
-  return state_->Free(m).cpu_millis();
-}
-
 void AggregatedNetwork::Reindex(cluster::MachineId m) {
   // The epoch bump happens even when the free CPU is unchanged (a machine
   // can mutate without its residual moving — e.g. equal-sized evict+deploy
@@ -106,8 +104,12 @@ void AggregatedNetwork::Reindex(cluster::MachineId m) {
 }
 
 void AggregatedNetwork::ReindexKeys(cluster::MachineId m) {
-  const std::int64_t old_free = indexed_free_[Idx(m)];
-  const std::int64_t new_free = FreeCpu(m);
+  // The tuple is refreshed even when the CPU key is unchanged: an evict and
+  // a deploy of equal CPU can still move the machine's free memory.
+  cluster::ResourceVector& indexed = indexed_free_[Idx(m)];
+  const std::int64_t old_free = indexed.cpu_millis();
+  indexed = state_->Free(m);
+  const std::int64_t new_free = indexed.cpu_millis();
   if (old_free == new_free) return;
 
   // Re-key via node extraction: erase+insert would free and re-malloc a
@@ -116,7 +118,6 @@ void AggregatedNetwork::ReindexKeys(cluster::MachineId m) {
   ALADDIN_DCHECK(!nh.empty());
   nh.value() = {new_free, m.value()};
   by_free_.insert(std::move(nh));
-  indexed_free_[Idx(m)] = new_free;
 
   const cluster::RackId rack = topology_->machine(m).rack;
   auto& rset = rack_free_[Idx(rack)];
@@ -196,32 +197,26 @@ ALADDIN_HOT std::size_t AggregatedNetwork::PlaceGroupRun(
   // No re-key touches by_free_ until the flush, so this iterator survives
   // the whole run: the frozen snapshot extends lazily, chunk by chunk, only
   // as far as the merged walks actually reach. Machines deployed mid-run
-  // are only ever ones the walk already materialised, so chunks past the
-  // frontier never hold a stale key.
+  // are only ever ones the walk already materialised, so past the frontier
+  // every key and indexed tuple is live. Only machines whose tuple holds
+  // the request (Eq. 6) enter: the serial walk steps over the others, and
+  // a machine that does not fit is never a winner, so nothing in the run
+  // changes it.
   auto snap_it = by_free_.lower_bound({need, -1});
   bool snap_done = (snap_it == by_free_.end());
   auto extend_snapshot = [&] {
     if (snap_done) return;
     constexpr std::size_t kChunk = 64;
-    auto& machines = group_chunk_machines_;
-    machines.clear();
-    const std::size_t base = group_snapshot_.size();
     for (std::size_t n = 0; snap_it != by_free_.end() && n < kChunk;
-         ++snap_it, ++n) {
-      group_snapshot_.push_back(
-          GroupEntry{snap_it->first, snap_it->second, kGroupFresh, 0});
-      machines.push_back(snap_it->second);
+         ++snap_it) {
+      const auto [free, machine] = *snap_it;
+      if (!request.FitsIn(indexed_free_[static_cast<std::size_t>(machine)])) {
+        continue;
+      }
+      group_snapshot_.push_back(GroupEntry{free, machine, kGroupFresh});
+      ++n;
     }
     snap_done = (snap_it == by_free_.end());
-    // analyze:allow(A103) pooled scratch, capacity retained across runs
-    group_chunk_fits_.resize(machines.size());
-    // Batched Eq. 6 over the chunk: one shared request tuple against a flat
-    // machine array. Valid for the entire run — a snapshot entry stays
-    // kGroupFresh only while its machine is untouched.
-    CapacityFunction::BatchFits(*state_, run[0], machines, group_chunk_fits_);
-    for (std::size_t i = 0; i < machines.size(); ++i) {
-      group_snapshot_[base + i].fit = group_chunk_fits_[i];
-    }
   };
   const auto entry_less = [](const GroupEntry& a, const GroupEntry& b) {
     return a.free != b.free ? a.free < b.free : a.machine < b.machine;
@@ -240,7 +235,7 @@ ALADDIN_HOT std::size_t AggregatedNetwork::PlaceGroupRun(
   for (std::size_t s = 0; s < run.size(); ++s) {
     const cluster::ContainerId c = run[s];
     cluster::MachineId winner = cluster::MachineId::Invalid();
-    GroupEntry winner_key{0, 0, 0, 0};
+    GroupEntry winner_key{0, 0, 0};
     // Two-pointer merge of the frozen snapshot and the re-inserted winners:
     // candidates stream by ascending (free, machine), exactly the order the
     // serial per-sibling walk would visit live keys in.
@@ -269,7 +264,8 @@ ALADDIN_HOT std::size_t AggregatedNetwork::PlaceGroupRun(
           continue;
         }
         ++counters.explored_paths;
-        if (e.fit == 0 || state_->Blacklisted(c, m)) {
+        ALADDIN_DCHECK(state_->Fits(c, m));
+        if (state_->Blacklisted(c, m)) {
           if (use_il) RecordIlFailure(app, m);
           e.state = kGroupFailed;
           continue;
@@ -286,11 +282,12 @@ ALADDIN_HOT std::size_t AggregatedNetwork::PlaceGroupRun(
         continue;
       }
       // Re-inserted winner: its epoch was bumped at deploy time, so any
-      // pre-run memo is stale — full live evaluation, like the serial walk.
+      // pre-run memo is stale — a live probe, like the serial walk. It
+      // re-entered only while it fits, so only the blacklist can fail.
       ++counters.explored_paths;
       const cluster::MachineId m(e.machine);
-      const CapacityCheck check = CapacityFunction::Evaluate(*state_, c, m);
-      if (!check.Admits()) {
+      ALADDIN_DCHECK(state_->Fits(c, m));
+      if (state_->Blacklisted(c, m)) {
         if (use_il) RecordIlFailure(app, m);
         e.state = kGroupFailed;
         ++ti;
@@ -334,10 +331,10 @@ ALADDIN_HOT std::size_t AggregatedNetwork::PlaceGroupRun(
     ++counters.dl_stops;
     DeployKeyDeferred(c, winner);
     group_moved_.push_back(winner.value());
-    const std::int64_t new_free = FreeCpu(winner);
-    if (new_free >= need) {
+    const cluster::ResourceVector& left = state_->Free(winner);
+    if (request.FitsIn(left)) {
       // Still a candidate for later siblings, at its live (smaller) key.
-      const GroupEntry fresh{new_free, winner.value(), kGroupFresh, 0};
+      const GroupEntry fresh{left.cpu_millis(), winner.value(), kGroupFresh};
       group_touched_.insert(std::upper_bound(group_touched_.begin(),
                                              group_touched_.end(), fresh,
                                              entry_less),
@@ -374,19 +371,94 @@ ALADDIN_HOT std::size_t AggregatedNetwork::PlaceGroupRun(
   return placed;
 }
 
+std::size_t IlMemo::Find(std::int32_t machine) const {
+  // Fibonacci hashing: the top log2(size_) bits of the product spread
+  // dense ids.
+  const std::size_t mask = size_ - 1;
+  std::size_t i = static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(machine)) *
+       0x9E3779B97F4A7C15ull) >>
+      (64 - std::countr_zero(size_)));
+  // At most half full, so the probe always meets an empty slot.
+  while (slots_[i].machine != machine && slots_[i].machine != kEmpty) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+bool IlMemo::Pruned(std::int32_t machine,
+                    std::span<const std::uint32_t> epochs) const {
+  const auto m = static_cast<std::size_t>(machine);
+  if (dense_ != nullptr) return dense_[m] == epochs[m] + 1;
+  if (size_ == 0) return false;  // app never recorded a failure
+  const Slot& slot = slots_[Find(machine)];
+  return slot.machine == machine && slot.stamp == epochs[m] + 1;
+}
+
+void IlMemo::Record(std::int32_t machine,
+                    std::span<const std::uint32_t> epochs) {
+  const auto m = static_cast<std::size_t>(machine);
+  const std::uint32_t stamp = epochs[m] + 1;
+  if (dense_ != nullptr) {
+    dense_[m] = stamp;
+    return;
+  }
+  if (size_ != 0) {
+    Slot& slot = slots_[Find(machine)];
+    if (slot.machine == machine) {
+      slot.stamp = stamp;
+      return;
+    }
+    if (2 * (used_ + 1) <= size_) {
+      slot = Slot{machine, stamp};
+      ++used_;
+      return;
+    }
+  }
+  Rehash(epochs);
+  Record(machine, epochs);  // now dense, or a table with room
+}
+
+void IlMemo::Rehash(std::span<const std::uint32_t> epochs) {
+  const auto live = [&](const Slot& s) {
+    return s.machine != kEmpty &&
+           s.stamp == epochs[static_cast<std::size_t>(s.machine)] + 1;
+  };
+  const std::unique_ptr<Slot[]> old = std::move(slots_);
+  const std::span<const Slot> old_slots(old.get(), size_);
+  std::size_t live_count = 0;
+  for (const Slot& s : old_slots) live_count += live(s) ? 1 : 0;
+  const std::size_t size = std::max(kMinSlots, std::bit_ceil(4 * live_count));
+  if (size * sizeof(Slot) >= epochs.size() * sizeof(std::uint32_t)) {
+    // analyze:allow(A101) a rehash's allocation, once per application: the dense form is final
+    dense_ = std::make_unique<std::uint32_t[]>(epochs.size());  // all 0
+    for (const Slot& s : old_slots) {
+      if (live(s)) dense_[static_cast<std::size_t>(s.machine)] = s.stamp;
+    }
+    size_ = 0;
+    used_ = 0;
+    return;
+  }
+  size_ = static_cast<std::uint32_t>(size);
+  // analyze:allow(A101) the table's one allocation: a rehash, taken only when an insert would pass half full, sized by live entries
+  slots_ = std::make_unique<Slot[]>(size_);
+  std::fill_n(slots_.get(), size_, Slot{kEmpty, 0});
+  used_ = 0;
+  for (const Slot& s : old_slots) {
+    if (!live(s)) continue;
+    slots_[Find(s.machine)] = s;
+    ++used_;
+  }
+}
+
 bool AggregatedNetwork::IlPruned(cluster::ApplicationId app,
                                  cluster::MachineId m) const {
-  const auto& memo = il_memo_[Idx(app)];
-  if (memo.empty()) return false;  // app never recorded a failure
-  return memo[Idx(m)] == epoch_[Idx(m)] + 1;
+  return il_memo_[Idx(app)].Pruned(m.value(), epoch_);
 }
 
 void AggregatedNetwork::RecordIlFailure(cluster::ApplicationId app,
                                         cluster::MachineId m) {
-  auto& memo = il_memo_[Idx(app)];
-  // analyze:allow(A103) lazy once-per-app materialisation, then reused
-  if (memo.empty()) memo.assign(topology_->machine_count(), 0);
-  memo[Idx(m)] = epoch_[Idx(m)] + 1;
+  il_memo_[Idx(app)].Record(m.value(), epoch_);
 }
 
 cluster::MachineId AggregatedNetwork::FindMachine(cluster::ContainerId c,
@@ -490,7 +562,7 @@ cluster::MachineId AggregatedNetwork::FindByEnumeration(
           if (use_il && check.blacklisted) RecordIlFailure(app, m);
           continue;
         }
-        const std::int64_t free = indexed_free_[Idx(m)];
+        const std::int64_t free = indexed_free_[Idx(m)].cpu_millis();
         if (!best.valid() || free < best_free ||
             (free == best_free && m < best)) {
           best = m;
@@ -506,22 +578,27 @@ cluster::MachineId AggregatedNetwork::FindByBestFitWalk(
     cluster::ContainerId c, const SearchOptions& options,
     SearchCounters& counters, cluster::MachineId exclude) {
   const cluster::ApplicationId app = state_->containers()[Idx(c)].app;
-  const std::int64_t need = state_->containers()[Idx(c)].request.cpu_millis();
+  const cluster::ResourceVector& request = state_->containers()[Idx(c)].request;
   const bool use_il =
       options.enable_il &&
       state_->applications()[Idx(app)].containers.size() > 1;
 
-  for (auto it = by_free_.lower_bound({need, -1}); it != by_free_.end();
-       ++it) {
+  // lower_bound steps over CPU-infeasible machines; the tuple test below
+  // steps over the rest of the Eq. 6-infeasible ones the same way.
+  for (auto it = by_free_.lower_bound({request.cpu_millis(), -1});
+       it != by_free_.end(); ++it) {
     const cluster::MachineId m(it->second);
+    if (!request.FitsIn(indexed_free_[Idx(m)])) continue;
     if (m == exclude) continue;
     if (use_il && IlPruned(app, m)) {
       ++counters.il_prunes;
       continue;
     }
     ++counters.explored_paths;
-    const CapacityCheck check = CapacityFunction::Evaluate(*state_, c, m);
-    if (check.Admits()) {
+    // The indexed tuple is the live one: every mutation re-keys eagerly or
+    // is replayed by Sync() before a search.
+    ALADDIN_DCHECK(state_->Fits(c, m));
+    if (!state_->Blacklisted(c, m)) {
       // Depth limiting: this path saturates the container's s→T_i edge;
       // no further path can increase its flow (§IV.A, Fig. 5b).
       ++counters.dl_stops;

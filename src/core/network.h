@@ -15,15 +15,16 @@
 //
 // The two latency optimisations of §IV.A are implemented here:
 //  * Isomorphism limiting (IL): containers of one application are identical,
-//    so a failed (application, machine) probe is memoised against the
-//    machine's change-epoch and siblings skip the probe while the machine
-//    is unchanged.
+//    so a (application, machine) probe that failed the blacklist is
+//    memoised against the machine's change-epoch and siblings skip the
+//    probe while the machine is unchanged.
 //  * Depth limiting (DL): a container's s→T_i edge saturates after one
 //    placement, so the search stops at the *first* admissible machine in
 //    best-fit order instead of enumerating all alternatives.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <span>
 #include <vector>
@@ -37,6 +38,55 @@ namespace aladdin::core {
 struct SearchOptions {
   bool enable_il = true;
   bool enable_dl = true;
+};
+
+// One application's IL memo: the machines on which a sibling failed the
+// blacklist (Eq. 7–8), each stamped with the machine's change epoch at the
+// failure + 1. A probe prunes while the stamp still equals the machine's
+// epoch + 1, i.e. while the machine is unchanged since the failure.
+//
+// An open-addressing table of {machine, stamp} slots (linear probing,
+// power-of-two size, at most half full), so an application pays for the
+// failures it has, not for the machine count. A table grows only when an
+// insert would pass half full; it first drops every entry whose machine
+// has changed since (its stamp is stale), so the new size follows the live
+// entries: at least 4 slots per live entry and never fewer than
+// kMinSlots. No table until the first recorded failure.
+//
+// A growth that would need as many bytes of slots as one stamp per machine
+// takes that dense form instead, and keeps it: it is no larger than the
+// table, and a probe is one load rather than a hashed walk. Only an
+// application blacklisted on a large share of the machines gets there,
+// such as a big anti-affinity application whose siblings a repair relocates
+// by walking over every machine they already occupy.
+class IlMemo {
+ public:
+  static constexpr std::size_t kMinSlots = 8;
+
+  // `epochs` is the per-machine change counter (indexed by machine id);
+  // its size is the machine count.
+  [[nodiscard]] bool Pruned(std::int32_t machine,
+                            std::span<const std::uint32_t> epochs) const;
+  void Record(std::int32_t machine, std::span<const std::uint32_t> epochs);
+
+  // Slots of the table; 0 before the first failure and once dense.
+  [[nodiscard]] std::size_t slot_count() const { return size_; }
+
+ private:
+  struct Slot {
+    std::int32_t machine;  // kEmpty = free slot
+    std::uint32_t stamp;   // machine epoch at the failure + 1
+  };
+  static constexpr std::int32_t kEmpty = -1;
+
+  // The slot holding `machine`, or the empty slot where it would go.
+  [[nodiscard]] std::size_t Find(std::int32_t machine) const;
+  void Rehash(std::span<const std::uint32_t> epochs);
+
+  std::unique_ptr<Slot[]> slots_;
+  std::unique_ptr<std::uint32_t[]> dense_;  // stamp per machine, 0 = none
+  std::uint32_t size_ = 0;  // a power of two, or 0
+  std::uint32_t used_ = 0;  // occupied slots, stale entries included
 };
 
 struct SearchCounters {
@@ -87,10 +137,10 @@ class AggregatedNetwork {
   //
   // The walk replays the serial per-sibling search *exactly*: machines are
   // considered in the same (free cpu, machine) order each sibling would see,
-  // Eq. 6 fit bits are batch-evaluated once per frozen snapshot chunk (the
-  // tuple is shared by the whole run), blacklist probes stay live (self-
-  // anti-affinity flips mid-run), and IL memo reads/writes land exactly
-  // where the serial walk would put them. Deploys happen inside (epoch
+  // machines whose free tuple cannot hold the shared request (Eq. 6) never
+  // enter the snapshot, blacklist probes stay live (self-anti-affinity
+  // flips mid-run), and IL memo reads/writes land exactly where the serial
+  // walk would put them. Deploys happen inside (epoch
   // bumped eagerly, by_free_ re-key deferred to one flush at the end), so
   // placements, SearchCounters, IL memo contents and machine epochs are all
   // bit-identical to calling FindMachine+Deploy per sibling. out[i] gets
@@ -147,29 +197,31 @@ class AggregatedNetwork {
   // the serial wrapper) but leaves the sorted keys frozen for the walk.
   void ReindexKeys(cluster::MachineId m);
   void DeployKeyDeferred(cluster::ContainerId c, cluster::MachineId m);
-  [[nodiscard]] std::int64_t FreeCpu(cluster::MachineId m) const;
 
   // Full enumeration through the aggregation vertices (plain / +IL modes).
   cluster::MachineId FindByEnumeration(cluster::ContainerId c,
                                        const SearchOptions& options,
                                        SearchCounters& counters,
                                        cluster::MachineId exclude);
-  // Sorted best-fit walk with first-hit termination (+DL mode).
+  // Sorted best-fit walk with first-hit termination (+DL mode). Steps over
+  // machines whose indexed free tuple cannot hold the request (Eq. 6)
+  // without probing, counting or memoising them, so a visited machine can
+  // fail only on the blacklist.
   cluster::MachineId FindByBestFitWalk(cluster::ContainerId c,
                                        const SearchOptions& options,
                                        SearchCounters& counters,
                                        cluster::MachineId exclude);
 
   // Group-waterfall scratch (PlaceGroupRun), hoisted so steady-state runs
-  // allocate nothing. The snapshot is the frozen (free, machine) prefix of
-  // by_free_ materialised lazily in chunks; `touched` holds winners
-  // re-inserted at their live keys; `moved` collects machines whose by_free_
-  // re-key is deferred to the end-of-run flush.
+  // allocate nothing. The snapshot is the frozen (free, machine) sequence of
+  // by_free_ machines that fit the run's request, materialised lazily in
+  // chunks; `touched` holds winners re-inserted at their live keys while
+  // they still fit; `moved` collects machines whose by_free_ re-key is
+  // deferred to the end-of-run flush.
   struct GroupEntry {
     std::int64_t free;
     std::int32_t machine;
     std::uint8_t state;  // kGroupFresh / kGroupFailed / kGroupMoved
-    std::uint8_t fit;    // Eq. 6 bit, batch-evaluated (snapshot entries)
   };
   static constexpr std::uint8_t kGroupFresh = 0;
   static constexpr std::uint8_t kGroupFailed = 1;
@@ -178,17 +230,14 @@ class AggregatedNetwork {
   std::vector<GroupEntry> group_touched_;
   std::vector<GroupEntry> group_prefix_failed_;
   std::vector<std::int32_t> group_moved_;
-  std::vector<std::int32_t> group_chunk_machines_;
-  std::vector<std::uint8_t> group_chunk_fits_;
 
   // IL memo: (app, machine) -> machine epoch at failure. A probe is skipped
-  // while the machine has not changed since the recorded failure. The
-  // best-fit walk (FindByBestFitWalk) and the group waterfall
-  // (PlaceGroupRun) memoise every failed probe, fit and blacklist alike.
-  // The full enumeration (FindByEnumeration) memoises only blacklist
-  // failures: there a resource-fit failure is two integer compares, cheaper
-  // than a lookup, while a blacklist probe walks the machine's tenant list,
-  // which is exactly the cost isomorphic siblings should not pay twice.
+  // while the machine has not changed since the recorded failure. Every
+  // search memoises only blacklist failures: a resource-fit failure is a
+  // componentwise compare, cheaper than a lookup (and the best-fit walks
+  // step over such machines before probing), while a blacklist probe walks
+  // the machine's tenant list, which is exactly the cost isomorphic
+  // siblings should not pay twice.
   [[nodiscard]] bool IlPruned(cluster::ApplicationId app,
                               cluster::MachineId m) const;
   void RecordIlFailure(cluster::ApplicationId app, cluster::MachineId m);
@@ -196,23 +245,18 @@ class AggregatedNetwork {
   const cluster::Topology* topology_;
   cluster::ClusterState* state_ = nullptr;
 
-  std::set<Key> by_free_;                     // N_y → t residuals, sorted
-  std::vector<std::int64_t> indexed_free_;    // key currently in by_free_
-  std::vector<std::uint32_t> epoch_;          // per-machine change counter
+  std::set<Key> by_free_;  // N_y → t residuals, sorted
+  // Each machine's free tuple as of its last re-key; its CPU is the
+  // machine's by_free_ key, and the best-fit walks test Eq. 6 against it.
+  std::vector<cluster::ResourceVector> indexed_free_;
+  std::vector<std::uint32_t> epoch_;  // per-machine change counter
   // Aggregate residuals for the R_x and G_k vertices.
   std::vector<std::multiset<std::int64_t>> rack_free_;        // per rack
   std::vector<std::multiset<std::int64_t>> subcluster_free_;  // rack maxima
   std::vector<std::int64_t> rack_max_;  // cached current max per rack
 
-  // Per-app memo arrays, lazily sized to machine_count on the app's first
-  // recorded failure: entry = machine epoch at failure + 1, 0 = no memo.
-  // A direct indexed load replaces the previous bitset + hash-map pair —
-  // the memo probe sits inside every search's inner loop, and hashing plus
-  // bucket chasing dominated it. 4 bytes/machine is only paid by apps that
-  // actually record a blacklist failure. An epoch wrap at most *loses* a
-  // memo entry (stored 0 means unset) — it never fabricates a prune beyond
-  // the exact-equality collision the hash map already had.
-  mutable std::vector<std::vector<std::uint32_t>> il_memo_;
+  // One IlMemo per application, indexed by application id.
+  std::vector<IlMemo> il_memo_;
 
   // Absolute cursor into state_'s touch log: everything before it has been
   // reindexed here. The network's own mutation wrappers Reindex eagerly and

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <string>
+#include <vector>
 
 #include "cluster/audit.h"
 #include "common/rng.h"
@@ -194,6 +196,9 @@ class NetworkTest : public ::testing::Test {
     app_ = wl_.AddApplication("app", 3, ResourceVector::Cores(8, 16), 0,
                               /*anti_affinity_within=*/true);
     filler_ = wl_.AddApplication("filler", 4, ResourceVector::Cores(4, 8));
+    // 6 cores and 56 GiB: a machine holding one keeps 26 cores, enough CPU
+    // for an `app` container, but only 8 GiB, less than its 16.
+    memhog_ = wl_.AddApplication("memhog", 2, ResourceVector::Cores(6, 56));
   }
 
   ContainerId C(ApplicationId app, std::size_t i) const {
@@ -202,7 +207,7 @@ class NetworkTest : public ::testing::Test {
 
   Topology topo_;
   Workload wl_;
-  ApplicationId app_, filler_;
+  ApplicationId app_, filler_, memhog_;
 };
 
 TEST_F(NetworkTest, FindsTightestMachine) {
@@ -226,10 +231,14 @@ TEST_F(NetworkTest, AllPoliciesReturnSameMachine) {
     AggregatedNetwork network(topo_);
     network.Attach(&state);
     SearchCounters counters;
-    // Build a varied occupancy pattern.
+    // Build a varied occupancy pattern. The memory-heavy fillers leave
+    // their machines the tightest on CPU but short of memory (Eq. 6 fails
+    // on memory alone).
     network.Deploy(C(filler_, 0), MachineId(step % 6));
+    network.Deploy(C(memhog_, 0), MachineId((step + 1) % 6));
     network.Deploy(C(filler_, 1), MachineId((step + 2) % 6));
     network.Deploy(C(app_, 0), MachineId((step + 4) % 6));
+    network.Deploy(C(memhog_, 1), MachineId((step + 5) % 6));
 
     const SearchOptions plain{false, false};
     const SearchOptions il{true, false};
@@ -317,6 +326,75 @@ TEST_F(NetworkTest, IlPrunesSiblingProbes) {
   EXPECT_LT(second.explored_paths, first.explored_paths);
 }
 
+TEST_F(NetworkTest, MemoryStrandedMachineIsNotProbed) {
+  // Free (cpu, mem) after the deploys below, in best-fit order:
+  //   machine 1: (24, 48) — holds app/0, so blacklisted for its siblings
+  //   machine 2: (26, 8)  — memory-stranded: CPU fits an app container,
+  //                         memory does not
+  //   machine 4: (28, 56) — the tightest admissible machine
+  // and machines 0, 3, 5 empty at (32, 64).
+  const auto prepare = [&](cluster::ClusterState& state,
+                           AggregatedNetwork& network) {
+    network.Attach(&state);
+    network.Deploy(C(app_, 0), MachineId(1));
+    network.Deploy(C(memhog_, 0), MachineId(2));
+    network.Deploy(C(filler_, 0), MachineId(4));
+  };
+  // IL off, so the reference search memoises nothing the walks would read.
+  const SearchOptions enumeration{false, false};
+  const SearchOptions dl{true, true};
+
+  auto state = wl_.MakeState(topo_);
+  AggregatedNetwork network(topo_);
+  prepare(state, network);
+  SearchCounters reference;
+  const MachineId expected =
+      network.FindMachine(C(app_, 1), enumeration, reference);
+  EXPECT_EQ(expected, MachineId(4));
+
+  // The walk visits machine 1 (blacklisted, memoised) and machine 4; the
+  // stranded machine 2 between them is neither probed nor counted.
+  SearchCounters first;
+  EXPECT_EQ(network.FindMachine(C(app_, 1), dl, first), expected);
+  EXPECT_EQ(first.explored_paths, 2);
+  EXPECT_EQ(first.il_prunes, 0);
+  // A sibling's walk prunes machine 1 from the memo; machine 2 was never
+  // memoised, so the only prune is machine 1's.
+  SearchCounters second;
+  EXPECT_EQ(network.FindMachine(C(app_, 2), dl, second), expected);
+  EXPECT_EQ(second.il_prunes, 1);
+  EXPECT_EQ(second.explored_paths, 1);
+
+  // A group run of both siblings picks the same first machine and counts
+  // what the serial walks count: sibling 1 explores machines 1 and 4, and
+  // sibling 2 explores machine 4 (now holding app/1) and machine 0 and
+  // prunes machine 1.
+  auto serial_state = wl_.MakeState(topo_);
+  AggregatedNetwork serial(topo_);
+  prepare(serial_state, serial);
+  SearchCounters serial_counters;
+  std::vector<MachineId> serial_out;
+  for (std::size_t i = 1; i <= 2; ++i) {
+    const MachineId m = serial.FindMachine(C(app_, i), dl, serial_counters);
+    serial.Deploy(C(app_, i), m);
+    serial_out.push_back(m);
+  }
+  auto group_state = wl_.MakeState(topo_);
+  AggregatedNetwork group(topo_);
+  prepare(group_state, group);
+  SearchCounters group_counters;
+  const std::vector<ContainerId> run = {C(app_, 1), C(app_, 2)};
+  std::vector<MachineId> group_out(run.size());
+  EXPECT_EQ(group.PlaceGroupRun(run, dl, group_counters, group_out), 2u);
+  EXPECT_EQ(group_out[0], expected);
+  EXPECT_EQ(group_out, serial_out);
+  EXPECT_EQ(group_out[1], MachineId(0));
+  EXPECT_EQ(group_counters.explored_paths, 4);
+  EXPECT_EQ(group_counters.il_prunes, 1);
+  EXPECT_EQ(group_counters.explored_paths, serial_counters.explored_paths);
+  EXPECT_EQ(group_counters.il_prunes, serial_counters.il_prunes);
+}
+
 TEST_F(NetworkTest, IlMemoInvalidatedByMachineChange) {
   auto state = wl_.MakeState(topo_);
   AggregatedNetwork network(topo_);
@@ -370,6 +448,107 @@ TEST_F(NetworkTest, ScansAreOrderedAndBounded) {
   });
   EXPECT_EQ(desc.size(), 6u);
   EXPECT_TRUE(std::is_sorted(desc.rbegin(), desc.rend()));
+}
+
+// Differential oracle for the IL memo: random Record, Probe and
+// machine-change steps against a dense per-(application, machine) stamp
+// array, which prunes exactly while stamp == epoch + 1. Phases vary the
+// churn and the machine window so tables grow, shrink and rehash many times;
+// every rehash must size the table by its live entries alone, and take the
+// dense form exactly when that table would need as many bytes as one stamp
+// per machine. On 1,000 machines tables reach the dense form; on 65,536 the
+// windows keep them tables.
+TEST(IlMemo, MatchesDenseOracleAcrossRehashes) {
+  constexpr std::size_t kApps = 3;
+  constexpr int kSteps = 100000;
+  constexpr int kPhase = 2000;
+  std::int64_t resizes = 0;
+  std::int64_t went_dense = 0;
+  std::int64_t pruned_probes = 0;
+  for (const std::size_t machines : {std::size_t{1000}, std::size_t{65536}}) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      Rng rng(seed);
+      std::vector<std::uint32_t> epochs(machines, 0);
+      std::vector<std::vector<std::uint32_t>> dense(
+          kApps, std::vector<std::uint32_t>(machines, 0));
+      std::vector<IlMemo> memos(kApps);
+      std::vector<bool> is_dense(kApps, false);
+      const auto live_entries = [&](std::size_t app) {
+        std::size_t live = 0;
+        for (std::size_t m = 0; m < machines; ++m) {
+          live += dense[app][m] == epochs[m] + 1 ? 1 : 0;
+        }
+        return live;
+      };
+      const auto last = static_cast<std::int64_t>(machines) - 1;
+      double change_p = 0.1;
+      std::int64_t lo = 0;
+      std::int64_t hi = last;
+      for (int step = 0; step < kSteps; ++step) {
+        if (step % kPhase == 0) {
+          change_p = rng.UniformDouble() * 0.6;
+          lo = rng.UniformInt(0, last);
+          hi = std::min(last, lo + rng.UniformInt(8, 1000));
+          if (rng.Bernoulli(0.25)) {
+            for (std::uint32_t& e : epochs) ++e;  // every machine changes
+          }
+        }
+        const auto m = static_cast<std::size_t>(rng.UniformInt(lo, hi));
+        const auto app = static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<std::int64_t>(kApps) - 1));
+        const auto machine = static_cast<std::int32_t>(m);
+        if (rng.Bernoulli(change_p)) {
+          ++epochs[m];
+        } else if (rng.Bernoulli(0.5)) {
+          const std::size_t before = memos[app].slot_count();
+          memos[app].Record(machine, epochs);
+          dense[app][m] = epochs[m] + 1;
+          const std::size_t after = memos[app].slot_count();
+          if (after != before && !is_dense[app]) {
+            ++resizes;
+            // Live entries at the rehash: all but the one just recorded (a
+            // live entry would have been updated in place).
+            const std::size_t live = live_entries(app) - 1;
+            const std::size_t size =
+                std::max(IlMemo::kMinSlots, std::bit_ceil(4 * live));
+            if (size * 8 >= machines * 4) {
+              ASSERT_EQ(after, 0u) << "seed " << seed << " step " << step;
+              is_dense[app] = true;
+              ++went_dense;
+            } else {
+              ASSERT_EQ(after, size) << "seed " << seed << " step " << step;
+            }
+          }
+          if (is_dense[app]) {
+            ASSERT_EQ(memos[app].slot_count(), 0u);
+          }
+        } else {
+          const bool pruned = memos[app].Pruned(machine, epochs);
+          ASSERT_EQ(pruned, dense[app][m] == epochs[m] + 1)
+              << "machines " << machines << " seed " << seed << " step "
+              << step << " app " << app << " machine " << m;
+          pruned_probes += pruned ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GE(resizes, 200);
+  EXPECT_GT(went_dense, 0);
+  EXPECT_GT(pruned_probes, 10000);
+
+  // A table exactly half full of entries that all changed since: the next
+  // insert rehashes, drops every stale entry and lands at the minimum.
+  std::vector<std::uint32_t> epochs(65536, 0);
+  IlMemo memo;
+  for (std::int32_t m = 0; m < 256; ++m) memo.Record(m, epochs);
+  EXPECT_EQ(memo.slot_count(), 512u);
+  for (std::size_t m = 0; m < 256; ++m) ++epochs[m];
+  memo.Record(300, epochs);
+  EXPECT_EQ(memo.slot_count(), IlMemo::kMinSlots);
+  EXPECT_TRUE(memo.Pruned(300, epochs));
+  for (std::int32_t m = 0; m < 256; ++m) {
+    EXPECT_FALSE(memo.Pruned(m, epochs)) << m;
+  }
 }
 
 // -------------------------------------------------------------- repair ----
